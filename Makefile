@@ -51,12 +51,13 @@ bench-sweep:
 bench-triage:
 	$(GO) test . -run TestWriteBenchTriage -bench-triage=BENCH_triage.json -count=1 -v -timeout 20m
 
-# The persistent-store and sweep-engine gates (DESIGN.md §12): codecs
-# round-trip pipeline artifacts exactly, poisoned cache entries are
+# The persistent-store and sweep-engine gates (DESIGN.md §12): the wire
+# framing primitives guard every count, codecs round-trip pipeline
+# artifacts exactly and keep their pinned bytes, poisoned cache entries are
 # detected and recomputed, a warm suite is byte-identical to cold, and a
 # checkpointed sweep resumes without recomputing finished cells.
 sweepcheck:
-	$(GO) test ./internal/store/ -count=1
+	$(GO) test ./internal/wire/ ./internal/store/ -count=1
 	$(GO) test ./internal/eval/ -run TestPersist -count=1
 	$(GO) test -race ./internal/sweep/ -count=1
 
@@ -79,10 +80,12 @@ triagecheck:
 	$(GO) test -race ./internal/costmodel/ -count=1
 	$(GO) test -race ./internal/sweep/ -run Triage -count=1
 
-# Short fuzz pass over every fuzz target (currently canonical-code
-# permutation invariance and collision soundness); CI-sized budget.
+# Short fuzz pass over every fuzz target (canonical-code permutation
+# invariance and collision soundness; every persisted-value decoder
+# returns a value or an error on arbitrary bytes); CI-sized budget.
 fuzz:
 	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzCanonicalCode -fuzztime 30s
+	$(GO) test ./internal/store/ -run xxx -fuzz FuzzDecode -fuzztime 30s
 
 # The PnR performance gates (DESIGN.md §10): the annealer inner loop
 # must stay at zero allocations per move and the router within its

@@ -1,16 +1,16 @@
 package costmodel
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+
+	"repro/internal/wire"
 )
 
 // Deterministic binary codec for models and training samples. The
 // encoding is a pure function of the value (fixed field order, float64
-// bit patterns, uvarint lengths), so byte-identical models are exactly
-// the models with identical weights — the determinism tests compare
-// encoded bytes directly.
+// bit patterns, uvarint ints and lengths — internal/wire), so
+// byte-identical models are exactly the models with identical weights —
+// the determinism tests compare encoded bytes directly.
 
 const (
 	modelMagic  = "APXM"
@@ -18,158 +18,94 @@ const (
 	codecVer    = 1
 )
 
-type enc struct{ buf []byte }
-
-func (e *enc) u64(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) i(v int)       { e.u64(uint64(v)) }
-func (e *enc) f64(v float64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v)) }
-func (e *enc) str(s string)  { e.u64(uint64(len(s))); e.buf = append(e.buf, s...) }
-func (e *enc) floats(vs []float64) {
-	e.i(len(vs))
+func encodeFloats(e *wire.Enc, vs []float64) {
+	e.Uvarint(uint64(len(vs)))
 	for _, v := range vs {
-		e.f64(v)
+		e.Float64(v)
 	}
 }
 
-type dec struct {
-	buf []byte
-	err error
-}
-
-func (d *dec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("costmodel: decode: "+format, args...)
-	}
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *dec) i() int { return int(d.u64()) }
-
-func (d *dec) f64() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) < 8 {
-		d.fail("truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
-	d.buf = d.buf[8:]
-	return v
-}
-
-func (d *dec) str() string {
-	n := d.u64()
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.buf)) < n {
-		d.fail("truncated string")
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *dec) floats() []float64 {
-	n := d.i()
-	if d.err != nil || n < 0 || n > 1<<20 {
-		d.fail("bad float count %d", n)
-		return nil
-	}
-	vs := make([]float64, n)
+func decodeFloats(d *wire.Dec) []float64 {
+	vs := make([]float64, d.Count())
 	for i := range vs {
-		vs[i] = d.f64()
+		vs[i] = d.Float64()
 	}
 	return vs
 }
 
+// openMagic checks the magic prefix and the codec version and returns
+// a decoder positioned after them.
+func openMagic(data []byte, magic, what string) (*wire.Dec, error) {
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
+		return nil, fmt.Errorf("costmodel: decode: bad %s magic", what)
+	}
+	d := wire.NewDec(data[len(magic):])
+	if v := d.Uvarint(); v != codecVer {
+		return nil, fmt.Errorf("costmodel: decode: %s codec version %d, want %d", what, v, codecVer)
+	}
+	return d, nil
+}
+
 // Encode serializes the model deterministically.
 func (m *Model) Encode() []byte {
-	e := &enc{}
-	e.buf = append(e.buf, modelMagic...)
-	e.i(codecVer)
-	e.i(m.Schema)
-	e.i(m.SampleCount)
-	e.i(len(m.Names))
+	e := &wire.Enc{Buf: []byte(modelMagic)}
+	e.Uvarint(codecVer)
+	e.Uvarint(uint64(m.Schema))
+	e.Uvarint(uint64(m.SampleCount))
+	e.Uvarint(uint64(len(m.Names)))
 	for _, n := range m.Names {
-		e.str(n)
+		e.Str(n)
 	}
-	e.floats(m.Mean)
-	e.floats(m.Scale)
+	encodeFloats(e, m.Mean)
+	encodeFloats(e, m.Scale)
 	for t := 0; t < NumTargets; t++ {
 		tm := &m.Targets[t]
-		e.f64(tm.Intercept)
-		e.floats(tm.Weights)
-		e.i(len(tm.Stumps))
+		e.Float64(tm.Intercept)
+		encodeFloats(e, tm.Weights)
+		e.Uvarint(uint64(len(tm.Stumps)))
 		for _, s := range tm.Stumps {
-			e.i(s.Feature)
-			e.f64(s.Threshold)
-			e.f64(s.Left)
-			e.f64(s.Right)
+			e.Uvarint(uint64(s.Feature))
+			e.Float64(s.Threshold)
+			e.Float64(s.Left)
+			e.Float64(s.Right)
 		}
 	}
-	return e.buf
+	return e.Buf
 }
 
 // DecodeModel parses a model encoded by Encode. A schema mismatch with
 // the running binary is an error: a model trained on a different
 // feature layout must be retrained, not misread.
 func DecodeModel(data []byte) (*Model, error) {
-	if len(data) < len(modelMagic) || string(data[:len(modelMagic)]) != modelMagic {
-		return nil, fmt.Errorf("costmodel: decode: bad model magic")
-	}
-	d := &dec{buf: data[len(modelMagic):]}
-	if v := d.i(); v != codecVer {
-		return nil, fmt.Errorf("costmodel: decode: codec version %d, want %d", v, codecVer)
+	d, err := openMagic(data, modelMagic, "model")
+	if err != nil {
+		return nil, err
 	}
 	m := &Model{}
-	m.Schema = d.i()
-	m.SampleCount = d.i()
-	nn := d.i()
-	if d.err == nil && (nn < 0 || nn > 1<<16) {
-		d.fail("bad name count %d", nn)
+	m.Schema = int(d.Uvarint())
+	m.SampleCount = int(d.Uvarint())
+	nn := d.Count()
+	for i := 0; i < nn; i++ {
+		m.Names = append(m.Names, d.Str())
 	}
-	for i := 0; i < nn && d.err == nil; i++ {
-		m.Names = append(m.Names, d.str())
-	}
-	m.Mean = d.floats()
-	m.Scale = d.floats()
+	m.Mean = decodeFloats(d)
+	m.Scale = decodeFloats(d)
 	for t := 0; t < NumTargets; t++ {
 		tm := &m.Targets[t]
-		tm.Intercept = d.f64()
-		tm.Weights = d.floats()
-		ns := d.i()
-		if d.err == nil && (ns < 0 || ns > 1<<16) {
-			d.fail("bad stump count %d", ns)
-		}
-		for i := 0; i < ns && d.err == nil; i++ {
+		tm.Intercept = d.Float64()
+		tm.Weights = decodeFloats(d)
+		ns := d.Count()
+		for i := 0; i < ns; i++ {
 			tm.Stumps = append(tm.Stumps, Stump{
-				Feature:   d.i(),
-				Threshold: d.f64(),
-				Left:      d.f64(),
-				Right:     d.f64(),
+				Feature:   int(d.Uvarint()),
+				Threshold: d.Float64(),
+				Left:      d.Float64(),
+				Right:     d.Float64(),
 			})
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("costmodel: decode: %d trailing bytes", len(d.buf))
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("costmodel: decode model: %w", err)
 	}
 	if m.Schema != FeatureSchemaVersion {
 		return nil, fmt.Errorf("costmodel: model has feature schema %d, binary wants %d",
@@ -183,38 +119,30 @@ func DecodeModel(data []byte) (*Model, error) {
 
 // Encode serializes one training sample deterministically.
 func (s *Sample) Encode() []byte {
-	e := &enc{}
-	e.buf = append(e.buf, sampleMagic...)
-	e.i(codecVer)
-	e.i(FeatureSchemaVersion)
-	e.floats(s.Features)
+	e := &wire.Enc{Buf: []byte(sampleMagic)}
+	e.Uvarint(codecVer)
+	e.Uvarint(FeatureSchemaVersion)
+	encodeFloats(e, s.Features)
 	for _, l := range s.Labels {
-		e.f64(l)
+		e.Float64(l)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // DecodeSample parses a sample encoded by Sample.Encode. Samples from a
 // different feature schema decode to an error — the trainer skips them.
 func DecodeSample(data []byte) (*Sample, error) {
-	if len(data) < len(sampleMagic) || string(data[:len(sampleMagic)]) != sampleMagic {
-		return nil, fmt.Errorf("costmodel: decode: bad sample magic")
+	d, err := openMagic(data, sampleMagic, "sample")
+	if err != nil {
+		return nil, err
 	}
-	d := &dec{buf: data[len(sampleMagic):]}
-	if v := d.i(); v != codecVer {
-		return nil, fmt.Errorf("costmodel: decode: sample codec version %d, want %d", v, codecVer)
-	}
-	schema := d.i()
-	s := &Sample{}
-	s.Features = d.floats()
+	schema := int(d.Uvarint())
+	s := &Sample{Features: decodeFloats(d)}
 	for t := 0; t < NumTargets; t++ {
-		s.Labels[t] = d.f64()
+		s.Labels[t] = d.Float64()
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("costmodel: decode: %d trailing bytes in sample", len(d.buf))
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("costmodel: decode sample: %w", err)
 	}
 	if schema != FeatureSchemaVersion {
 		return nil, fmt.Errorf("costmodel: sample has feature schema %d, binary wants %d",

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "repro/internal/wire"
 
 // Binary codecs for the persistent result store (internal/store). The
 // encodings are exact round-trips: out- and in-adjacency lists are
@@ -11,163 +8,98 @@ import (
 // enumerates nodes, edges, and embeddings in byte-identical order to the
 // original — which is what lets cached analyses reproduce downstream
 // results (occurrence dedup, MIS ranking, pattern selection are all
-// order-sensitive). The format is length-prefixed throughout (uvarint),
-// self-delimiting, and versioned by the store envelope, not here.
+// order-sensitive). The format is length-prefixed throughout (uvarint,
+// internal/wire), self-delimiting, and versioned by the store envelope,
+// not here.
 
 // AppendBinary appends a self-delimiting binary encoding of the graph.
-// Collection lengths carry nilness (0 = nil, n+1 = present): graphs mix
-// nil and empty-but-allocated adjacency rows depending on how they were
-// built, and the round-trip must reproduce the original exactly — the
-// store's codec tests compare with reflect.DeepEqual, which
-// distinguishes the two.
+// Collection lengths carry nilness (wire.Enc.Len): graphs mix nil and
+// empty-but-allocated adjacency rows depending on how they were built,
+// and the round-trip must reproduce the original exactly — the store's
+// codec tests compare with reflect.DeepEqual, which distinguishes the
+// two.
 func (g *Graph) AppendBinary(buf []byte) []byte {
-	appendLen := func(n int, isNil bool) {
-		if isNil {
-			buf = binary.AppendUvarint(buf, 0)
-			return
-		}
-		buf = binary.AppendUvarint(buf, uint64(n)+1)
-	}
-	appendLen(len(g.labels), g.labels == nil)
+	e := &wire.Enc{Buf: buf}
+	e.Len(len(g.labels), g.labels == nil)
 	for _, l := range g.labels {
-		buf = binary.AppendUvarint(buf, uint64(len(l)))
-		buf = append(buf, l...)
+		e.Str(l)
 	}
-	appendAdj := func(adj [][]Edge) {
+	for _, adj := range [2][][]Edge{g.out, g.in} {
 		for _, es := range adj {
-			appendLen(len(es), es == nil)
-			for _, e := range es {
-				buf = binary.AppendUvarint(buf, uint64(e.From))
-				buf = binary.AppendUvarint(buf, uint64(e.To))
-				buf = binary.AppendUvarint(buf, uint64(e.Port))
+			e.Len(len(es), es == nil)
+			for _, ed := range es {
+				e.Uvarint(uint64(ed.From))
+				e.Uvarint(uint64(ed.To))
+				e.Uvarint(uint64(ed.Port))
 			}
 		}
 	}
-	appendAdj(g.out)
-	appendAdj(g.in)
-	return buf
+	return e.Buf
 }
 
-// DecodeBinaryGraph decodes a graph produced by AppendBinary and returns
-// the remaining bytes.
-func DecodeBinaryGraph(data []byte) (*Graph, []byte, error) {
-	nv, data, err := decodeUvarint(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("graph: decode node count: %w", err)
-	}
+// DecodeBinaryGraph decodes a graph produced by AppendBinary; errors
+// are left on d.
+func DecodeBinaryGraph(d *wire.Dec) *Graph {
+	n, isNil := d.Len()
 	g := &Graph{}
-	var n uint64
-	if nv != 0 {
-		n = nv - 1
+	if !isNil {
 		g.labels = make([]string, n)
 		g.out = make([][]Edge, n)
 		g.in = make([][]Edge, n)
 	}
 	for i := range g.labels {
-		var l uint64
-		l, data, err = decodeUvarint(data)
-		if err != nil {
-			return nil, nil, fmt.Errorf("graph: decode label length: %w", err)
-		}
-		if uint64(len(data)) < l {
-			return nil, nil, fmt.Errorf("graph: truncated label")
-		}
-		g.labels[i] = string(data[:l])
-		data = data[l:]
+		g.labels[i] = d.Str()
 	}
-	decodeAdj := func(adj [][]Edge) error {
+	for _, adj := range [2][][]Edge{g.out, g.in} {
 		for i := range adj {
-			var mv uint64
-			mv, data, err = decodeUvarint(data)
-			if err != nil {
-				return fmt.Errorf("graph: decode edge count: %w", err)
-			}
-			if mv == 0 {
+			m, rowNil := d.Len()
+			if rowNil {
 				continue // row was nil in the original
 			}
-			m := mv - 1
 			es := make([]Edge, m)
 			for j := range es {
-				var f, t, p uint64
-				if f, data, err = decodeUvarint(data); err != nil {
-					return err
-				}
-				if t, data, err = decodeUvarint(data); err != nil {
-					return err
-				}
-				if p, data, err = decodeUvarint(data); err != nil {
-					return err
-				}
-				if f >= n || t >= n {
-					return fmt.Errorf("graph: edge endpoint out of range")
+				f, t, p := d.Uvarint(), d.Uvarint(), d.Uvarint()
+				if f >= uint64(n) || t >= uint64(n) {
+					d.Fail("graph edge out of range")
 				}
 				es[j] = Edge{From: NodeID(f), To: NodeID(t), Port: int(p)}
 			}
 			adj[i] = es
 		}
-		return nil
 	}
-	if err := decodeAdj(g.out); err != nil {
-		return nil, nil, err
-	}
-	if err := decodeAdj(g.in); err != nil {
-		return nil, nil, err
-	}
-	return g, data, nil
+	return g
 }
 
 // AppendBinary appends a self-delimiting encoding of the embedding list.
 // A nil list encodes like an empty one with zero positions.
 func (l *EmbeddingList) AppendBinary(buf []byte) []byte {
-	if l == nil {
-		buf = binary.AppendUvarint(buf, 0)
-		buf = binary.AppendUvarint(buf, 0)
-		return buf
+	e := &wire.Enc{Buf: buf}
+	e.Uvarint(uint64(l.Positions()))
+	e.Uvarint(uint64(l.Len()))
+	for _, v := range l.Raw() {
+		e.Uvarint(uint64(uint32(v)))
 	}
-	buf = binary.AppendUvarint(buf, uint64(l.k))
-	buf = binary.AppendUvarint(buf, uint64(l.n))
-	for _, v := range l.flat {
-		buf = binary.AppendUvarint(buf, uint64(uint32(v)))
-	}
-	return buf
+	return e.Buf
 }
 
-// DecodeBinaryEmbeddingList decodes a list produced by AppendBinary and
-// returns the remaining bytes.
-func DecodeBinaryEmbeddingList(data []byte) (*EmbeddingList, []byte, error) {
-	k, data, err := decodeUvarint(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("graph: decode embedding positions: %w", err)
+// DecodeBinaryEmbeddingList decodes a list produced by AppendBinary;
+// errors are left on d.
+func DecodeBinaryEmbeddingList(d *wire.Dec) *EmbeddingList {
+	k, n := d.Uvarint(), d.Uvarint()
+	total := d.Product(k, n) // each element is at least one byte
+	if k == 0 && n != 0 {
+		d.Fail("embeddings without positions") // Len() would be unbounded
 	}
-	n, data, err := decodeUvarint(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("graph: decode embedding count: %w", err)
+	if d.Err() != nil {
+		return &EmbeddingList{}
 	}
 	l := &EmbeddingList{k: int(k), n: int(n)}
-	total := k * n
 	if total == 0 {
-		return l, data, nil // keep flat nil, matching a fresh list exactly
-	}
-	if total > uint64(len(data)) { // each element is at least one byte
-		return nil, nil, fmt.Errorf("graph: truncated embedding list")
+		return l // keep flat nil, matching a fresh list exactly
 	}
 	l.flat = make([]int32, total)
 	for i := range l.flat {
-		var v uint64
-		v, data, err = decodeUvarint(data)
-		if err != nil {
-			return nil, nil, fmt.Errorf("graph: decode embedding element: %w", err)
-		}
-		l.flat[i] = int32(uint32(v))
+		l.flat[i] = int32(uint32(d.Uvarint()))
 	}
-	return l, data, nil
-}
-
-// decodeUvarint reads one uvarint off the front of data.
-func decodeUvarint(data []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("graph: bad uvarint")
-	}
-	return v, data[n:], nil
+	return l
 }

@@ -4,20 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/store"
 )
 
-// Journal protocol, in the spirit of the sweep checkpoint
-// (internal/sweep/checkpoint.go): the journal file is a JSON snapshot
-// of every job the daemon has accepted, rewritten atomically
-// (write-temp-then-rename) under an exclusive flock, and every write
-// merges the on-disk snapshot first with higher per-job Seq winning —
-// so a daemon racing its own shutdown flush, or two daemons briefly
-// sharing a journal during a handover, can only ever advance a job's
-// state, never resurrect an older one.
+// Journal protocol: the journal file is a JSON snapshot of every job
+// the daemon has accepted, rewritten through store.UpdateFile (locked,
+// atomic), and every write merges the on-disk snapshot first with
+// higher per-job Seq winning — so a daemon racing its own shutdown
+// flush, or two daemons briefly sharing a journal during a handover,
+// can only ever advance a job's state, never resurrect an older one.
 //
 // What the journal guarantees after a crash: every job that was
 // acknowledged with 202 is present, either terminal (with its result)
@@ -52,12 +49,21 @@ func loadJournal(path string) (map[string]*Job, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: read journal: %w", err)
 	}
-	var jf journalFile
-	if err := json.Unmarshal(data, &jf); err != nil {
+	jobs, err := parseJournal(data)
+	if err != nil {
 		return nil, fmt.Errorf("serve: parse journal %s: %w", path, err)
 	}
+	return jobs, nil
+}
+
+// parseJournal decodes a snapshot into jobs by ID.
+func parseJournal(data []byte) (map[string]*Job, error) {
+	var jf journalFile
+	if err := json.Unmarshal(data, &jf); err != nil {
+		return nil, err
+	}
 	if jf.Version != journalVersion {
-		return nil, fmt.Errorf("serve: journal %s is version %d, want %d", path, jf.Version, journalVersion)
+		return nil, fmt.Errorf("version %d, want %d", jf.Version, journalVersion)
 	}
 	jobs := map[string]*Job{}
 	for _, j := range jf.Jobs {
@@ -68,77 +74,54 @@ func loadJournal(path string) (map[string]*Job, error) {
 	return jobs, nil
 }
 
-// saveJournal merges jobs into the on-disk snapshot under the file lock
-// and rewrites it atomically. Jobs with a higher Seq replace their
-// on-disk generation; unknown on-disk jobs are preserved.
+// saveJournal merges jobs into the on-disk snapshot and rewrites it
+// atomically. Jobs with a higher Seq replace their on-disk generation;
+// unknown on-disk jobs are preserved.
 func saveJournal(path string, jobs map[string]*Job) error {
-	lock, err := store.LockFile(path + ".lock")
-	if err != nil {
-		return fmt.Errorf("serve: lock journal: %w", err)
-	}
-	defer lock.Unlock()
+	err := store.UpdateFile(path, func(cur []byte) ([]byte, error) {
+		merged, err := parseJournal(cur)
+		if err != nil {
+			// Absent or corrupt snapshot (machine died mid-write before
+			// the rename left an older generation, or manual damage):
+			// ours is the best state we have — start over from it.
+			merged = map[string]*Job{}
+		}
+		for id, j := range jobs {
+			if old, ok := merged[id]; ok && old.Seq >= j.Seq {
+				continue
+			}
+			merged[id] = j
+		}
 
-	merged, err := loadJournal(path)
-	if err != nil {
-		// Corrupt snapshot (machine died mid-write before the rename left
-		// an older generation, or manual damage): ours is the best state
-		// we have — start over from it.
-		merged = map[string]*Job{}
-	}
-	for id, j := range jobs {
-		if cur, ok := merged[id]; ok && cur.Seq >= j.Seq {
-			continue
+		jf := journalFile{Version: journalVersion}
+		var terminal []*Job
+		for _, j := range merged {
+			if j.State.terminal() {
+				terminal = append(terminal, j)
+			} else {
+				jf.Jobs = append(jf.Jobs, j)
+			}
 		}
-		merged[id] = j
-	}
+		sort.Slice(terminal, func(i, k int) bool {
+			if !terminal[i].Finished.Equal(terminal[k].Finished) {
+				return terminal[i].Finished.After(terminal[k].Finished)
+			}
+			return terminal[i].ID < terminal[k].ID
+		})
+		if len(terminal) > journalKeepTerminal {
+			terminal = terminal[:journalKeepTerminal]
+		}
+		jf.Jobs = append(jf.Jobs, terminal...)
+		sort.Slice(jf.Jobs, func(i, k int) bool { return jf.Jobs[i].ID < jf.Jobs[k].ID })
 
-	jf := journalFile{Version: journalVersion}
-	var terminal []*Job
-	for _, j := range merged {
-		if j.State.terminal() {
-			terminal = append(terminal, j)
-		} else {
-			jf.Jobs = append(jf.Jobs, j)
-		}
-	}
-	sort.Slice(terminal, func(i, k int) bool {
-		if !terminal[i].Finished.Equal(terminal[k].Finished) {
-			return terminal[i].Finished.After(terminal[k].Finished)
-		}
-		return terminal[i].ID < terminal[k].ID
+		// Compact encoding, deliberately: MarshalIndent would re-indent
+		// the embedded Result RawMessage, and a result's bytes must
+		// survive the journal round trip untouched (the byte-identical
+		// resume guarantee).
+		return json.Marshal(&jf)
 	})
-	if len(terminal) > journalKeepTerminal {
-		terminal = terminal[:journalKeepTerminal]
-	}
-	jf.Jobs = append(jf.Jobs, terminal...)
-	sort.Slice(jf.Jobs, func(i, k int) bool { return jf.Jobs[i].ID < jf.Jobs[k].ID })
-
-	// Compact encoding, deliberately: MarshalIndent would re-indent the
-	// embedded Result RawMessage, and a result's bytes must survive the
-	// journal round trip untouched (the byte-identical resume guarantee).
-	data, err := json.Marshal(&jf)
 	if err != nil {
-		return fmt.Errorf("serve: encode journal: %w", err)
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("serve: journal dir: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
-	if err != nil {
-		return fmt.Errorf("serve: journal temp: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("serve: write journal: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: commit journal: %w", err)
+		return fmt.Errorf("serve: save journal: %w", err)
 	}
 	return nil
 }

@@ -115,3 +115,34 @@ func TestJournalTerminalRetentionCap(t *testing.T) {
 		t.Fatal("oldest terminal job retained, want dropped")
 	}
 }
+
+// TestJournalBytesPinned pins the journal file format: compact JSON,
+// jobs sorted by ID, Seq-wins merge, results embedded as JSON. A
+// restarted daemon reads journals written by older binaries, so the
+// bytes must not drift.
+func TestJournalBytesPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.json")
+	created := time.Unix(1700000000, 0).UTC()
+	if err := saveJournal(path, map[string]*Job{
+		"j-b": {ID: "j-b", Seq: 2, Client: "c1", Kind: KindEvaluate, State: StateRunning,
+			Params: Params{App: "harris", K: 2, Pipelined: true}, Created: created},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveJournal(path, map[string]*Job{
+		"j-b": {ID: "j-b", Seq: 1, Client: "stale", State: StateQueued},
+		"j-a": {ID: "j-a", Seq: 7, Client: "c2", Kind: KindAnalyze, State: StateDone, Attempts: 1,
+			Params: Params{App: "camera", Top: 3}, Result: []byte(`{"x": [1, 2]}`),
+			Created: created, Started: created.Add(time.Second), Finished: created.Add(2 * time.Second)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"version":1,"jobs":[{"id":"j-a","seq":7,"client":"c2","kind":"analyze","params":{"app":"camera","top":3},"state":"done","attempts":1,"result":{"x":[1,2]},"not_before":"0001-01-01T00:00:00Z","created":"2023-11-14T22:13:20Z","started":"2023-11-14T22:13:21Z","finished":"2023-11-14T22:13:22Z"},{"id":"j-b","seq":2,"client":"c1","kind":"evaluate","params":{"app":"harris","k":2,"pipelined":true},"state":"running","attempts":0,"not_before":"0001-01-01T00:00:00Z","created":"2023-11-14T22:13:20Z","started":"0001-01-01T00:00:00Z","finished":"0001-01-01T00:00:00Z"}]}`
+	if string(got) != want {
+		t.Fatalf("journal bytes changed:\n%s", got)
+	}
+}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/rewrite"
 	"repro/internal/tech"
+	"repro/internal/wire"
 )
 
 // Typed codecs for the three cached value kinds. The encodings are
@@ -38,238 +40,218 @@ import (
 
 // --- ir.Graph ---------------------------------------------------------
 
-func encodeIRGraph(e *enc, g *ir.Graph) {
-	e.str(g.Name)
-	e.lenN(len(g.Nodes), g.Nodes == nil)
+func encodeIRGraph(e *wire.Enc, g *ir.Graph) {
+	e.Str(g.Name)
+	e.Len(len(g.Nodes), g.Nodes == nil)
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
-		e.byte(byte(n.Op))
-		e.lenN(len(n.Args), n.Args == nil)
+		e.Byte(byte(n.Op))
+		e.Len(len(n.Args), n.Args == nil)
 		for _, a := range n.Args {
-			e.int(int(a))
+			e.Int(int(a))
 		}
-		e.u16(n.Val)
-		e.str(n.Name)
+		e.Uvarint(uint64(n.Val))
+		e.Str(n.Name)
 	}
 }
 
-func decodeIRGraph(d *dec) *ir.Graph {
-	g := &ir.Graph{Name: d.str("ir.name")}
-	n, isNil := d.lenN("ir.nodes")
-	if d.err != nil || isNil {
+func decodeIRGraph(d *wire.Dec) *ir.Graph {
+	g := &ir.Graph{Name: d.Str()}
+	n, isNil := d.Len()
+	if d.Err() != nil || isNil {
 		return g
 	}
 	g.Nodes = make([]ir.Node, n)
 	for i := range g.Nodes {
-		node := ir.Node{Op: ir.Op(d.byte("ir.op"))}
-		na, argsNil := d.lenN("ir.args")
+		node := ir.Node{Op: ir.Op(d.Byte())}
+		na, argsNil := d.Len()
 		if !argsNil {
 			node.Args = make([]ir.NodeRef, na)
 			for j := range node.Args {
-				node.Args[j] = ir.NodeRef(d.int("ir.arg"))
+				node.Args[j] = ir.NodeRef(d.Int())
 			}
 		}
-		node.Val = d.u16("ir.val")
-		node.Name = d.str("ir.nodename")
+		node.Val = uint16(d.Uvarint())
+		node.Name = d.Str()
 		g.Nodes[i] = node
 	}
 	return g
-}
-
-// --- graph.Graph / embeddings ----------------------------------------
-
-func encodeGraph(e *enc, g *graph.Graph) { e.buf = g.AppendBinary(e.buf) }
-
-func decodeGraph(d *dec) *graph.Graph {
-	if d.err != nil {
-		return nil
-	}
-	g, rest, err := graph.DecodeBinaryGraph(d.data)
-	if err != nil {
-		d.err = err
-		return nil
-	}
-	d.data = rest
-	return g
-}
-
-func encodeEmbeddings(e *enc, l *graph.EmbeddingList) { e.buf = l.AppendBinary(e.buf) }
-
-func decodeEmbeddings(d *dec) *graph.EmbeddingList {
-	if d.err != nil {
-		return nil
-	}
-	l, rest, err := graph.DecodeBinaryEmbeddingList(d.data)
-	if err != nil {
-		d.err = err
-		return nil
-	}
-	d.data = rest
-	return l
 }
 
 // --- core.Analysis ----------------------------------------------------
 
 // EncodeAnalysis serializes a mined analysis.
 func EncodeAnalysis(a *core.Analysis) []byte {
-	e := &enc{}
-	encodeGraph(e, a.View)
-	e.lenN(len(a.Ranked), a.Ranked == nil)
+	e := &wire.Enc{}
+	e.Buf = a.View.AppendBinary(e.Buf)
+	e.Len(len(a.Ranked), a.Ranked == nil)
 	for i := range a.Ranked {
 		r := &a.Ranked[i]
-		encodeGraph(e, r.Pattern.Graph)
-		e.str(r.Pattern.Code)
-		encodeEmbeddings(e, r.Pattern.Embeddings)
-		e.int(r.Pattern.Support)
-		e.lenN(len(r.Occurrences), r.Occurrences == nil)
+		e.Buf = r.Pattern.Graph.AppendBinary(e.Buf)
+		e.Str(r.Pattern.Code)
+		e.Buf = r.Pattern.Embeddings.AppendBinary(e.Buf)
+		e.Int(r.Pattern.Support)
+		e.Len(len(r.Occurrences), r.Occurrences == nil)
 		for _, occ := range r.Occurrences {
-			e.lenN(len(occ), occ == nil)
+			e.Len(len(occ), occ == nil)
 			for _, v := range occ {
-				e.int(int(v))
+				e.Int(int(v))
 			}
 		}
-		e.int(r.MISSize)
-		e.ints(r.Independent)
-		e.bool(r.Exact)
+		e.Int(r.MISSize)
+		e.Len(len(r.Independent), r.Independent == nil)
+		for _, v := range r.Independent {
+			e.Int(v)
+		}
+		e.Bool(r.Exact)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // DecodeAnalysis is the inverse of EncodeAnalysis.
 func DecodeAnalysis(data []byte) (*core.Analysis, error) {
-	d := &dec{data: data}
-	a := &core.Analysis{View: decodeGraph(d)}
-	n, rankedNil := d.lenN("analysis.ranked")
+	d := wire.NewDec(data)
+	a := &core.Analysis{View: graph.DecodeBinaryGraph(d)}
+	n, rankedNil := d.Len()
 	if !rankedNil {
 		a.Ranked = make([]mis.Ranked, n)
 	}
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		r := mis.Ranked{
 			Pattern: mining.Pattern{
-				Graph: decodeGraph(d),
+				Graph: graph.DecodeBinaryGraph(d),
 			},
 		}
-		r.Pattern.Code = d.str("pattern.code")
-		r.Pattern.Embeddings = decodeEmbeddings(d)
-		r.Pattern.Support = d.int("pattern.support")
-		no, occsNil := d.lenN("ranked.occurrences")
+		r.Pattern.Code = d.Str()
+		r.Pattern.Embeddings = graph.DecodeBinaryEmbeddingList(d)
+		r.Pattern.Support = d.Int()
+		no, occsNil := d.Len()
 		if !occsNil {
 			r.Occurrences = make([]graph.Embedding, no)
 			for j := range r.Occurrences {
-				k, occNil := d.lenN("occurrence")
+				k, occNil := d.Len()
 				if occNil {
 					continue
 				}
 				occ := make(graph.Embedding, k)
 				for p := range occ {
-					occ[p] = graph.NodeID(d.int("occurrence.node"))
+					occ[p] = graph.NodeID(d.Int())
 				}
 				r.Occurrences[j] = occ
 			}
 		}
-		r.MISSize = d.int("ranked.mis")
-		r.Independent = d.ints("ranked.independent")
-		r.Exact = d.bool("ranked.exact")
+		r.MISSize = d.Int()
+		if ni, indNil := d.Len(); !indNil {
+			r.Independent = make([]int, ni)
+			for j := range r.Independent {
+				r.Independent[j] = d.Int()
+			}
+		}
+		r.Exact = d.Bool()
 		a.Ranked[i] = r
 	}
-	if err := d.finish("analysis"); err != nil {
-		return nil, err
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("store: decode analysis: %w", err)
 	}
 	return a, nil
 }
 
 // --- core.PEVariant ---------------------------------------------------
 
-func encodeDatapath(e *enc, dp *merge.Datapath) {
-	e.lenN(len(dp.Units), dp.Units == nil)
+func encodeDatapath(e *wire.Enc, dp *merge.Datapath) {
+	e.Len(len(dp.Units), dp.Units == nil)
 	for i := range dp.Units {
 		u := &dp.Units[i]
-		e.byte(byte(u.Kind))
-		e.lenN(len(u.Ops), u.Ops == nil)
+		e.Byte(byte(u.Kind))
+		e.Len(len(u.Ops), u.Ops == nil)
 		for _, op := range u.Ops {
-			e.byte(byte(op))
+			e.Byte(byte(op))
 		}
-		e.str(u.Class)
-		e.bool(u.Bit)
+		e.Str(u.Class)
+		e.Bool(u.Bit)
 	}
-	e.lenN(len(dp.Wires), dp.Wires == nil)
+	e.Len(len(dp.Wires), dp.Wires == nil)
 	for _, w := range dp.Wires {
-		e.int(w.From)
-		e.int(w.To)
-		e.int(w.Port)
+		e.Int(w.From)
+		e.Int(w.To)
+		e.Int(w.Port)
 	}
-	e.lenN(len(dp.Sources), dp.Sources == nil)
+	e.Len(len(dp.Sources), dp.Sources == nil)
 	for _, s := range dp.Sources {
-		e.str(s)
+		e.Str(s)
 	}
 }
 
-func decodeDatapath(d *dec) *merge.Datapath {
+func decodeDatapath(d *wire.Dec) *merge.Datapath {
 	dp := &merge.Datapath{}
-	nu, unitsNil := d.lenN("dp.units")
+	nu, unitsNil := d.Len()
 	if !unitsNil {
 		dp.Units = make([]merge.Unit, nu)
 	}
-	for i := 0; i < nu && d.err == nil; i++ {
-		u := merge.Unit{Kind: merge.UnitKind(d.byte("unit.kind"))}
-		no, opsNil := d.lenN("unit.ops")
+	for i := 0; i < nu && d.Err() == nil; i++ {
+		u := merge.Unit{Kind: merge.UnitKind(d.Byte())}
+		no, opsNil := d.Len()
 		if !opsNil {
 			u.Ops = make([]ir.Op, no)
 			for j := range u.Ops {
-				u.Ops[j] = ir.Op(d.byte("unit.op"))
+				u.Ops[j] = ir.Op(d.Byte())
 			}
 		}
-		u.Class = d.str("unit.class")
-		u.Bit = d.bool("unit.bit")
+		u.Class = d.Str()
+		u.Bit = d.Bool()
 		dp.Units[i] = u
 	}
-	nw, wiresNil := d.lenN("dp.wires")
+	nw, wiresNil := d.Len()
 	if !wiresNil {
 		dp.Wires = make([]merge.Wire, nw)
 		for i := range dp.Wires {
-			dp.Wires[i] = merge.Wire{
-				From: d.int("wire.from"), To: d.int("wire.to"), Port: d.int("wire.port"),
+			w := merge.Wire{From: d.Int(), To: d.Int(), Port: d.Int()}
+			// The spec rebuild indexes units by wire endpoint.
+			if w.From < 0 || w.From >= nu || w.To < 0 || w.To >= nu {
+				d.Fail("datapath wire out of range")
 			}
+			dp.Wires[i] = w
 		}
 	}
-	ns, sourcesNil := d.lenN("dp.sources")
+	ns, sourcesNil := d.Len()
 	if !sourcesNil {
 		dp.Sources = make([]string, ns)
 		for i := range dp.Sources {
-			dp.Sources[i] = d.str("dp.source")
+			dp.Sources[i] = d.Str()
 		}
 	}
 	return dp
 }
 
-// nodeRefIntMap serializes a map[ir.NodeRef]int in sorted key order.
-func encodeNodeRefIntMap(e *enc, m map[ir.NodeRef]int) {
-	keys := make([]int, 0, len(m))
+// encodeIntMap serializes an int-keyed map in sorted key order, with
+// nilness, writing each value with val.
+func encodeIntMap[K ~int, V any](e *wire.Enc, m map[K]V, val func(V)) {
+	keys := make([]K, 0, len(m))
 	for k := range m {
-		keys = append(keys, int(k))
+		keys = append(keys, k)
 	}
-	sort.Ints(keys)
-	e.lenN(len(keys), m == nil)
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	e.Len(len(keys), m == nil)
 	for _, k := range keys {
-		e.int(k)
-		e.int(m[ir.NodeRef(k)])
+		e.Int(int(k))
+		val(m[k])
 	}
 }
 
-func decodeNodeRefIntMap(d *dec, what string) map[ir.NodeRef]int {
-	n, isNil := d.lenN(what)
+func decodeIntMap[K ~int, V any](d *wire.Dec, val func() V) map[K]V {
+	n, isNil := d.Len()
 	if isNil {
 		return nil
 	}
-	m := make(map[ir.NodeRef]int, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		k := d.int(what)
-		m[ir.NodeRef(k)] = d.int(what)
+	m := make(map[K]V, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		k := K(d.Int())
+		m[k] = val()
 	}
 	return m
 }
 
-func encodeConfig(e *enc, c pe.Config) {
+func encodeConfig(e *wire.Enc, c pe.Config) {
 	// PortSel keyed by [2]int{unit, port}.
 	pkeys := make([][2]int, 0, len(c.PortSel))
 	for k := range c.PortSel {
@@ -281,135 +263,86 @@ func encodeConfig(e *enc, c pe.Config) {
 		}
 		return pkeys[i][1] < pkeys[j][1]
 	})
-	e.lenN(len(pkeys), c.PortSel == nil)
+	e.Len(len(pkeys), c.PortSel == nil)
 	for _, k := range pkeys {
-		e.int(k[0])
-		e.int(k[1])
-		e.int(c.PortSel[k])
+		e.Int(k[0])
+		e.Int(k[1])
+		e.Int(c.PortSel[k])
 	}
-	ikeys := make([]int, 0, len(c.OpSel))
-	for k := range c.OpSel {
-		ikeys = append(ikeys, k)
-	}
-	sort.Ints(ikeys)
-	e.lenN(len(ikeys), c.OpSel == nil)
-	for _, k := range ikeys {
-		e.int(k)
-		e.byte(byte(c.OpSel[k]))
-	}
-	ckeys := make([]int, 0, len(c.ConstVals))
-	for k := range c.ConstVals {
-		ckeys = append(ckeys, k)
-	}
-	sort.Ints(ckeys)
-	e.lenN(len(ckeys), c.ConstVals == nil)
-	for _, k := range ckeys {
-		e.int(k)
-		e.u16(c.ConstVals[k])
-	}
-	okeys := make([]int, 0, len(c.OutSel))
-	for k := range c.OutSel {
-		okeys = append(okeys, k)
-	}
-	sort.Ints(okeys)
-	e.lenN(len(okeys), c.OutSel == nil)
-	for _, k := range okeys {
-		e.int(k)
-		e.int(c.OutSel[k])
-	}
+	encodeIntMap(e, c.OpSel, func(op ir.Op) { e.Byte(byte(op)) })
+	encodeIntMap(e, c.ConstVals, func(v uint16) { e.Uvarint(uint64(v)) })
+	encodeIntMap(e, c.OutSel, e.Int)
 }
 
-func decodeConfig(d *dec) pe.Config {
-	c := pe.NewConfig()
-	if n, isNil := d.lenN("config.portsel"); isNil {
-		c.PortSel = nil
-	} else {
-		for i := 0; i < n && d.err == nil; i++ {
-			u, p := d.int("portsel.unit"), d.int("portsel.port")
-			c.PortSel[[2]int{u, p}] = d.int("portsel.src")
+func decodeConfig(d *wire.Dec) pe.Config {
+	c := pe.Config{}
+	if n, isNil := d.Len(); !isNil {
+		c.PortSel = make(map[[2]int]int, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			u, p := d.Int(), d.Int()
+			c.PortSel[[2]int{u, p}] = d.Int()
 		}
 	}
-	if n, isNil := d.lenN("config.opsel"); isNil {
-		c.OpSel = nil
-	} else {
-		for i := 0; i < n && d.err == nil; i++ {
-			u := d.int("opsel.unit")
-			c.OpSel[u] = ir.Op(d.byte("opsel.op"))
-		}
-	}
-	if n, isNil := d.lenN("config.constvals"); isNil {
-		c.ConstVals = nil
-	} else {
-		for i := 0; i < n && d.err == nil; i++ {
-			u := d.int("constvals.unit")
-			c.ConstVals[u] = d.u16("constvals.val")
-		}
-	}
-	if n, isNil := d.lenN("config.outsel"); isNil {
-		c.OutSel = nil
-	} else {
-		for i := 0; i < n && d.err == nil; i++ {
-			u := d.int("outsel.unit")
-			c.OutSel[u] = d.int("outsel.src")
-		}
-	}
+	c.OpSel = decodeIntMap[int](d, func() ir.Op { return ir.Op(d.Byte()) })
+	c.ConstVals = decodeIntMap[int](d, func() uint16 { return uint16(d.Uvarint()) })
+	c.OutSel = decodeIntMap[int](d, d.Int)
 	return c
 }
 
-func encodeRule(e *enc, r *rewrite.Rule) {
-	e.str(r.Name)
+func encodeRule(e *wire.Enc, r *rewrite.Rule) {
+	e.Str(r.Name)
 	encodeIRGraph(e, r.Pattern)
-	e.int(int(r.Root))
+	e.Int(int(r.Root))
 	encodeConfig(e, r.Config)
-	encodeNodeRefIntMap(e, r.InputPorts)
-	encodeNodeRefIntMap(e, r.BitPorts)
-	encodeNodeRefIntMap(e, r.ConstRegs)
-	encodeNodeRefIntMap(e, r.LUTUnits)
-	e.int(r.OutUnit)
-	e.lenN(len(r.Ops), r.Ops == nil)
+	encodeIntMap(e, r.InputPorts, e.Int)
+	encodeIntMap(e, r.BitPorts, e.Int)
+	encodeIntMap(e, r.ConstRegs, e.Int)
+	encodeIntMap(e, r.LUTUnits, e.Int)
+	e.Int(r.OutUnit)
+	e.Len(len(r.Ops), r.Ops == nil)
 	for _, op := range r.Ops {
-		e.byte(byte(op))
+		e.Byte(byte(op))
 	}
-	e.int(r.Size)
+	e.Int(r.Size)
 }
 
-func decodeRule(d *dec, spec *pe.Spec) *rewrite.Rule {
-	r := &rewrite.Rule{Name: d.str("rule.name"), Spec: spec}
+func decodeRule(d *wire.Dec, spec *pe.Spec) *rewrite.Rule {
+	r := &rewrite.Rule{Name: d.Str(), Spec: spec}
 	r.Pattern = decodeIRGraph(d)
-	r.Root = ir.NodeRef(d.int("rule.root"))
+	r.Root = ir.NodeRef(d.Int())
 	r.Config = decodeConfig(d)
-	r.InputPorts = decodeNodeRefIntMap(d, "rule.inputports")
-	r.BitPorts = decodeNodeRefIntMap(d, "rule.bitports")
-	r.ConstRegs = decodeNodeRefIntMap(d, "rule.constregs")
-	r.LUTUnits = decodeNodeRefIntMap(d, "rule.lutunits")
-	r.OutUnit = d.int("rule.outunit")
-	nops, opsNil := d.lenN("rule.ops")
+	r.InputPorts = decodeIntMap[ir.NodeRef](d, d.Int)
+	r.BitPorts = decodeIntMap[ir.NodeRef](d, d.Int)
+	r.ConstRegs = decodeIntMap[ir.NodeRef](d, d.Int)
+	r.LUTUnits = decodeIntMap[ir.NodeRef](d, d.Int)
+	r.OutUnit = d.Int()
+	nops, opsNil := d.Len()
 	if !opsNil {
 		r.Ops = make([]ir.Op, nops)
 		for i := range r.Ops {
-			r.Ops[i] = ir.Op(d.byte("rule.op"))
+			r.Ops[i] = ir.Op(d.Byte())
 		}
 	}
-	r.Size = d.int("rule.size")
+	r.Size = d.Int()
 	return r
 }
 
 // EncodeVariant serializes a PE variant: name, baseline flag, merged
 // datapath, and the synthesized rule set.
 func EncodeVariant(v *core.PEVariant) []byte {
-	e := &enc{}
-	e.str(v.Name)
-	e.bool(v.Baseline)
+	e := &wire.Enc{}
+	e.Str(v.Name)
+	e.Bool(v.Baseline)
 	encodeDatapath(e, v.Spec.DP)
-	e.lenN(len(v.Rules.Rules), v.Rules.Rules == nil)
+	e.Len(len(v.Rules.Rules), v.Rules.Rules == nil)
 	for _, r := range v.Rules.Rules {
 		encodeRule(e, r)
 	}
-	e.lenN(len(v.Rules.Failed), v.Rules.Failed == nil)
+	e.Len(len(v.Rules.Failed), v.Rules.Failed == nil)
 	for _, f := range v.Rules.Failed {
-		e.str(f)
+		e.Str(f)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // DecodeVariant is the inverse of EncodeVariant. The Spec is rebuilt
@@ -417,31 +350,31 @@ func EncodeVariant(v *core.PEVariant) []byte {
 // under the given technology model — both deterministic, so a decoded
 // variant is indistinguishable from a freshly generated one.
 func DecodeVariant(data []byte, m *tech.Model) (*core.PEVariant, error) {
-	d := &dec{data: data}
-	name := d.str("variant.name")
-	baseline := d.bool("variant.baseline")
+	d := wire.NewDec(data)
+	name := d.Str()
+	baseline := d.Bool()
 	dp := decodeDatapath(d)
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("store: decode variant: %w", err)
 	}
 	spec := pe.FromDatapath(name, dp)
 	rules := &rewrite.RuleSet{Spec: spec}
-	nr, rulesNil := d.lenN("variant.rules")
+	nr, rulesNil := d.Len()
 	if !rulesNil {
 		rules.Rules = make([]*rewrite.Rule, 0, nr)
 	}
-	for i := 0; i < nr && d.err == nil; i++ {
+	for i := 0; i < nr && d.Err() == nil; i++ {
 		rules.Rules = append(rules.Rules, decodeRule(d, spec))
 	}
-	nf, failedNil := d.lenN("variant.failed")
+	nf, failedNil := d.Len()
 	if !failedNil {
 		rules.Failed = make([]string, 0, nf)
 	}
-	for i := 0; i < nf && d.err == nil; i++ {
-		rules.Failed = append(rules.Failed, d.str("variant.failedname"))
+	for i := 0; i < nf && d.Err() == nil; i++ {
+		rules.Failed = append(rules.Failed, d.Str())
 	}
-	if err := d.finish("variant"); err != nil {
-		return nil, err
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("store: decode variant: %w", err)
 	}
 	return &core.PEVariant{
 		Name:      name,
@@ -459,76 +392,76 @@ func DecodeVariant(data []byte, m *tech.Model) (*core.PEVariant, error) {
 // comment); Routed preserves the ok-vs-estimate provenance the tables
 // report.
 func EncodeResult(r *core.Result) []byte {
-	e := &enc{}
-	e.str(r.App)
-	e.str(r.Variant)
-	e.int(r.NumPEs)
-	e.int(r.NumMems)
-	e.int(r.NumRFs)
-	e.int(r.NumIOs)
-	e.int(r.NumRegs)
-	e.int(r.RoutingTiles)
-	e.f64(r.PECoreArea)
-	e.f64(r.TotalPEArea)
-	e.f64(r.SBArea)
-	e.f64(r.CBArea)
-	e.f64(r.MemArea)
-	e.f64(r.RFArea)
-	e.f64(r.TotalArea)
-	e.f64(r.PEEnergy)
-	e.f64(r.SBEnergy)
-	e.f64(r.CBEnergy)
-	e.f64(r.MemEnergy)
-	e.f64(r.TotalEnergy)
-	e.int(r.PELatency)
-	e.f64(r.PeriodPS)
-	e.int(r.LatencyCyc)
-	e.f64(r.CyclesPerRun)
-	e.f64(r.RuntimeMS)
-	e.f64(r.PerfPerMM2)
-	e.bool(r.Routed)
-	e.bool(r.Degraded)
-	e.str(r.DegradedReason)
-	e.int(r.PnRAttempts)
-	return e.buf
+	e := &wire.Enc{}
+	e.Str(r.App)
+	e.Str(r.Variant)
+	e.Int(r.NumPEs)
+	e.Int(r.NumMems)
+	e.Int(r.NumRFs)
+	e.Int(r.NumIOs)
+	e.Int(r.NumRegs)
+	e.Int(r.RoutingTiles)
+	e.Float64(r.PECoreArea)
+	e.Float64(r.TotalPEArea)
+	e.Float64(r.SBArea)
+	e.Float64(r.CBArea)
+	e.Float64(r.MemArea)
+	e.Float64(r.RFArea)
+	e.Float64(r.TotalArea)
+	e.Float64(r.PEEnergy)
+	e.Float64(r.SBEnergy)
+	e.Float64(r.CBEnergy)
+	e.Float64(r.MemEnergy)
+	e.Float64(r.TotalEnergy)
+	e.Int(r.PELatency)
+	e.Float64(r.PeriodPS)
+	e.Int(r.LatencyCyc)
+	e.Float64(r.CyclesPerRun)
+	e.Float64(r.RuntimeMS)
+	e.Float64(r.PerfPerMM2)
+	e.Bool(r.Routed)
+	e.Bool(r.Degraded)
+	e.Str(r.DegradedReason)
+	e.Int(r.PnRAttempts)
+	return e.Buf
 }
 
 // DecodeResult is the inverse of EncodeResult.
 func DecodeResult(data []byte) (*core.Result, error) {
-	d := &dec{data: data}
+	d := wire.NewDec(data)
 	r := &core.Result{}
-	r.App = d.str("result.app")
-	r.Variant = d.str("result.variant")
-	r.NumPEs = d.int("result.numpes")
-	r.NumMems = d.int("result.nummems")
-	r.NumRFs = d.int("result.numrfs")
-	r.NumIOs = d.int("result.numios")
-	r.NumRegs = d.int("result.numregs")
-	r.RoutingTiles = d.int("result.routingtiles")
-	r.PECoreArea = d.f64("result.pecorearea")
-	r.TotalPEArea = d.f64("result.totalpearea")
-	r.SBArea = d.f64("result.sbarea")
-	r.CBArea = d.f64("result.cbarea")
-	r.MemArea = d.f64("result.memarea")
-	r.RFArea = d.f64("result.rfarea")
-	r.TotalArea = d.f64("result.totalarea")
-	r.PEEnergy = d.f64("result.peenergy")
-	r.SBEnergy = d.f64("result.sbenergy")
-	r.CBEnergy = d.f64("result.cbenergy")
-	r.MemEnergy = d.f64("result.memenergy")
-	r.TotalEnergy = d.f64("result.totalenergy")
-	r.PELatency = d.int("result.pelatency")
-	r.PeriodPS = d.f64("result.periodps")
-	r.LatencyCyc = d.int("result.latencycyc")
-	r.CyclesPerRun = d.f64("result.cyclesperrun")
-	r.RuntimeMS = d.f64("result.runtimems")
-	r.PerfPerMM2 = d.f64("result.perfpermm2")
-	r.Routed = d.bool("result.routed")
-	r.Degraded = d.bool("result.degraded")
-	r.DegradedReason = d.str("result.degradedreason")
-	r.PnRAttempts = d.int("result.pnrattempts")
-	if err := d.finish("result"); err != nil {
-		return nil, err
+	r.App = d.Str()
+	r.Variant = d.Str()
+	r.NumPEs = d.Int()
+	r.NumMems = d.Int()
+	r.NumRFs = d.Int()
+	r.NumIOs = d.Int()
+	r.NumRegs = d.Int()
+	r.RoutingTiles = d.Int()
+	r.PECoreArea = d.Float64()
+	r.TotalPEArea = d.Float64()
+	r.SBArea = d.Float64()
+	r.CBArea = d.Float64()
+	r.MemArea = d.Float64()
+	r.RFArea = d.Float64()
+	r.TotalArea = d.Float64()
+	r.PEEnergy = d.Float64()
+	r.SBEnergy = d.Float64()
+	r.CBEnergy = d.Float64()
+	r.MemEnergy = d.Float64()
+	r.TotalEnergy = d.Float64()
+	r.PELatency = d.Int()
+	r.PeriodPS = d.Float64()
+	r.LatencyCyc = d.Int()
+	r.CyclesPerRun = d.Float64()
+	r.RuntimeMS = d.Float64()
+	r.PerfPerMM2 = d.Float64()
+	r.Routed = d.Bool()
+	r.Degraded = d.Bool()
+	r.DegradedReason = d.Str()
+	r.PnRAttempts = d.Int()
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("store: decode result: %w", err)
 	}
 	return r, nil
 }

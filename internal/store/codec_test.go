@@ -16,7 +16,7 @@ import (
 // push real pipeline artifacts through encode/decode and require deep
 // equality.
 
-func pipelineFixtures(t *testing.T) (*core.Framework, *apps.App, *core.Analysis, *core.PEVariant, *core.Result) {
+func pipelineFixtures(t testing.TB) (*core.Framework, *apps.App, *core.Analysis, *core.PEVariant, *core.Result) {
 	t.Helper()
 	fw := core.New()
 	fw.MineWorkers = 1

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // Key derivation. A cached value may only be reused when everything it
@@ -28,11 +29,11 @@ import (
 // AppHash fingerprints one application: its IR graph encoding plus the
 // roll-up parameters that flow into results.
 func AppHash(a *apps.App) Key {
-	e := &enc{}
+	e := &wire.Enc{}
 	encodeIRGraph(e, a.Graph)
 	h := NewHasher("app")
 	h.Str(a.Name)
-	h.Bytes(e.buf)
+	h.Bytes(e.Buf)
 	h.Int(a.Unroll)
 	h.Int(a.TotalOutputs)
 	return h.Key()

@@ -19,8 +19,9 @@
 // format version, key mismatch) is detected by the envelope checks on
 // read, counted, deleted best-effort, and reported as a miss — the caller
 // recomputes and rewrites it. No locking is needed for entries;
-// Store.Lock exposes an advisory file lock for multi-file protocols
-// (the sweep checkpoint) built on top.
+// LockFile exposes an advisory file lock, and UpdateFile the locked
+// read-merge-rewrite built on it, for the snapshot files layered on top
+// (the sweep checkpoint, the daemon journal).
 package store
 
 import (
@@ -32,6 +33,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
+
+	"repro/internal/wire"
 )
 
 // SchemaVersion names the on-disk format and, transitively, the
@@ -171,32 +174,7 @@ func (s *Store) Put(kind Kind, key Key, payload []byte) {
 }
 
 func (s *Store) put(kind Kind, key Key, payload []byte) error {
-	p := s.path(kind, key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return err
-	}
-	buf := sealEnvelope(key, payload)
-	// Write-temp-then-rename in the target directory: rename(2) is atomic
-	// on POSIX filesystems, so concurrent writers and killed processes
-	// can never leave a partially written entry visible under p.
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".put-*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(buf)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return writeFileAtomic(s.path(kind, key), sealEnvelope(key, payload))
 }
 
 // sealEnvelope wraps payload in the versioned, checksummed envelope.
@@ -284,7 +262,7 @@ type Key string
 // and every component is length-prefixed, so distinct component
 // sequences can never collide by concatenation.
 type Hasher struct {
-	buf []byte
+	e wire.Enc
 }
 
 // NewHasher starts a key with a domain label (e.g. "analysis").
@@ -297,8 +275,7 @@ func NewHasher(domain string) *Hasher {
 
 // Str appends a length-prefixed string component.
 func (h *Hasher) Str(s string) *Hasher {
-	h.buf = binary.AppendUvarint(h.buf, uint64(len(s)))
-	h.buf = append(h.buf, s...)
+	h.e.Str(s)
 	return h
 }
 
@@ -307,8 +284,8 @@ func (h *Hasher) Int(v int) *Hasher { return h.Int64(int64(v)) }
 
 // Int64 appends a 64-bit integer component.
 func (h *Hasher) Int64(v int64) *Hasher {
-	h.buf = binary.AppendUvarint(h.buf, 9)
-	h.buf = binary.LittleEndian.AppendUint64(h.buf, uint64(v))
+	h.e.Uvarint(9)
+	h.e.Buf = binary.LittleEndian.AppendUint64(h.e.Buf, uint64(v))
 	return h
 }
 
@@ -331,13 +308,13 @@ func (h *Hasher) Bool(v bool) *Hasher {
 
 // Bytes appends a length-prefixed raw byte component.
 func (h *Hasher) Bytes(b []byte) *Hasher {
-	h.buf = binary.AppendUvarint(h.buf, uint64(len(b)))
-	h.buf = append(h.buf, b...)
+	h.e.Uvarint(uint64(len(b)))
+	h.e.Buf = append(h.e.Buf, b...)
 	return h
 }
 
 // Key finalizes the fingerprint.
 func (h *Hasher) Key() Key {
-	sum := sha256.Sum256(h.buf)
+	sum := sha256.Sum256(h.e.Buf)
 	return Key(hex.EncodeToString(sum[:]))
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/store"
@@ -12,10 +11,10 @@ import (
 
 // Checkpoint protocol. The checkpoint file is a JSON snapshot of every
 // successfully completed cell, tagged with the grid fingerprint. Writes
-// are serialized across processes by an exclusive file lock and made
-// atomic by write-temp-then-rename, and each write merges the on-disk
-// snapshot first — so two sweeps sharing one checkpoint file (or a sweep
-// racing its own SIGINT flush) can only ever add cells, never lose them.
+// go through store.UpdateFile (locked, atomic), and each write merges
+// the on-disk snapshot first — so two sweeps sharing one checkpoint
+// file (or a sweep racing its own SIGINT flush) can only ever add
+// cells, never lose them.
 // A fingerprint mismatch means the file belongs to a different grid (or
 // an older registry): resume ignores it, and the next flush overwrites
 // it wholesale.
@@ -41,9 +40,19 @@ func loadCheckpoint(path string, fp store.Key) (done map[int]CellResult, matched
 	if err != nil {
 		return nil, false, fmt.Errorf("sweep: read checkpoint: %w", err)
 	}
+	done, matched, err = parseCheckpoint(data, fp)
+	if err != nil {
+		return nil, false, fmt.Errorf("sweep: parse checkpoint %s: %w", path, err)
+	}
+	return done, matched, nil
+}
+
+// parseCheckpoint decodes a snapshot, keeping its successful cells when
+// the fingerprint matches.
+func parseCheckpoint(data []byte, fp store.Key) (done map[int]CellResult, matched bool, err error) {
 	var cf checkpointFile
 	if err := json.Unmarshal(data, &cf); err != nil {
-		return nil, false, fmt.Errorf("sweep: parse checkpoint %s: %w", path, err)
+		return nil, false, err
 	}
 	done = map[int]CellResult{}
 	if cf.Fingerprint != string(fp) {
@@ -58,58 +67,28 @@ func loadCheckpoint(path string, fp store.Key) (done map[int]CellResult, matched
 }
 
 // saveCheckpoint merges the given completed cells into the on-disk
-// snapshot under the file lock and rewrites it atomically.
+// snapshot and rewrites it atomically.
 func saveCheckpoint(path string, fp store.Key, done map[int]CellResult) error {
-	lock, err := store.LockFile(path + ".lock")
-	if err != nil {
-		return fmt.Errorf("sweep: lock checkpoint: %w", err)
-	}
-	defer lock.Unlock()
-
-	merged, _, err := loadCheckpoint(path, fp)
-	if err != nil {
-		// Corrupt snapshot (e.g. the machine died mid-write before the
-		// rename, leaving an older generation): start over from ours.
-		merged = map[int]CellResult{}
-	}
-	for idx, r := range done {
-		merged[idx] = r
-	}
-	cf := checkpointFile{Fingerprint: string(fp)}
-	for _, r := range merged {
-		cf.Done = append(cf.Done, r)
-	}
-	sort.Slice(cf.Done, func(i, j int) bool { return cf.Done[i].Index < cf.Done[j].Index })
-	data, err := json.MarshalIndent(&cf, "", " ")
-	if err != nil {
-		return fmt.Errorf("sweep: encode checkpoint: %w", err)
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("sweep: checkpoint dir: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
-	if err != nil {
-		return fmt.Errorf("sweep: checkpoint temp: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sweep: write checkpoint: %w", firstErr(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sweep: commit checkpoint: %w", err)
-	}
-	return nil
-}
-
-// firstErr returns the first non-nil error.
-func firstErr(errs ...error) error {
-	for _, err := range errs {
+	err := store.UpdateFile(path, func(cur []byte) ([]byte, error) {
+		merged, _, err := parseCheckpoint(cur, fp)
 		if err != nil {
-			return err
+			// Absent or corrupt snapshot (e.g. the machine died mid-write
+			// before the rename, leaving an older generation): start over
+			// from ours.
+			merged = map[int]CellResult{}
 		}
+		for idx, r := range done {
+			merged[idx] = r
+		}
+		cf := checkpointFile{Fingerprint: string(fp)}
+		for _, r := range merged {
+			cf.Done = append(cf.Done, r)
+		}
+		sort.Slice(cf.Done, func(i, j int) bool { return cf.Done[i].Index < cf.Done[j].Index })
+		return json.MarshalIndent(&cf, "", " ")
+	})
+	if err != nil {
+		return fmt.Errorf("sweep: save checkpoint: %w", err)
 	}
 	return nil
 }
