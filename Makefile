@@ -81,20 +81,27 @@ triagecheck:
 	$(GO) test -race ./internal/sweep/ -run Triage -count=1
 
 # Short fuzz pass over every fuzz target (canonical-code permutation
-# invariance and collision soundness; every persisted-value decoder
+# invariance and collision soundness; the clique solver returns exactly
+# what its frozen predecessor does; every persisted-value decoder
 # returns a value or an error on arbitrary bytes); CI-sized budget.
 fuzz:
 	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzCanonicalCode -fuzztime 30s
+	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzMaxWeightClique -fuzztime 30s
 	$(GO) test ./internal/store/ -run xxx -fuzz FuzzDecode -fuzztime 30s
 
 # The PnR performance gates (DESIGN.md §10): the annealer inner loop
 # must stay at zero allocations per move and the router within its
 # per-net allocation budget, so the hot-path rewrites can't silently
-# rot back to map-based state. The telemetry additions (DESIGN.md §14):
+# rot back to map-based state. The merge and instruction-selection hot
+# paths likewise: a clique search allocates per depth, not per branch
+# step, and a failing match attempt allocates nothing. The telemetry
+# additions (DESIGN.md §14):
 # steady-state time-series recording and the no-subscriber event guard
 # are allocation-free, and per-job trace capture stays O(spans).
 perfcheck:
 	$(GO) test ./internal/cgra -run 'TestAnnealAllocs|TestRouteAllocs' -count=1 -v
+	$(GO) test ./internal/graph/ -run TestCliqueAllocs -count=1 -v
+	$(GO) test ./internal/rewrite/ -run TestMatchAllocs -count=1 -v
 	$(GO) test ./internal/obs/ -run TestTimeSeriesAllocs -count=1
 	$(GO) test ./internal/serve/ -run 'TestEventPublishInactiveAllocs|TestJobTraceCaptureAllocs' -count=1
 

@@ -12,20 +12,6 @@ func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
 func (b bitset) clear(i int)    { b[i/64] &^= 1 << (uint(i) % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
-
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 func (b bitset) empty() bool {
 	for _, w := range b {
 		if w != 0 {
@@ -57,15 +43,4 @@ func (b bitset) firstSet() int {
 		}
 	}
 	return -1
-}
-
-// forEach calls f for every set bit in ascending order.
-func (b bitset) forEach(f func(i int)) {
-	for wi, w := range b {
-		for w != 0 {
-			i := bits.TrailingZeros64(w)
-			f(wi*64 + i)
-			w &= w - 1
-		}
-	}
 }

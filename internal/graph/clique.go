@@ -51,10 +51,12 @@ func MaxWeightClique(adj UndirectedAdj, weights []float64, maxSteps int) ([]int,
 		pos[v] = i
 	}
 
-	// Adjacency bitsets in the reordered index space.
+	// Adjacency bitsets in the reordered index space, on one backing array.
+	words := (n + 63) / 64
+	rows := make(bitset, n*words)
 	nb := make([]bitset, n)
 	for i := range nb {
-		nb[i] = newBitset(n)
+		nb[i] = rows[i*words : (i+1)*words : (i+1)*words]
 	}
 	for v, ns := range adj {
 		for _, u := range ns {
@@ -70,12 +72,12 @@ func MaxWeightClique(adj UndirectedAdj, weights []float64, maxSteps int) ([]int,
 		w[i] = weights[v]
 	}
 
-	s := &cliqueSolver{n: n, nb: nb, w: w, budget: maxSteps}
-	all := newBitset(n)
+	s := &cliqueSolver{nb: nb, w: w, budget: maxSteps, words: words}
+	all := s.frame(0, n).p
 	for i := 0; i < n; i++ {
 		all.set(i)
 	}
-	s.expand(all, nil, 0)
+	s.expand(0, 0)
 
 	out := make([]int, len(s.best))
 	for i, v := range s.best {
@@ -85,110 +87,115 @@ func MaxWeightClique(adj UndirectedAdj, weights []float64, maxSteps int) ([]int,
 	return out, s.bestW, nil
 }
 
+// cliqueSolver is the branch-and-bound state. All scratch lives in
+// per-depth frames that are reused across siblings, so a search
+// allocates in proportion to its depth, not to the nodes it visits.
 type cliqueSolver struct {
-	n      int
 	nb     []bitset
 	w      []float64
+	words  int
+	cur    []int // the clique being grown, one vertex per depth
 	best   []int
 	bestW  float64
 	budget int
+	frames []*cliqueFrame
 }
 
-// expand grows the current clique cur (weight curW) using candidate set p.
-func (s *cliqueSolver) expand(p bitset, cur []int, curW float64) {
+// cliqueFrame is the scratch of one search depth: its candidate set p
+// (filled by the parent), the coloring's working sets, and the colored
+// candidates with their cumulative bounds.
+type cliqueFrame struct {
+	p, remaining, avail bitset
+	verts               []int
+	bound               []float64
+}
+
+// frame returns the scratch frame for depth d, allocating it on first use
+// with room for size candidates (the caller passes its own candidate
+// count, which bounds the first child's; a later, wider use grows it).
+func (s *cliqueSolver) frame(d, size int) *cliqueFrame {
+	for len(s.frames) <= d {
+		w := s.words
+		sets := make(bitset, 3*w)
+		s.frames = append(s.frames, &cliqueFrame{
+			p:         sets[:w:w],
+			remaining: sets[w : 2*w : 2*w],
+			avail:     sets[2*w:],
+			verts:     make([]int, 0, size),
+			bound:     make([]float64, 0, size),
+		})
+	}
+	return s.frames[d]
+}
+
+// expand grows the current clique s.cur (weight curW) using the candidate
+// set in frame d.
+func (s *cliqueSolver) expand(d int, curW float64) {
 	if s.budget <= 0 {
 		return
 	}
 	s.budget--
 
-	if curW > s.bestW || (s.best == nil && curW >= 0 && len(cur) > 0) {
-		if curW > s.bestW {
-			s.bestW = curW
-			s.best = append([]int(nil), cur...)
-		}
+	if curW > s.bestW {
+		s.bestW = curW
+		s.best = append(s.best[:0], s.cur...)
 	}
-	if p.empty() {
+	f := s.frames[d]
+	if f.p.empty() {
 		return
 	}
 	// Greedy coloring bound: partition p into independent color classes;
 	// a clique takes at most one vertex per class, so the sum of class
 	// maxima bounds the achievable extra weight.
-	verts, bound := s.colorBound(p)
+	s.colorBound(f)
+	child := s.frame(d+1, len(f.verts))
 	// Visit candidates heaviest-bound-last order reversed for pruning.
-	for i := len(verts) - 1; i >= 0; i-- {
-		v := verts[i]
-		if curW+bound[i] <= s.bestW {
+	for i := len(f.verts) - 1; i >= 0; i-- {
+		v := f.verts[i]
+		if curW+f.bound[i] <= s.bestW {
 			return // remaining candidates cannot beat the incumbent
 		}
-		np := p.clone()
-		np.andWith(s.nb[v])
-		cur = append(cur, v)
-		s.expand(np, cur, curW+s.w[v])
-		cur = cur[:len(cur)-1]
-		p.clear(v)
+		copy(child.p, f.p)
+		child.p.andWith(s.nb[v])
+		s.cur = append(s.cur, v)
+		s.expand(d+1, curW+s.w[v])
+		s.cur = s.cur[:len(s.cur)-1]
+		f.p.clear(v)
 		if s.budget <= 0 {
 			return
 		}
 	}
 }
 
-// colorBound greedily colors the candidate set and returns the candidates
-// ordered by color, along with a per-position cumulative weight bound:
-// bound[i] = max achievable weight using verts[0..i].
-func (s *cliqueSolver) colorBound(p bitset) (verts []int, bound []float64) {
-	remaining := p.clone()
-	var classMax []float64
-	var colorOf []int
-	for !remaining.empty() {
+// colorBound greedily colors the frame's candidate set, leaving the
+// candidates ordered by color in f.verts and a per-position cumulative
+// weight bound in f.bound: bound[i] = max achievable weight using
+// verts[0..i]. Color classes are contiguous in verts, so each class's
+// bound is filled in as soon as the class is closed.
+func (s *cliqueSolver) colorBound(f *cliqueFrame) {
+	f.verts = f.verts[:0]
+	f.bound = f.bound[:0]
+	copy(f.remaining, f.p)
+	cum := 0.0
+	for !f.remaining.empty() {
 		classW := 0.0
-		avail := remaining.clone()
+		copy(f.avail, f.remaining)
 		for {
-			v := avail.firstSet()
+			v := f.avail.firstSet()
 			if v < 0 {
 				break
 			}
-			verts = append(verts, v)
-			colorOf = append(colorOf, len(classMax))
+			f.verts = append(f.verts, v)
 			if s.w[v] > classW {
 				classW = s.w[v]
 			}
-			remaining.clear(v)
-			avail.clear(v)
-			avail.andNotWith(s.nb[v])
+			f.remaining.clear(v)
+			f.avail.clear(v)
+			f.avail.andNotWith(s.nb[v])
 		}
-		classMax = append(classMax, classW)
-	}
-	bound = make([]float64, len(verts))
-	cum := 0.0
-	seen := make([]bool, len(classMax))
-	for i, v := range verts {
-		c := colorOf[i]
-		if !seen[c] {
-			seen[c] = true
-			cum += classMax[c]
-		}
-		_ = v
-		bound[i] = cum
-	}
-	return verts, bound
-}
-
-// IsClique reports whether vs forms a clique in adj (every pair adjacent).
-func IsClique(adj UndirectedAdj, vs []int) bool {
-	set := make(map[int]map[int]bool, len(adj))
-	for v, ns := range adj {
-		m := make(map[int]bool, len(ns))
-		for _, u := range ns {
-			m[u] = true
-		}
-		set[v] = m
-	}
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			if !set[vs[i]][vs[j]] {
-				return false
-			}
+		cum += classW
+		for len(f.bound) < len(f.verts) {
+			f.bound = append(f.bound, cum)
 		}
 	}
-	return true
 }

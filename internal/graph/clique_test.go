@@ -198,3 +198,53 @@ func BenchmarkMaxWeightClique50(b *testing.B) {
 		MaxWeightClique(adj, w, 0) //nolint:errcheck // inputs are well-formed
 	}
 }
+
+// IsClique reports whether vs forms a clique in adj (every pair adjacent).
+func IsClique(adj UndirectedAdj, vs []int) bool {
+	set := make(map[int]map[int]bool, len(adj))
+	for v, ns := range adj {
+		m := make(map[int]bool, len(ns))
+		for _, u := range ns {
+			m[u] = true
+		}
+		set[v] = m
+	}
+	for i := 0; i < len(vs); i++ {
+		for j := i + 1; j < len(vs); j++ {
+			if !set[vs[i]][vs[j]] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestCliqueAllocs gates the solver's scratch reuse: a call allocates
+// for its setup and one frame per search depth, never per branch step,
+// so a search a hundred times longer allocates (almost) no more. The
+// frozen legacy solver, which allocates at every step, proves the longer
+// budget really is a longer search.
+func TestCliqueAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	adj, w := randomCliqueInstance(rng, 60, 0.7, 0)
+	allocs := func(solve func(budget int), budget int) float64 {
+		return testing.AllocsPerRun(5, func() { solve(budget) })
+	}
+	solver := func(budget int) {
+		MaxWeightClique(adj, w, budget) //nolint:errcheck // inputs are well-formed
+	}
+	legacy := func(budget int) { legacyMaxWeightClique(adj, w, budget) }
+	if ls, ll := allocs(legacy, 300), allocs(legacy, 30000); ll < 2*ls {
+		t.Fatalf("instance too easy: legacy allocs %v at 300 steps, %v at 30000", ls, ll)
+	}
+	short, long := allocs(solver, 300), allocs(solver, 30000)
+	t.Logf("allocs per call: %v at 300 steps, %v at 30000 steps", short, long)
+	// Deeper frames and wider candidate lists may appear in the longer
+	// search; anything per-step would add thousands.
+	if long > short+16 {
+		t.Fatalf("allocs grew with branch steps: %v at 300 steps, %v at 30000", short, long)
+	}
+	if long > 128 {
+		t.Fatalf("%v allocs per call on 60 vertices, want <= 128 (setup + per-depth frames)", long)
+	}
+}

@@ -136,9 +136,10 @@ func (g *Graph) Eval(inputs map[string]uint16) (map[string]uint16, error) {
 			vals[v] = vals[n.Args[0]]
 			outs[n.Name] = vals[v]
 		default:
-			args := make([]uint16, len(n.Args))
-			for i, a := range n.Args {
-				args[i] = vals[a]
+			var buf [3]uint16 // operands stay on the stack up to arity 3
+			args := buf[:0]
+			for _, a := range n.Args {
+				args = append(args, vals[a])
 			}
 			vals[v] = EvalOp(n.Op, args, n.Val)
 		}

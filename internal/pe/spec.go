@@ -188,7 +188,8 @@ func (s *Spec) Evaluate(c Config, inputVals map[int]uint16, bitVals map[int]uint
 					return 0, fmt.Errorf("pe: unit %d (%s) has no op selected", u, unit)
 				}
 			}
-			args := make([]uint16, op.Arity())
+			var buf [3]uint16 // operands stay on the stack up to arity 3
+			args := buf[:0]
 			// Operand ports beyond the op's arity are ignored; the op
 			// consumes its operands from the low ports.
 			for p := 0; p < op.Arity(); p++ {
@@ -200,7 +201,7 @@ func (s *Spec) Evaluate(c Config, inputVals map[int]uint16, bitVals map[int]uint
 				if err != nil {
 					return 0, err
 				}
-				args[p] = av
+				args = append(args, av)
 			}
 			// The immediate (LUT table) rides on the op selection; LUT
 			// tables are stored as the constant value of the unit's

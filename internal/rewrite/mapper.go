@@ -240,61 +240,41 @@ func (m *Mapped) Eval(inputs map[string]uint16) (map[string]uint16, error) {
 	return outs, nil
 }
 
-// match records one committed rule application.
+// match records one committed rule application. Both bindings are
+// indexed by pattern node and hold -1 for nodes they do not bind.
 type match struct {
 	rule     *Rule
 	root     ir.NodeRef
-	nodeMap  map[ir.NodeRef]ir.NodeRef // pattern compute/const -> app node
-	inputMap map[ir.NodeRef]ir.NodeRef // pattern input -> app producer
+	nodeMap  []ir.NodeRef // pattern compute/const -> app node
+	inputMap []ir.NodeRef // pattern input -> app producer
 }
 
 // MapApp covers the application graph with the rule set's patterns,
 // complex rules first (the paper's greedy LLVM-style instruction
 // selection), and returns the mapped graph.
 func MapApp(app *ir.Graph, rs *RuleSet, name string) (*Mapped, error) {
-	users := make([][]ir.NodeRef, len(app.Nodes))
-	for i, n := range app.Nodes {
-		for _, a := range n.Args {
-			users[a] = append(users[a], ir.NodeRef(i))
-		}
-	}
-	covered := make([]*match, len(app.Nodes))
-	isRoot := make([]bool, len(app.Nodes))
-	required := make([]bool, len(app.Nodes))
-	// Values consumed by structural nodes must be exposed on the fabric.
-	for _, n := range app.Nodes {
-		switch n.Op {
-		case ir.OpOutput, ir.OpMem, ir.OpReg, ir.OpRegFileFIFO, ir.OpRom:
-			for _, a := range n.Args {
-				required[a] = true
-			}
-		}
-	}
-
-	var matches []*match
+	mt := newMatcher(app, rs.Rules)
 	order := reverseTopo(app)
 	for _, rule := range rs.Rules {
 		rootOp := app0Op(rule)
 		for _, av := range order {
 			n := &app.Nodes[av]
-			if n.Op != rootOp || covered[av] != nil {
+			if n.Op != rootOp || mt.covered[av] != nil {
 				continue
 			}
-			mt := tryMatch(app, users, covered, required, isRoot, rule, av)
-			if mt == nil {
+			m := mt.tryMatch(rule, av)
+			if m == nil {
 				continue
 			}
 			// Commit.
-			matches = append(matches, mt)
-			for pv, anode := range mt.nodeMap {
-				if rule.Pattern.Nodes[pv].Op.IsCompute() {
-					covered[anode] = mt
+			for pv, anode := range m.nodeMap {
+				if anode >= 0 && rule.Pattern.Nodes[pv].Op.IsCompute() {
+					mt.covered[anode] = m
 				}
 			}
-			isRoot[mt.root] = true
-			for _, anode := range mt.inputMap {
-				if app.Nodes[anode].Op.IsCompute() {
-					required[anode] = true
+			for _, anode := range m.inputMap {
+				if anode >= 0 && app.Nodes[anode].Op.IsCompute() {
+					mt.required[anode] = true
 				}
 			}
 		}
@@ -302,13 +282,13 @@ func MapApp(app *ir.Graph, rs *RuleSet, name string) (*Mapped, error) {
 
 	// Every compute node must be covered.
 	for i, n := range app.Nodes {
-		if n.Op.IsCompute() && covered[i] == nil {
+		if n.Op.IsCompute() && mt.covered[i] == nil {
 			return nil, fmt.Errorf("rewrite: no rule covers node %d (%s) — PE lacks op %s",
 				i, n.Op, n.Op)
 		}
 	}
 
-	return buildMapped(app, covered, matches, rs.Spec, name)
+	return buildMapped(app, mt.covered, rs.Spec, name)
 }
 
 func app0Op(rule *Rule) ir.Op { return rule.Pattern.Nodes[rule.Root].Op }
@@ -316,169 +296,225 @@ func app0Op(rule *Rule) ir.Op { return rule.Pattern.Nodes[rule.Root].Op }
 func reverseTopo(app *ir.Graph) []ir.NodeRef {
 	// Reverse topological: users before producers, so bigger matches
 	// claim downstream roots first.
-	n := len(app.Nodes)
-	state := make([]uint8, n)
-	var order []ir.NodeRef
-	var visit func(v ir.NodeRef)
-	visit = func(v ir.NodeRef) {
-		if state[v] != 0 {
-			return
-		}
-		state[v] = 1
-		for _, a := range app.Nodes[v].Args {
-			visit(a)
-		}
-		state[v] = 2
-		order = append(order, v)
-	}
-	for v := 0; v < n; v++ {
-		visit(ir.NodeRef(v))
-	}
-	// order is topological (producers first); reverse it.
+	order := appTopo(app)
 	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
 		order[i], order[j] = order[j], order[i]
 	}
 	return order
 }
 
-// tryMatch attempts to match the rule's pattern rooted at app node av.
-func tryMatch(app *ir.Graph, users [][]ir.NodeRef, covered []*match, required, isRoot []bool, rule *Rule, av ir.NodeRef) *match {
-	mt := &match{
-		rule:     rule,
-		root:     av,
-		nodeMap:  map[ir.NodeRef]ir.NodeRef{},
-		inputMap: map[ir.NodeRef]ir.NodeRef{},
-	}
-	rev := map[ir.NodeRef]ir.NodeRef{}
-	var bind func(pv, anode ir.NodeRef) bool
-	bind = func(pv, anode ir.NodeRef) bool {
-		pn := &rule.Pattern.Nodes[pv]
-		an := &app.Nodes[anode]
-		switch pn.Op {
-		case ir.OpInput:
-			// Wildcard: any producer except constants and outputs.
-			if an.Op == ir.OpConst || an.Op == ir.OpConstB || an.Op == ir.OpOutput {
-				return false
-			}
-			// The producer's value must be exposable: it must not be
-			// interior to another committed match.
-			if cm := covered[anode]; cm != nil && cm.root != anode {
-				return false
-			}
-			if prev, ok := mt.inputMap[pv]; ok {
-				return prev == anode
-			}
-			mt.inputMap[pv] = anode
-			return true
-		case ir.OpInputB:
-			if an.Op == ir.OpConst || an.Op == ir.OpConstB || an.Op == ir.OpOutput {
-				return false
-			}
-			if cm := covered[anode]; cm != nil && cm.root != anode {
-				return false
-			}
-			if prev, ok := mt.inputMap[pv]; ok {
-				return prev == anode
-			}
-			mt.inputMap[pv] = anode
-			return true
-		case ir.OpConst:
-			if an.Op != ir.OpConst {
-				return false
-			}
-			mt.nodeMap[pv] = anode
-			return true
-		case ir.OpConstB:
-			if an.Op != ir.OpConstB {
-				return false
-			}
-			mt.nodeMap[pv] = anode
-			return true
-		}
-		// Compute node.
-		if an.Op != pn.Op {
-			return false
-		}
-		if covered[anode] != nil {
-			return false
-		}
-		// Interior nodes must be absorbable: not required on the fabric.
-		if anode != av && required[anode] {
-			return false
-		}
-		if prev, ok := mt.nodeMap[pv]; ok {
-			return prev == anode
-		}
-		if prevP, ok := rev[anode]; ok && prevP != pv {
-			return false
-		}
-		mt.nodeMap[pv] = anode
-		rev[anode] = pv
+// matcher is the instruction selector's state for one MapApp call: the
+// committed cover (covered, required) and the scratch of the attempt in
+// progress. An attempt binds pattern nodes in nodeMap and inputMap
+// (indexed by pattern node) and app compute nodes back to pattern nodes
+// in rev (indexed by app node), all -1 when unbound. Every write pushes
+// the slot's old value on an undo trail, so a failed operand order rolls
+// back to exactly the state before it; after an attempt the trail is
+// unwound to empty, leaving every slot -1 for the next one.
+type matcher struct {
+	app      *ir.Graph
+	users    [][]ir.NodeRef
+	covered  []*match
+	required []bool
 
-		orders := [][]int{identityOrder(len(pn.Args))}
-		if pn.Op.Commutative() && len(pn.Args) == 2 {
-			orders = append(orders, []int{1, 0})
-		}
-		for _, ord := range orders {
-			ok := true
-			// Snapshot for backtracking across operand orders.
-			snapNode := copyRefRefMap(mt.nodeMap)
-			snapIn := copyRefRefMap(mt.inputMap)
-			snapRev := copyRefRefMap(rev)
-			for p := range pn.Args {
-				if !bind(pn.Args[p], an.Args[ord[p]]) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return true
-			}
-			mt.nodeMap = snapNode
-			mt.inputMap = snapIn
-			rev = snapRev
-			// Re-establish this node's own binding after restore.
-			mt.nodeMap[pv] = anode
-			rev[anode] = pv
-		}
-		delete(mt.nodeMap, pv)
-		delete(rev, anode)
-		return false
+	rule     *Rule
+	root     ir.NodeRef
+	nodeMap  []ir.NodeRef
+	inputMap []ir.NodeRef
+	rev      []ir.NodeRef
+	trail    []bindUndo
+}
+
+// Binding slots a bindUndo entry restores.
+const (
+	slotNode uint8 = iota
+	slotInput
+	slotRev
+)
+
+type bindUndo struct {
+	slot     uint8
+	key, old ir.NodeRef
+}
+
+func newMatcher(app *ir.Graph, rules []*Rule) *matcher {
+	mt := &matcher{
+		app:      app,
+		users:    make([][]ir.NodeRef, len(app.Nodes)),
+		covered:  make([]*match, len(app.Nodes)),
+		required: make([]bool, len(app.Nodes)),
+		rev:      make([]ir.NodeRef, len(app.Nodes)),
 	}
-	if !bind(rule.Root, av) {
-		return nil
-	}
-	// Interior compute nodes must have every user inside the match.
-	for pv, anode := range mt.nodeMap {
-		if !rule.Pattern.Nodes[pv].Op.IsCompute() || anode == av {
-			continue
+	for i, n := range app.Nodes {
+		for _, a := range n.Args {
+			mt.users[a] = append(mt.users[a], ir.NodeRef(i))
 		}
-		for _, u := range users[anode] {
-			if _, ok := rev[u]; !ok {
-				return nil
+		// Values consumed by structural nodes must be exposed on the fabric.
+		switch n.Op {
+		case ir.OpOutput, ir.OpMem, ir.OpReg, ir.OpRegFileFIFO, ir.OpRom:
+			for _, a := range n.Args {
+				mt.required[a] = true
 			}
 		}
 	}
-	// A wildcard operand must not point at a node this very match
-	// absorbs as interior (its value would not exist on the fabric).
-	for _, anode := range mt.inputMap {
-		if _, interior := rev[anode]; interior && anode != av {
-			return nil
+	patMax := 0
+	for _, r := range rules {
+		patMax = max(patMax, len(r.Pattern.Nodes))
+	}
+	mt.nodeMap = make([]ir.NodeRef, patMax)
+	mt.inputMap = make([]ir.NodeRef, patMax)
+	for _, s := range [][]ir.NodeRef{mt.nodeMap, mt.inputMap, mt.rev} {
+		for i := range s {
+			s[i] = -1
 		}
 	}
 	return mt
 }
 
-func copyRefRefMap(m map[ir.NodeRef]ir.NodeRef) map[ir.NodeRef]ir.NodeRef {
-	c := make(map[ir.NodeRef]ir.NodeRef, len(m))
-	for k, v := range m {
-		c[k] = v
+func (mt *matcher) slot(s uint8) []ir.NodeRef {
+	switch s {
+	case slotNode:
+		return mt.nodeMap
+	case slotInput:
+		return mt.inputMap
 	}
-	return c
+	return mt.rev
+}
+
+// set binds slot s[key] = val, recording the old value on the trail.
+func (mt *matcher) set(s uint8, key, val ir.NodeRef) {
+	m := mt.slot(s)
+	mt.trail = append(mt.trail, bindUndo{slot: s, key: key, old: m[key]})
+	m[key] = val
+}
+
+// undoTo unwinds the trail to length mark, restoring each slot's old
+// value in reverse order.
+func (mt *matcher) undoTo(mark int) {
+	for i := len(mt.trail) - 1; i >= mark; i-- {
+		u := mt.trail[i]
+		mt.slot(u.slot)[u.key] = u.old
+	}
+	mt.trail = mt.trail[:mark]
+}
+
+// tryMatch attempts to match the rule's pattern rooted at app node av,
+// returning the match or nil. A failed attempt allocates nothing.
+func (mt *matcher) tryMatch(rule *Rule, av ir.NodeRef) *match {
+	np := len(rule.Pattern.Nodes)
+	mt.rule, mt.root = rule, av
+	mt.nodeMap, mt.inputMap = mt.nodeMap[:np], mt.inputMap[:np]
+	defer mt.undoTo(0)
+	if !mt.bind(rule.Root, av) || !mt.exposed() {
+		return nil
+	}
+	bound := make([]ir.NodeRef, 0, 2*np) // both bindings, one allocation
+	bound = append(append(bound, mt.nodeMap...), mt.inputMap...)
+	return &match{rule: rule, root: av, nodeMap: bound[:np:np], inputMap: bound[np:]}
+}
+
+// exposed checks a complete binding against the fabric: interior compute
+// nodes must have every user inside the match, and a wildcard operand
+// must not point at a node this very match absorbs as interior (its
+// value would not exist on the fabric).
+func (mt *matcher) exposed() bool {
+	for pv, anode := range mt.nodeMap {
+		if anode < 0 || anode == mt.root || !mt.rule.Pattern.Nodes[pv].Op.IsCompute() {
+			continue
+		}
+		for _, u := range mt.users[anode] {
+			if mt.rev[u] < 0 {
+				return false
+			}
+		}
+	}
+	for _, anode := range mt.inputMap {
+		if anode >= 0 && anode != mt.root && mt.rev[anode] >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// bind matches pattern node pv onto app node anode and, for compute
+// nodes, their operand subtrees (both operand orders for commutative
+// binary ops). On failure the bindings are exactly as before the call.
+func (mt *matcher) bind(pv, anode ir.NodeRef) bool {
+	pn := &mt.rule.Pattern.Nodes[pv]
+	an := &mt.app.Nodes[anode]
+	switch pn.Op {
+	case ir.OpInput, ir.OpInputB:
+		// Wildcard: any producer except constants and outputs.
+		if an.Op == ir.OpConst || an.Op == ir.OpConstB || an.Op == ir.OpOutput {
+			return false
+		}
+		// The producer's value must be exposable: it must not be
+		// interior to another committed match.
+		if cm := mt.covered[anode]; cm != nil && cm.root != anode {
+			return false
+		}
+		if prev := mt.inputMap[pv]; prev >= 0 {
+			return prev == anode
+		}
+		mt.set(slotInput, pv, anode)
+		return true
+	case ir.OpConst, ir.OpConstB:
+		if an.Op != pn.Op {
+			return false
+		}
+		// A constant shared by two pattern users re-binds to the later
+		// site; the trail restores the earlier one on backtrack.
+		mt.set(slotNode, pv, anode)
+		return true
+	}
+	// Compute node.
+	if an.Op != pn.Op {
+		return false
+	}
+	if mt.covered[anode] != nil {
+		return false
+	}
+	// Interior nodes must be absorbable: not required on the fabric.
+	if anode != mt.root && mt.required[anode] {
+		return false
+	}
+	if prev := mt.nodeMap[pv]; prev >= 0 {
+		return prev == anode
+	}
+	if prevP := mt.rev[anode]; prevP >= 0 && prevP != pv {
+		return false
+	}
+	mark := len(mt.trail)
+	mt.set(slotNode, pv, anode)
+	mt.set(slotRev, anode, pv)
+
+	orders := 1
+	if pn.Op.Commutative() && len(pn.Args) == 2 {
+		orders = 2 // identity, then swapped
+	}
+	for swap := 0; swap < orders; swap++ {
+		opMark := len(mt.trail)
+		ok := true
+		for p, parg := range pn.Args {
+			if swap == 1 {
+				p = 1 - p
+			}
+			if !mt.bind(parg, an.Args[p]) {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return true
+		}
+		mt.undoTo(opMark)
+	}
+	mt.undoTo(mark)
+	return false
 }
 
 // buildMapped materializes the mapped graph from committed matches.
-func buildMapped(app *ir.Graph, covered []*match, matches []*match, spec *pe.Spec, name string) (*Mapped, error) {
+func buildMapped(app *ir.Graph, covered []*match, spec *pe.Spec, name string) (*Mapped, error) {
 	m := &Mapped{Name: name, Spec: spec}
 	mappedIdx := make([]int, len(app.Nodes))
 	for i := range mappedIdx {
@@ -556,25 +592,31 @@ func buildMapped(app *ir.Graph, covered []*match, matches []*match, spec *pe.Spe
 				Arg:       -1,
 			}
 			for pv, anode := range cm.inputMap {
+				if anode < 0 {
+					continue
+				}
 				p, err := producerIdx(anode)
 				if err != nil {
 					return nil, err
 				}
-				if pos, ok := cm.rule.InputPorts[pv]; ok {
+				if pos, ok := cm.rule.InputPorts[ir.NodeRef(pv)]; ok {
 					pn.DataIn[pos] = p
-				} else if pos, ok := cm.rule.BitPorts[pv]; ok {
+				} else if pos, ok := cm.rule.BitPorts[ir.NodeRef(pv)]; ok {
 					pn.BitIn[pos] = p
 				} else {
 					return nil, fmt.Errorf("rewrite: pattern input %d has no PE port", pv)
 				}
 			}
 			for pv, anode := range cm.nodeMap {
+				if anode < 0 {
+					continue
+				}
 				pnode := &cm.rule.Pattern.Nodes[pv]
 				switch pnode.Op {
 				case ir.OpConst, ir.OpConstB:
-					pn.ConstVals[cm.rule.ConstRegs[pv]] = app.Nodes[anode].Val
+					pn.ConstVals[cm.rule.ConstRegs[ir.NodeRef(pv)]] = app.Nodes[anode].Val
 				case ir.OpLUT:
-					pn.LUTTables[cm.rule.LUTUnits[pv]] = app.Nodes[anode].Val
+					pn.LUTTables[cm.rule.LUTUnits[ir.NodeRef(pv)]] = app.Nodes[anode].Val
 				}
 			}
 			mappedIdx[av] = m.add(pn)

@@ -2,7 +2,7 @@ package rewrite
 
 import (
 	"context"
-
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -270,5 +270,73 @@ func BenchmarkMapCameraBaseline(b *testing.B) {
 		if _, err := MapApp(app.Graph, rs, "camera"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// cameraSpecRules builds camera's specialized PE the way the pipeline
+// does (mine, rank by MIS, merge the top three subgraphs into the
+// app-restricted baseline) and synthesizes its rule set.
+func cameraSpecRules(t testing.TB) (*apps.App, *RuleSet) {
+	t.Helper()
+	app := apps.Camera()
+	view, _ := mining.ComputeView(app.Graph)
+	pats, err := mining.Mine(context.Background(), view, mining.Options{MinSupport: 8, MaxNodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranked := mis.Rank(context.Background(), pats)
+	ops := append(app.UsedOps(), ir.OpLUT, ir.OpSel)
+	dp := merge.BaselinePE(ops)
+	var named []NamedPattern
+	for i := 0; i < 3 && i < len(ranked); i++ {
+		np, err := PatternFromMined(ranked[i].Pattern.Graph, fmt.Sprintf("sg%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pdp, err := merge.FromPattern(np.Graph, np.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp = merge.Merge(dp, pdp, merge.Options{})
+		named = append(named, np)
+	}
+	rs, err := SynthesizeRuleSet(pe.FromDatapath("camera_spec", dp), named, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app, rs
+}
+
+// TestMatchAllocs gates the instruction selector's undo trail: once the
+// matcher's scratch has grown, a failing tryMatch attempt allocates
+// nothing, however deep it bound before failing. Only a successful match
+// allocates (its committed bindings).
+func TestMatchAllocs(t *testing.T) {
+	app, rs := cameraSpecRules(t)
+	type attempt struct {
+		rule *Rule
+		av   ir.NodeRef
+	}
+	mt := newMatcher(app.Graph, rs.Rules)
+	var failing []attempt
+	for _, rule := range rs.Rules {
+		for _, av := range reverseTopo(app.Graph) {
+			if app.Graph.Nodes[av].Op == app0Op(rule) && mt.tryMatch(rule, av) == nil {
+				failing = append(failing, attempt{rule, av})
+			}
+		}
+	}
+	if len(failing) < 100 {
+		t.Fatalf("only %d failing attempts on camera; the gate needs a real workload", len(failing))
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, a := range failing {
+			if mt.tryMatch(a.rule, a.av) != nil {
+				t.Fatal("attempt that failed before now succeeds")
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d failing attempts allocated %v objects, want 0", len(failing), allocs)
 	}
 }

@@ -17,8 +17,8 @@ package rewrite
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
+	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/merge"
@@ -207,28 +207,29 @@ func (s *synthState) bind(v ir.NodeRef, u int, cont func() bool) bool {
 
 	// Operand orders to try: identity, plus the swap for commutative
 	// 2-operand ops.
-	orders := [][]int{identityOrder(len(n.Args))}
-	if n.Op.Commutative() && len(n.Args) == 2 {
-		orders = append(orders, []int{1, 0})
+	if s.bindArgs(v, u, false, 0, cont) {
+		return true
 	}
-	for _, ord := range orders {
-		if s.bindArgs(v, u, ord, 0, cont) {
-			return true
-		}
+	if n.Op.Commutative() && len(n.Args) == 2 && s.bindArgs(v, u, true, 0, cont) {
+		return true
 	}
 	delete(s.mapFU, v)
 	delete(s.usedFU, u)
 	return false
 }
 
-// bindArgs assigns v's operands (in permutation ord) starting at position
-// p to wires feeding unit u, invoking cont when all are bound.
-func (s *synthState) bindArgs(v ir.NodeRef, u int, ord []int, p int, cont func() bool) bool {
+// bindArgs assigns v's operands (swapped, for a commutative binary op,
+// when swap is set) starting at position p to wires feeding unit u,
+// invoking cont when all are bound.
+func (s *synthState) bindArgs(v ir.NodeRef, u int, swap bool, p int, cont func() bool) bool {
 	n := &s.pat.Nodes[v]
 	if p == len(n.Args) {
 		return cont()
 	}
-	child := n.Args[ord[p]]
+	child := n.Args[p]
+	if swap {
+		child = n.Args[1-p]
+	}
 	key := [2]int{u, p}
 	for _, src := range s.spec.PortSources(u, p) {
 		if prev, had := s.portSel[key]; had && prev != src {
@@ -237,7 +238,7 @@ func (s *synthState) bindArgs(v ir.NodeRef, u int, ord []int, p int, cont func()
 		_, had := s.portSel[key]
 		s.portSel[key] = src
 		ok := s.bind(child, src, func() bool {
-			return s.bindArgs(v, u, ord, p+1, cont)
+			return s.bindArgs(v, u, swap, p+1, cont)
 		})
 		if ok {
 			return true
@@ -255,14 +256,6 @@ func copyRefRefIntMap(m map[ir.NodeRef]int) map[ir.NodeRef]int {
 		c[k] = v
 	}
 	return c
-}
-
-func identityOrder(n int) []int {
-	o := make([]int, n)
-	for i := range o {
-		o[i] = i
-	}
-	return o
 }
 
 // finish assembles and verifies the rule after a successful bind.
@@ -309,10 +302,7 @@ func (s *synthState) finish(name string, root ir.NodeRef, out, drv int) (*Rule, 
 			rule.BitPorts[v] = indexOf(s.spec.InputsB, u)
 		}
 	}
-	if err := verifyRule(rule); err != nil {
-		if os.Getenv("APEX_DEBUG_RULES") != "" {
-			fmt.Printf("rewrite: rule %s rejected: %v\n", name, err)
-		}
+	if verifyRule(rule) != nil {
 		return nil, false
 	}
 	return rule, true
@@ -347,51 +337,157 @@ func verifyRule(r *Rule) error {
 		return fmt.Errorf("rewrite: formal mismatch: PE %s vs pattern %s", peExpr, patExpr)
 	}
 	// Randomized cross-check of the functional model.
-	rng := rand.New(rand.NewSource(0xA9E5))
-	for trial := 0; trial < 32; trial++ {
-		inputs := map[string]uint16{}
-		inVals := map[int]uint16{}
-		bitVals := map[int]uint16{}
-		cfg := r.Config.Clone()
-		for v, pos := range r.InputPorts {
-			x := uint16(rng.Intn(1 << 16))
-			inputs[r.Pattern.Nodes[v].Name] = x
-			inVals[pos] = x
-		}
-		for v, pos := range r.BitPorts {
-			x := uint16(rng.Intn(2))
-			inputs[r.Pattern.Nodes[v].Name] = x
-			bitVals[pos] = x
-		}
-		patG := r.Pattern.Clone()
-		for v, cu := range r.ConstRegs {
-			x := uint16(rng.Intn(1 << 16))
-			if patG.Nodes[v].Op == ir.OpConstB {
-				x &= 1
-			}
-			patG.Nodes[v].Val = x
-			cfg.ConstVals[cu] = x
-		}
-		// Keep LUT immediates from the rule config.
-		for u, val := range r.Config.ConstVals {
-			cfg.ConstVals[u] = val
-		}
-		want, err := evalAt(patG, r.Root, inputs)
-		if err != nil {
+	rng := &trialRand{}
+	t := newRuleTrials(r)
+	for trial := 0; trial < verifyTrials; trial++ {
+		t.draw(rng)
+		if err := t.check(); err != nil {
 			return err
-		}
-		got, err := r.Spec.Evaluate(cfg, inVals, bitVals)
-		if err != nil {
-			return err
-		}
-		if got[r.OutUnit] != want {
-			return fmt.Errorf("rewrite: simulation mismatch: PE %d vs pattern %d", got[r.OutUnit], want)
 		}
 	}
 	return nil
 }
 
-// Clone is needed on ir.Graph for verifyRule's constant randomization.
+// verifyTrials is the number of randomized functional cross-checks a
+// rule must pass after its formal check.
+const verifyTrials = 32
+
+// trialSeed seeds the trial vectors. Every verification replays the same
+// sequence, and seeding math/rand costs more than a rule's formal check,
+// so the sequence's first trialPrefixLen values are generated once and
+// shared read-only.
+const (
+	trialSeed      = 0xA9E5
+	trialPrefixLen = 4096
+)
+
+var trialPrefix = sync.OnceValue(func() []int32 {
+	rng := rand.New(rand.NewSource(trialSeed))
+	p := make([]int32, trialPrefixLen)
+	for i := range p {
+		p[i] = rng.Int31()
+	}
+	return p
+})
+
+// trialRand replays rand.New(rand.NewSource(trialSeed)) from the start:
+// intn(n) returns what that generator's Intn(n) would, for n a power of
+// two (where Intn consumes exactly one Int31). Past the shared prefix it
+// continues from a private generator advanced to the same point.
+type trialRand struct {
+	i   int
+	rng *rand.Rand
+}
+
+func (r *trialRand) intn(n int32) uint16 {
+	var x int32
+	if p := trialPrefix(); r.i < len(p) {
+		x = p[r.i]
+	} else {
+		if r.rng == nil {
+			r.rng = rand.New(rand.NewSource(trialSeed))
+			for range p {
+				r.rng.Int31()
+			}
+		}
+		x = r.rng.Int31()
+	}
+	r.i++
+	return uint16(x & (n - 1))
+}
+
+// portRef pairs a pattern node with its PE port position or unit.
+type portRef struct {
+	v   ir.NodeRef
+	pos int
+}
+
+// sortedPorts lists a pattern-node-keyed port map in ascending pattern
+// node order.
+func sortedPorts(m map[ir.NodeRef]int) []portRef {
+	ps := make([]portRef, 0, len(m))
+	for v, pos := range m {
+		ps = append(ps, portRef{v, pos})
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].v < ps[j].v })
+	return ps
+}
+
+// ruleTrials is the randomized cross-check's state for one rule, built
+// once and overwritten in place by every draw: a clone of the pattern
+// wired to a probe output at the root, a clone of the configuration
+// (LUT immediates included), and the input maps for both models.
+// Ports are drawn in ascending pattern-node order, so a fixed rule gets
+// the same trial vectors in every run.
+type ruleTrials struct {
+	r                 *Rule
+	pat               *ir.Graph
+	cfg               pe.Config
+	ins, bits, consts []portRef
+	inputs            map[string]uint16 // pattern input name -> value
+	inVals, bitVals   map[int]uint16    // PE port position -> value
+}
+
+// ruleProbe names the output the trials wire to the pattern's root.
+const ruleProbe = "__rule_probe"
+
+func newRuleTrials(r *Rule) *ruleTrials {
+	t := &ruleTrials{
+		r:       r,
+		pat:     r.Pattern.Clone(),
+		cfg:     r.Config.Clone(),
+		ins:     sortedPorts(r.InputPorts),
+		bits:    sortedPorts(r.BitPorts),
+		consts:  sortedPorts(r.ConstRegs),
+		inputs:  map[string]uint16{},
+		inVals:  map[int]uint16{},
+		bitVals: map[int]uint16{},
+	}
+	t.pat.Output(ruleProbe, r.Root)
+	return t
+}
+
+// draw assigns the next random vector: data inputs, then bit inputs,
+// then constants (each constant's value goes to both the pattern node
+// and its PE constant unit).
+func (t *ruleTrials) draw(rng *trialRand) {
+	for _, p := range t.ins {
+		x := rng.intn(1 << 16)
+		t.inputs[t.pat.Nodes[p.v].Name] = x
+		t.inVals[p.pos] = x
+	}
+	for _, p := range t.bits {
+		x := rng.intn(2)
+		t.inputs[t.pat.Nodes[p.v].Name] = x
+		t.bitVals[p.pos] = x
+	}
+	for _, p := range t.consts {
+		x := rng.intn(1 << 16)
+		if t.pat.Nodes[p.v].Op == ir.OpConstB {
+			x &= 1
+		}
+		t.pat.Nodes[p.v].Val = x
+		t.cfg.ConstVals[p.pos] = x
+	}
+}
+
+// check evaluates the pattern and the configured PE on the current
+// vector and reports a mismatch at the rule's output.
+func (t *ruleTrials) check() error {
+	outs, err := t.pat.Eval(t.inputs)
+	if err != nil {
+		return err
+	}
+	want := outs[ruleProbe]
+	got, err := t.r.Spec.Evaluate(t.cfg, t.inVals, t.bitVals)
+	if err != nil {
+		return err
+	}
+	if got[t.r.OutUnit] != want {
+		return fmt.Errorf("rewrite: simulation mismatch: PE %d vs pattern %d", got[t.r.OutUnit], want)
+	}
+	return nil
+}
 
 // patternExpr computes the canonical expression of the pattern rooted at
 // root with inputs renamed and constants symbolic per their const unit.
@@ -432,17 +528,6 @@ func patternExpr(g *ir.Graph, root ir.NodeRef, rename map[string]string, constRe
 		return e, nil
 	}
 	return eval(root)
-}
-
-// evalAt evaluates the value of a single node in a graph.
-func evalAt(g *ir.Graph, node ir.NodeRef, inputs map[string]uint16) (uint16, error) {
-	tmp := g.Clone()
-	tmp.Output("__rule_probe", node)
-	outs, err := tmp.Eval(inputs)
-	if err != nil {
-		return 0, err
-	}
-	return outs["__rule_probe"], nil
 }
 
 func indexOf(xs []int, x int) int {

@@ -1,6 +1,9 @@
 package rewrite
 
 import (
+	"maps"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/ir"
@@ -202,5 +205,75 @@ func TestSingleOpPatternsShape(t *testing.T) {
 	}
 	if names["add_c0"] {
 		t.Error("commutative add should not need a c0 variant")
+	}
+}
+
+// TestVerifyTrialsDeterministic pins the randomized rule check's input
+// vectors: the seeded draws land on the ports in ascending pattern-node
+// order, so repeated verifications of one rule see identical vectors
+// (map iteration order must not decide which port gets which value).
+func TestVerifyTrialsDeterministic(t *testing.T) {
+	// A pattern with several data inputs, a bit input and two constants.
+	g := ir.NewGraph("p")
+	a, b, c := g.Input("a"), g.Input("b"), g.Input("c")
+	s := g.InputB("s")
+	k0, k1 := g.Const(0), g.Const(0)
+	sum := g.OpNode(ir.OpAdd, g.OpNode(ir.OpMul, a, k0), g.OpNode(ir.OpSub, b, k1))
+	g.Output("o", g.OpNode(ir.OpSel, s, sum, c))
+	dp, err := merge.FromPattern(g, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := SynthesizeRule(pe.FromDatapath("p", dp), g, "p")
+	if err != nil || r == nil {
+		t.Fatalf("synthesis failed: %v", err)
+	}
+	if len(r.InputPorts) < 3 || len(r.BitPorts) < 1 || len(r.ConstRegs) < 2 {
+		t.Fatalf("rule too small to pin draw order: %d inputs, %d bits, %d consts",
+			len(r.InputPorts), len(r.BitPorts), len(r.ConstRegs))
+	}
+	type vector struct {
+		Inputs          map[string]uint16
+		InVals, BitVals map[int]uint16
+		Consts          map[int]uint16
+	}
+	vectors := func() []vector {
+		rng := &trialRand{}
+		tr := newRuleTrials(r)
+		var vs []vector
+		for i := 0; i < verifyTrials; i++ {
+			tr.draw(rng)
+			consts := map[int]uint16{}
+			for _, cu := range r.ConstRegs {
+				consts[cu] = tr.cfg.ConstVals[cu]
+			}
+			vs = append(vs, vector{maps.Clone(tr.inputs), maps.Clone(tr.inVals), maps.Clone(tr.bitVals), consts})
+		}
+		return vs
+	}
+	want := vectors()
+	for call := 0; call < 20; call++ {
+		if got := vectors(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d drew different trial vectors", call)
+		}
+	}
+	if err := verifyRule(r); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTrialRandMatchesMathRand pins the shared-prefix trial generator to
+// the seeded math/rand sequence it replays, inside the prefix and past it.
+func TestTrialRandMatchesMathRand(t *testing.T) {
+	want := rand.New(rand.NewSource(trialSeed))
+	got := &trialRand{}
+	for i := 0; i < 2*trialPrefixLen+7; i++ {
+		n := 1 << 16
+		if i%3 == 1 {
+			n = 2
+		}
+		if w, g := uint16(want.Intn(n)), got.intn(int32(n)); g != w {
+			t.Fatalf("draw %d (n=%d): got %d, math/rand %d", i, n, g, w)
+		}
 	}
 }
