@@ -92,14 +92,20 @@ fuzz:
 # The PnR performance gates (DESIGN.md §10): the annealer inner loop
 # must stay at zero allocations per move and the router within its
 # per-net allocation budget, so the hot-path rewrites can't silently
-# rot back to map-based state. The merge and instruction-selection hot
+# rot back to map-based state; the annealer's generator must replay
+# math/rand call for call, every placement of a full suite pass must
+# match the pinned digest, and the harness's layout memo must place
+# each distinct netlist once, rebind shared layouts to each cell, drop
+# canceled builds, and keep the full-PnR span tree worker-invariant. The merge and instruction-selection hot
 # paths likewise: a clique search allocates per depth, not per branch
 # step, and a failing match attempt allocates nothing. The telemetry
 # additions (DESIGN.md §14):
 # steady-state time-series recording and the no-subscriber event guard
 # are allocation-free, and per-job trace capture stays O(spans).
 perfcheck:
-	$(GO) test ./internal/cgra -run 'TestAnnealAllocs|TestRouteAllocs' -count=1 -v
+	$(GO) test ./internal/cgra -run 'TestAnnealAllocs|TestRouteAllocs|TestAnnealRandMatchesMathRand|TestDivisorRemainder' -count=1 -v
+	$(GO) test ./internal/eval/ -run 'TestPlacementDigestPinned|TestFullPnRObsDeterminism|TestLayoutMemo' -count=1
+	$(GO) test ./internal/core/ -run 'TestEvaluateCancellationOnLayoutHit|TestPnRDegradedLayoutShared' -count=1
 	$(GO) test ./internal/graph/ -run TestCliqueAllocs -count=1 -v
 	$(GO) test ./internal/rewrite/ -run TestMatchAllocs -count=1 -v
 	$(GO) test ./internal/obs/ -run TestTimeSeriesAllocs -count=1

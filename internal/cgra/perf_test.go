@@ -3,7 +3,6 @@ package cgra
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -35,42 +34,21 @@ func appBalanced(tb testing.TB, app *apps.App) *rewrite.Mapped {
 
 func cameraBalanced(tb testing.TB) *rewrite.Mapped { return appBalanced(tb, apps.Camera()) }
 
-// annealClasses partitions a placement's nodes into the five resource
-// classes exactly as placeOne does, so tests can drive annealState
-// directly.
-func annealClasses(p *Placement) [5][]int {
-	var cl [5][]int
-	for i := range p.Mapped.Nodes {
-		switch p.Mapped.Nodes[i].Kind {
-		case rewrite.KindPE:
-			cl[0] = append(cl[0], i)
-		case rewrite.KindRegFile:
-			cl[1] = append(cl[1], i)
-		case rewrite.KindMem, rewrite.KindRom:
-			cl[2] = append(cl[2], i)
-		case rewrite.KindInput, rewrite.KindInputB, rewrite.KindOutput:
-			cl[3] = append(cl[3], i)
-		case rewrite.KindReg:
-			cl[4] = append(cl[4], i)
-		}
-	}
-	return cl
-}
-
 // TestAnnealAllocs pins the annealer's inner loop at zero allocations
-// per proposal: the epoch-stamped scratch state must absorb everything
-// the old map-based cost function allocated.
+// per proposal: the neighbour lists, the prepared range sizes and the
+// inlined generator must absorb everything the old map-based cost
+// function allocated.
 func TestAnnealAllocs(t *testing.T) {
 	bal := cameraBalanced(t)
 	p, err := Place(context.Background(), bal, Default(), PlaceOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newAnnealState(p, annealClasses(p), 10_000)
+	s := newAnnealState(p, classNodes(p.Mapped), 10_000)
 	if s == nil {
 		t.Fatal("no anneal state for a real design")
 	}
-	rng := rand.New(rand.NewSource(7))
+	rng := newAnnealRand(7)
 	avg := testing.AllocsPerRun(5000, func() { s.step(rng) })
 	if avg > 0 {
 		t.Errorf("anneal step allocates %.2f objects per move, want 0", avg)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -113,44 +112,70 @@ func placePortfolio(ctx context.Context, m *rewrite.Mapped, f *Fabric, opt Place
 	return placements[best], nil
 }
 
+// Resource classes of mapped nodes: the annealer moves and swaps nodes
+// only within a class, and each class draws on its own free-slot list.
+const (
+	classPE = iota
+	classRF
+	classMem
+	classIO
+	classReg
+	numClasses
+)
+
+// kindClass is the resource class of a mapped node kind, -1 for kinds
+// that are not placed.
+func kindClass(k rewrite.NodeKind) int {
+	switch k {
+	case rewrite.KindPE:
+		return classPE
+	case rewrite.KindRegFile:
+		return classRF
+	case rewrite.KindMem, rewrite.KindRom:
+		return classMem
+	case rewrite.KindInput, rewrite.KindInputB, rewrite.KindOutput:
+		return classIO
+	case rewrite.KindReg:
+		return classReg
+	}
+	return -1
+}
+
+// classNodes partitions the placed nodes of m by resource class, in
+// node order.
+func classNodes(m *rewrite.Mapped) [numClasses][]int {
+	var classes [numClasses][]int
+	for i := range m.Nodes {
+		if c := kindClass(m.Nodes[i].Kind); c >= 0 {
+			classes[c] = append(classes[c], i)
+		}
+	}
+	return classes
+}
+
 // placeOne is the single-seed place flow: greedy seed, then anneal.
 func placeOne(ctx context.Context, m *rewrite.Mapped, f *Fabric, seed int64, moves int) (*Placement, error) {
 	if err := fault.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed + 1))
+	rng := newAnnealRand(seed + 1)
 	p := &Placement{Fabric: f, Mapped: m, Loc: make([]Coord, len(m.Nodes))}
 
-	// Partition nodes by resource class.
-	var peNodes, rfNodes, memNodes, ioNodes, regNodes []int
-	for i := range m.Nodes {
-		switch m.Nodes[i].Kind {
-		case rewrite.KindPE:
-			peNodes = append(peNodes, i)
-		case rewrite.KindRegFile:
-			rfNodes = append(rfNodes, i)
-		case rewrite.KindMem, rewrite.KindRom:
-			memNodes = append(memNodes, i)
-		case rewrite.KindInput, rewrite.KindInputB, rewrite.KindOutput:
-			ioNodes = append(ioNodes, i)
-		case rewrite.KindReg:
-			regNodes = append(regNodes, i)
-		}
-	}
+	classes := classNodes(m)
 	peSlots := f.PETiles()
 	memSlots := f.MemTiles()
 	ioSlots := f.IOSites()
-	if len(peNodes) > len(peSlots) {
-		return nil, fault.Capacityf("cgra: %d PEs exceed %d PE tiles", len(peNodes), len(peSlots))
+	if n := len(classes[classPE]); n > len(peSlots) {
+		return nil, fault.Capacityf("cgra: %d PEs exceed %d PE tiles", n, len(peSlots))
 	}
-	if len(rfNodes) > len(peSlots) {
-		return nil, fault.Capacityf("cgra: %d register files exceed %d PE tiles", len(rfNodes), len(peSlots))
+	if n := len(classes[classRF]); n > len(peSlots) {
+		return nil, fault.Capacityf("cgra: %d register files exceed %d PE tiles", n, len(peSlots))
 	}
-	if len(memNodes) > len(memSlots) {
-		return nil, fault.Capacityf("cgra: %d memories exceed %d memory tiles", len(memNodes), len(memSlots))
+	if n := len(classes[classMem]); n > len(memSlots) {
+		return nil, fault.Capacityf("cgra: %d memories exceed %d memory tiles", n, len(memSlots))
 	}
-	if len(ioNodes) > len(ioSlots) {
-		return nil, fault.Capacityf("cgra: %d IOs exceed %d IO sites", len(ioNodes), len(ioSlots))
+	if n := len(classes[classIO]); n > len(ioSlots) {
+		return nil, fault.Capacityf("cgra: %d IOs exceed %d IO sites", n, len(ioSlots))
 	}
 
 	// Greedy seed: BFS order of the mapped graph onto slot lists sorted
@@ -170,36 +195,30 @@ func placeOne(ctx context.Context, m *rewrite.Mapped, f *Fabric, seed int64, mov
 		})
 		return out
 	}
+	// Register files share the PE tiles' order; each class has its own
+	// cursor into its order.
 	peOrder := sortByCenter(peSlots)
-	memOrder := sortByCenter(memSlots)
-	ioOrder := sortByCenter(ioSlots)
-
-	topo := m.TopoOrder()
-	pi, mi, ii := 0, 0, 0
-	rfOrder := append([]Coord(nil), peOrder...)
-	ri := 0
-	for _, i := range topo {
-		switch m.Nodes[i].Kind {
-		case rewrite.KindPE:
-			p.Loc[i] = peOrder[pi]
-			pi++
-		case rewrite.KindRegFile:
-			p.Loc[i] = rfOrder[ri]
-			ri++
-		case rewrite.KindMem, rewrite.KindRom:
-			p.Loc[i] = memOrder[mi]
-			mi++
-		case rewrite.KindInput, rewrite.KindInputB, rewrite.KindOutput:
-			p.Loc[i] = ioOrder[ii]
-			ii++
-		case rewrite.KindReg:
-			// Registers float: seed at the grid center; annealing and
-			// routing pull them onto sensible tiles.
-			p.Loc[i] = Coord{rng.Intn(f.W), rng.Intn(f.H)}
+	order := [numClasses - 1][]Coord{peOrder, peOrder, sortByCenter(memSlots), sortByCenter(ioSlots)}
+	var next [numClasses - 1]int
+	var divW, divH divisor
+	if len(classes[classReg]) > 0 {
+		divW, divH = newDivisor(f.W), newDivisor(f.H)
+	}
+	for _, i := range m.TopoOrder() {
+		switch c := kindClass(m.Nodes[i].Kind); c {
+		case -1:
+		case classReg:
+			// Registers float: seed them at random grid tiles; annealing
+			// and routing pull them onto sensible tiles.
+			x := rng.intn(&divW)
+			p.Loc[i] = Coord{x, rng.intn(&divH)}
+		default:
+			p.Loc[i] = order[c][next[c]]
+			next[c]++
 		}
 	}
 
-	if err := p.anneal(ctx, rng, moves, [5][]int{peNodes, rfNodes, memNodes, ioNodes, regNodes}); err != nil {
+	if err := p.anneal(ctx, rng, moves, classes); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
@@ -231,29 +250,31 @@ func (p *Placement) wirelength() int {
 	return total
 }
 
+// xy is a node location on the annealer's flat coordinate plane.
+type xy struct{ x, y int32 }
+
 // annealState is the flattened, preallocated working set of one
-// annealing run: the per-node net lists in CSR form, class and free-slot
-// tables, and an epoch-stamped scratch slice that replaces the
-// per-proposal map — a stamp mismatch means "not seen this proposal", so
-// "clearing" the set between proposals is a single counter increment and
-// a proposal allocates nothing.
+// annealing run: each node's net neighbours in CSR form, class and
+// free-slot tables, and the range sizes every proposal draws from,
+// prepared once.
 type annealState struct {
-	p          *Placement
-	netU, netV []int32 // per net id, endpoint nodes
-	netOff     []int32 // CSR offsets: node i's net ids are netIDs[netOff[i]:netOff[i+1]]
-	netIDs     []int32
-	classes    [5][]int
-	classOf    []int8
-	movable    []int
-	free       [][]Coord
+	p *Placement
+	// nbr[nbrOff[i]:nbrOff[i+1]] lists the other endpoint of every net
+	// incident to node i, once per net. Self-loop nets never change
+	// length and are left out.
+	nbrOff, nbr []int32
+	classes     [numClasses][]int
+	classOf     []int8
+	movable     []int
+	free        [numClasses][]Coord
 
-	// locX/locY mirror p.Loc as flat int32 planes: the delta loops are
-	// pure loads over them, and accepted proposals write both mirrors
-	// and p.Loc.
-	locX, locY []int32
+	// loc mirrors p.Loc: the delta loops are pure loads over it, and
+	// accepted proposals write both.
+	loc []xy
 
-	seen  []int32 // per net id, epoch stamp
-	epoch int32
+	divMovable, div2 divisor
+	divFree          [numClasses]divisor
+	divClass         [numClasses]divisor
 
 	t, cool float64
 }
@@ -261,7 +282,7 @@ type annealState struct {
 // newAnnealState builds the flat tables once per Place call. Returns nil
 // when there is nothing to anneal (fewer than two movable nodes), before
 // any RNG is consumed — matching the historical early return.
-func newAnnealState(p *Placement, classes [5][]int, moves int) *annealState {
+func newAnnealState(p *Placement, classes [numClasses][]int, moves int) *annealState {
 	var movable []int
 	for _, cl := range classes {
 		movable = append(movable, cl...)
@@ -269,28 +290,26 @@ func newAnnealState(p *Placement, classes [5][]int, moves int) *annealState {
 	if len(movable) < 2 {
 		return nil
 	}
-	nets := p.nets()
 	n := len(p.Mapped.Nodes)
-	// CSR over (node -> incident net ids); a self-loop net is listed
-	// once, exactly as the old per-node append built it.
-	netOff := make([]int32, n+1)
+	nets := p.nets()
+	nbrOff := make([]int32, n+1)
 	for _, nt := range nets {
-		netOff[nt[0]+1]++
-		if nt[1] != nt[0] {
-			netOff[nt[1]+1]++
+		if nt[0] != nt[1] {
+			nbrOff[nt[0]+1]++
+			nbrOff[nt[1]+1]++
 		}
 	}
 	for i := 0; i < n; i++ {
-		netOff[i+1] += netOff[i]
+		nbrOff[i+1] += nbrOff[i]
 	}
-	netIDs := make([]int32, netOff[n])
-	fill := make([]int32, n)
-	for ni, nt := range nets {
+	nbr := make([]int32, nbrOff[n])
+	fill := append([]int32(nil), nbrOff[:n]...)
+	for _, nt := range nets {
 		u, v := nt[0], nt[1]
-		netIDs[netOff[u]+fill[u]] = int32(ni)
-		fill[u]++
-		if v != u {
-			netIDs[netOff[v]+fill[v]] = int32(ni)
+		if u != v {
+			nbr[fill[u]] = int32(v)
+			fill[u]++
+			nbr[fill[v]] = int32(u)
 			fill[v]++
 		}
 	}
@@ -300,38 +319,39 @@ func newAnnealState(p *Placement, classes [5][]int, moves int) *annealState {
 			classOf[nd] = int8(ci)
 		}
 	}
-	netU := make([]int32, len(nets))
-	netV := make([]int32, len(nets))
-	for ni, nt := range nets {
-		netU[ni], netV[ni] = int32(nt[0]), int32(nt[1])
-	}
-	locX := make([]int32, n)
-	locY := make([]int32, n)
+	loc := make([]xy, n)
 	for i, c := range p.Loc {
-		locX[i], locY[i] = int32(c.X), int32(c.Y)
+		loc[i] = xy{int32(c.X), int32(c.Y)}
 	}
 	t := float64(p.Fabric.W + p.Fabric.H)
-	return &annealState{
-		p:       p,
-		netU:    netU,
-		netV:    netV,
-		netOff:  netOff,
-		netIDs:  netIDs,
-		classes: classes,
-		classOf: classOf,
-		movable: movable,
-		free:    p.freeSlotsByClass(),
-		locX:    locX,
-		locY:    locY,
-		seen:    make([]int32, len(nets)),
-		t:       t,
-		cool:    math.Pow(0.01/t, 1/float64(moves)),
+	s := &annealState{
+		p:          p,
+		nbrOff:     nbrOff,
+		nbr:        nbr,
+		classes:    classes,
+		classOf:    classOf,
+		movable:    movable,
+		free:       p.freeSlotsByClass(),
+		loc:        loc,
+		divMovable: newDivisor(len(movable)),
+		div2:       newDivisor(2),
+		t:          t,
+		cool:       math.Pow(0.01/t, 1/float64(moves)),
 	}
+	for c := range classes {
+		if len(s.free[c]) > 0 {
+			s.divFree[c] = newDivisor(len(s.free[c]))
+		}
+		if len(classes[c]) > 0 {
+			s.divClass[c] = newDivisor(len(classes[c]))
+		}
+	}
+	return s
 }
 
-// manhattan32 is manhattan on the flat coordinate planes.
-func manhattan32(ax, ay, bx, by int32) int32 {
-	dx, dy := ax-bx, ay-by
+// manhattan32 is manhattan on the flat coordinate plane.
+func manhattan32(a, b xy) int32 {
+	dx, dy := a.x-b.x, a.y-b.y
 	if dx < 0 {
 		dx = -dx
 	}
@@ -345,7 +365,7 @@ func manhattan32(ax, ay, bx, by int32) int32 {
 // It polls ctx periodically (every 4096 moves) so a long anneal cannot
 // outlive a cancelled evaluation; the deterministic proposal sequence is
 // unaffected when ctx stays live.
-func (p *Placement) anneal(ctx context.Context, rng *rand.Rand, moves int, classes [5][]int) error {
+func (p *Placement) anneal(ctx context.Context, rng *annealRand, moves int, classes [numClasses][]int) error {
 	if moves <= 0 {
 		moves = 200 * len(p.Mapped.Nodes)
 		if moves > 400_000 {
@@ -369,93 +389,66 @@ func (p *Placement) anneal(ctx context.Context, rng *rand.Rand, moves int, class
 
 // step proposes and (maybe) applies one move or swap. The RNG draw
 // sequence, acceptance math, and free-slot bookkeeping reproduce the
-// pre-flattening annealer exactly, so placements are byte-identical per
-// seed; the cost of a proposal is computed as an incremental delta over
-// the touched nets without mutating the placement until acceptance.
-func (s *annealState) step(rng *rand.Rand) {
+// original map-based annealer exactly, so placements are byte-identical
+// per seed; the cost of a proposal is an incremental delta over the
+// touched nets, computed without mutating the placement until
+// acceptance.
+func (s *annealState) step(rng *annealRand) {
 	p := s.p
-	a := s.movable[rng.Intn(len(s.movable))]
+	a := s.movable[rng.intn(&s.divMovable)]
 	ca := s.classOf[a]
 	// Either swap with a same-class node or move to a free slot.
-	if len(s.free[ca]) > 0 && rng.Intn(2) == 0 {
-		si := rng.Intn(len(s.free[ca]))
+	if len(s.free[ca]) > 0 && rng.intn(&s.div2) == 0 {
+		si := rng.intn(&s.divFree[ca])
 		target := s.free[ca][si]
-		if s.acceptDelta(s.moveDelta(a, int32(target.X), int32(target.Y)), rng) {
-			old := p.Loc[a]
+		to := xy{int32(target.X), int32(target.Y)}
+		if s.acceptDelta(s.moveDelta(a, to), rng) {
+			s.free[ca][si] = p.Loc[a]
 			p.Loc[a] = target
-			s.locX[a], s.locY[a] = int32(target.X), int32(target.Y)
-			s.free[ca][si] = old
+			s.loc[a] = to
 		}
 	} else {
-		b := sameClassPeer(rng, s.classes[ca], a)
+		b := s.sameClassPeer(rng, ca, a)
 		if b < 0 {
 			return // no cooling on a failed pairing, matching the old control flow
 		}
 		if s.acceptDelta(s.swapDelta(a, b), rng) {
 			p.Loc[a], p.Loc[b] = p.Loc[b], p.Loc[a]
-			s.locX[a], s.locX[b] = s.locX[b], s.locX[a]
-			s.locY[a], s.locY[b] = s.locY[b], s.locY[a]
+			s.loc[a], s.loc[b] = s.loc[b], s.loc[a]
 		}
 	}
 	s.t *= s.cool
 }
 
-// moveDelta is the wirelength change from relocating node a to (tx,ty).
-// a's incident net ids are distinct, so no dedup pass is needed.
-func (s *annealState) moveDelta(a int, tx, ty int32) int {
-	a32 := int32(a)
+// moveDelta is the wirelength change from relocating node a to `to`.
+func (s *annealState) moveDelta(a int, to xy) int {
+	from := s.loc[a]
 	delta := int32(0)
-	for _, ni := range s.netIDs[s.netOff[a]:s.netOff[a+1]] {
-		u, v := s.netU[ni], s.netV[ni]
-		ux, uy := s.locX[u], s.locY[u]
-		vx, vy := s.locX[v], s.locY[v]
-		old := manhattan32(ux, uy, vx, vy)
-		if u == a32 {
-			ux, uy = tx, ty
-		}
-		if v == a32 {
-			vx, vy = tx, ty
-		}
-		delta += manhattan32(ux, uy, vx, vy) - old
+	for _, n := range s.nbr[s.nbrOff[a]:s.nbrOff[a+1]] {
+		at := s.loc[n]
+		delta += manhattan32(to, at) - manhattan32(from, at)
 	}
 	return int(delta)
 }
 
 // swapDelta is the wirelength change from exchanging the locations of a
-// and b. Nets incident to both are epoch-deduped so they count once,
-// like the old map-based costAround(a, b).
+// and b: the sum over a's neighbours other than b, and b's other than a.
+// A net joining a and b keeps its length under the swap, so skipping it
+// on both sides is exact.
 func (s *annealState) swapDelta(a, b int) int {
+	la, lb := s.loc[a], s.loc[b]
 	a32, b32 := int32(a), int32(b)
-	ax, ay := s.locX[a], s.locY[a]
-	bx, by := s.locX[b], s.locY[b]
-	s.epoch++
-	ep := s.epoch
 	delta := int32(0)
-	for pass := 0; pass < 2; pass++ {
-		nd := a
-		if pass == 1 {
-			nd = b
+	for _, n := range s.nbr[s.nbrOff[a]:s.nbrOff[a+1]] {
+		if n != b32 {
+			at := s.loc[n]
+			delta += manhattan32(lb, at) - manhattan32(la, at)
 		}
-		for _, ni := range s.netIDs[s.netOff[nd]:s.netOff[nd+1]] {
-			if s.seen[ni] == ep {
-				continue
-			}
-			s.seen[ni] = ep
-			u, v := s.netU[ni], s.netV[ni]
-			ux, uy := s.locX[u], s.locY[u]
-			vx, vy := s.locX[v], s.locY[v]
-			old := manhattan32(ux, uy, vx, vy)
-			if u == a32 {
-				ux, uy = bx, by
-			} else if u == b32 {
-				ux, uy = ax, ay
-			}
-			if v == a32 {
-				vx, vy = bx, by
-			} else if v == b32 {
-				vx, vy = ax, ay
-			}
-			delta += manhattan32(ux, uy, vx, vy) - old
+	}
+	for _, n := range s.nbr[s.nbrOff[b]:s.nbrOff[b+1]] {
+		if n != a32 {
+			at := s.loc[n]
+			delta += manhattan32(la, at) - manhattan32(lb, at)
 		}
 	}
 	return int(delta)
@@ -472,11 +465,11 @@ func (s *annealState) swapDelta(a, b int) int {
 // shrinks), so the slack dwarfs float rounding by >10 orders of
 // magnitude and the cheap bounds decide u < exp(x) exactly; math.Exp
 // runs only for draws inside the thin undecided band.
-func (s *annealState) acceptDelta(delta int, rng *rand.Rand) bool {
+func (s *annealState) acceptDelta(delta int, rng *annealRand) bool {
 	if delta <= 0 {
 		return true
 	}
-	u := rng.Float64()
+	u := rng.float64()
 	x := -float64(delta) / s.t
 	if u <= 1+x {
 		return true
@@ -487,12 +480,15 @@ func (s *annealState) acceptDelta(delta int, rng *rand.Rand) bool {
 	return u < math.Exp(x)
 }
 
-func sameClassPeer(rng *rand.Rand, class []int, a int) int {
+// sameClassPeer draws a swap partner for a from its class: up to eight
+// draws, -1 when none differs from a (or the class has one member).
+func (s *annealState) sameClassPeer(rng *annealRand, c int8, a int) int {
+	class := s.classes[c]
 	if len(class) < 2 {
 		return -1
 	}
 	for tries := 0; tries < 8; tries++ {
-		b := class[rng.Intn(len(class))]
+		b := class[rng.intn(&s.divClass[c])]
 		if b != a {
 			return b
 		}
@@ -500,50 +496,40 @@ func sameClassPeer(rng *rand.Rand, class []int, a int) int {
 	return -1
 }
 
-// freeSlotsByClass computes unoccupied slots per resource class
-// (PE, RF, Mem, IO, Reg).
-func (p *Placement) freeSlotsByClass() [][]Coord {
-	occupied := map[Coord]map[int]bool{} // coord -> class set
-	classAt := func(i int) int {
-		switch p.Mapped.Nodes[i].Kind {
-		case rewrite.KindPE:
-			return 0
-		case rewrite.KindRegFile:
-			return 1
-		case rewrite.KindMem, rewrite.KindRom:
-			return 2
-		case rewrite.KindInput, rewrite.KindInputB, rewrite.KindOutput:
-			return 3
-		default:
-			return 4
-		}
+// freeSlotsByClass lists the unoccupied slots of each resource class, in
+// fabric order. Interconnect registers are not exclusive, so every grid
+// tile is a register slot.
+func (p *Placement) freeSlotsByClass() [numClasses][]Coord {
+	f := p.Fabric
+	sites := f.numSites()
+	var occupied [classReg][]bool // over the dense site index
+	for c := range occupied {
+		occupied[c] = make([]bool, sites)
 	}
 	for i := range p.Mapped.Nodes {
-		c := p.Loc[i]
-		if occupied[c] == nil {
-			occupied[c] = map[int]bool{}
+		if c := kindClass(p.Mapped.Nodes[i].Kind); c >= 0 && c < classReg {
+			occupied[c][f.siteIndex(p.Loc[i])] = true
 		}
-		occupied[c][classAt(i)] = true
 	}
-	free := make([][]Coord, 5)
-	for _, c := range p.Fabric.PETiles() {
-		if !occupied[c][0] {
-			free[0] = append(free[0], c)
+	var free [numClasses][]Coord
+	for _, c := range f.PETiles() {
+		if !occupied[classPE][f.siteIndex(c)] {
+			free[classPE] = append(free[classPE], c)
 		}
-		if !occupied[c][1] {
-			free[1] = append(free[1], c)
+		if !occupied[classRF][f.siteIndex(c)] {
+			free[classRF] = append(free[classRF], c)
 		}
-		free[4] = append(free[4], c)
+		free[classReg] = append(free[classReg], c)
 	}
-	for _, c := range p.Fabric.MemTiles() {
-		if !occupied[c][2] {
-			free[2] = append(free[2], c)
+	for _, c := range f.MemTiles() {
+		if !occupied[classMem][f.siteIndex(c)] {
+			free[classMem] = append(free[classMem], c)
 		}
-		free[4] = append(free[4], c)
+		free[classReg] = append(free[classReg], c)
 	}
-	for _, c := range p.Fabric.IOSites() {
-		if !occupied[c][3] {
-			free[3] = append(free[3], c)
+	for _, c := range f.IOSites() {
+		if !occupied[classIO][f.siteIndex(c)] {
+			free[classIO] = append(free[classIO], c)
 		}
 	}
 	return free

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"sort"
 
 	"repro/internal/apps"
 	"repro/internal/cgra"
@@ -12,6 +15,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/rewrite"
 	"repro/internal/tech"
+	"repro/internal/wire"
 )
 
 // EvalOptions selects the evaluation level of one Framework.Evaluate
@@ -37,6 +41,12 @@ type EvalOptions struct {
 	// deterministic fault injection in tests (see eval.FaultPlan); it must
 	// be safe for concurrent use.
 	Hook StageHook
+	// Layouts, when non-nil, lets this evaluation share place-and-route
+	// outcomes with others whose balanced designs are the same physical
+	// netlist (see LayoutMemo). It is ignored while Hook is set, so fault
+	// injection always sees every stage run. Results are identical
+	// either way.
+	Layouts LayoutMemo
 }
 
 // StageHook observes or sabotages pipeline stages; see EvalOptions.Hook.
@@ -217,31 +227,100 @@ func (f *Framework) Evaluate(ctx context.Context, app *apps.App, v *PEVariant, o
 	return r, nil
 }
 
-// placeAndRoute walks the retry ladder and fills the routing fields of r,
+// placeAndRoute fills the routing fields of r from the cell's layout,
 // degrading to the analytical estimate (Routing left nil, Degraded set)
-// when PnR cannot complete for a reason retrying will not fix.
+// when the ladder could not complete for a reason retrying will not fix.
+// With a layout memo (and no stage hook, whose injections must see every
+// stage run) a netlist another evaluation already placed is not placed
+// again; the hit still honours this cell's cancellation.
 func (f *Framework) placeAndRoute(ctx context.Context, app *apps.App, v *PEVariant, balanced *rewrite.Mapped, opt EvalOptions, r *Result) error {
-	ctx, span := obs.StartSpan(ctx, "pnr")
-	defer func() {
-		span.SetAttrs(obs.Int("attempts", r.PnRAttempts), obs.Bool("degraded", r.Degraded))
-		span.End()
-	}()
-	degrade := func(reason error, metric string) {
+	build := func(ctx context.Context) (*Layout, error) { return f.layout(ctx, app, v, balanced, opt) }
+	var lay *Layout
+	var err error
+	if opt.Layouts != nil && opt.Hook == nil {
+		lay, err = opt.Layouts.Layout(ctx, f.layoutKey(balanced), build)
+		if err == nil {
+			err = fault.Canceled(ctx)
+		}
+	} else {
+		lay, err = build(ctx)
+	}
+	if err != nil {
+		var se *stageError
+		if errors.As(err, &se) {
+			return fmt.Errorf("core: %s %s on %s: %w", se.stage, app.Name, v.Name, se.err)
+		}
+		return err
+	}
+	r.PnRAttempts = lay.attempts
+	if lay.routing == nil {
 		r.Degraded = true
-		r.DegradedReason = reason.Error()
-		r.Routing = nil
-		r.RoutingTiles = 0
-		obs.Add(ctx, "pnr.degraded."+metric, 1)
+		r.DegradedReason = lay.degraded.Error()
+		obs.Add(ctx, "pnr.degraded."+lay.metric, 1)
 		obs.Logger(ctx).Warn("pnr degraded to analytical estimate",
 			"app", app.Name, "variant", v.Name,
-			"attempts", r.PnRAttempts, "reason", reason.Error())
+			"attempts", r.PnRAttempts, "reason", r.DegradedReason)
+		return nil
 	}
+	// Rebind the shared layout to this cell's design: the bitstream and
+	// its decoder read the PE configurations through Placement.Mapped.
+	placed := *lay.routing.Placement
+	placed.Fabric, placed.Mapped = f.Fabric, balanced
+	routing := *lay.routing
+	routing.Placement = &placed
+	r.Routing = &routing
+	r.Routed = true
+	r.RoutingTiles = routing.RoutingOnlyTiles()
+	return nil
+}
+
+// Layout is the outcome of the place-and-route retry ladder for one
+// physical netlist: the routing, or why the ladder degraded, and how
+// many attempts it ran. It names no application or variant — the
+// routing's placement points at whichever balanced design built it, and
+// every evaluation rebinds a copy to its own — so evaluations whose
+// designs share a netlist can share one Layout. It is read-only once
+// built.
+type Layout struct {
+	routing  *cgra.Routing // nil when degraded
+	attempts int
+	degraded error  // why the ladder degraded
+	metric   string // pnr.degraded.<metric> counter suffix
+}
+
+// LayoutMemo shares layouts between evaluations (EvalOptions.Layouts).
+// Layout returns the layout memoized under key, calling build at most
+// once per key among concurrent callers, with the context the build must
+// run under. A build that fails with fault.ErrCanceled has only been
+// stopped, so it must not be memoized or served to another caller.
+type LayoutMemo interface {
+	Layout(ctx context.Context, key string, build func(context.Context) (*Layout, error)) (*Layout, error)
+}
+
+// stageError is a ladder failure that is not a degradation, tagged with
+// the stage it hit; each evaluation names its own cell in the message.
+type stageError struct {
+	stage string
+	err   error
+}
+
+func (e *stageError) Error() string { return e.stage + ": " + e.err.Error() }
+func (e *stageError) Unwrap() error { return e.err }
+
+// layout walks the retry ladder for a balanced design.
+func (f *Framework) layout(ctx context.Context, app *apps.App, v *PEVariant, balanced *rewrite.Mapped, opt EvalOptions) (*Layout, error) {
+	ctx, span := obs.StartSpan(ctx, "pnr")
+	lay := &Layout{}
+	defer func() {
+		span.SetAttrs(obs.Int("attempts", lay.attempts), obs.Bool("degraded", lay.degraded != nil))
+		span.End()
+	}()
 	var lastErr error
 	for attempt, rung := range pnrLadder {
-		r.PnRAttempts++
+		lay.attempts++
 		obs.Add(ctx, "pnr.attempts", 1)
 		if err := opt.hook("place"); err != nil {
-			return fmt.Errorf("core: place %s on %s: %w", app.Name, v.Name, err)
+			return nil, &stageError{"place", err}
 		}
 		seed := f.PlaceSeed + rung.SeedOffset
 		seeds := rung.Seeds
@@ -259,40 +338,75 @@ func (f *Framework) placeAndRoute(ctx context.Context, app *apps.App, v *PEVaria
 		if err != nil {
 			if errors.Is(err, fault.ErrCapacity) {
 				// The design does not fit this fabric; reseeding cannot help.
-				degrade(err, "capacity")
-				return nil
+				lay.degraded, lay.metric = err, "capacity"
+				return lay, nil
 			}
-			return fmt.Errorf("core: place %s on %s: %w", app.Name, v.Name, err)
+			return nil, &stageError{"place", err}
 		}
 		if err := opt.hook("route"); err != nil {
 			if errors.Is(err, fault.ErrNonConvergence) {
 				lastErr = err
 				continue
 			}
-			return fmt.Errorf("core: route %s on %s: %w", app.Name, v.Name, err)
+			return nil, &stageError{"route", err}
 		}
 		rctx, routeSpan := obs.StartSpan(ctx, "route",
 			obs.Int("attempt", attempt+1), obs.Int("max_iters", rung.RouteIters))
 		routing, err := cgra.RouteAll(rctx, placed, cgra.RouteOptions{MaxIterations: rung.RouteIters})
 		routeSpan.End()
 		if err == nil {
-			r.Routing = routing
-			r.Routed = true
-			r.RoutingTiles = routing.RoutingOnlyTiles()
-			return nil
+			lay.routing = routing
+			return lay, nil
 		}
 		if errors.Is(err, fault.ErrCanceled) {
-			return err
+			return nil, err
 		}
 		if !errors.Is(err, fault.ErrNonConvergence) {
-			return fmt.Errorf("core: route %s on %s: %w", app.Name, v.Name, err)
+			return nil, &stageError{"route", err}
 		}
 		lastErr = err
 		obs.Logger(ctx).Info("pnr attempt did not converge, walking the retry ladder",
 			"app", app.Name, "variant", v.Name, "attempt", attempt+1, "err", err.Error())
 	}
-	degrade(fmt.Errorf("routing failed after %d attempts: %w", r.PnRAttempts, lastErr), "nonconvergence")
-	return nil
+	lay.degraded = fmt.Errorf("routing failed after %d attempts: %w", lay.attempts, lastErr)
+	lay.metric = "nonconvergence"
+	return lay, nil
+}
+
+// layoutKey digests exactly what the ladder reads of a design and the
+// framework: per node its kind, single producer, and input ports as
+// (position, producer) pairs in position order; the fabric; and the
+// placement seed, portfolio width, and move budget. Names, rules,
+// configurations and FIFO depths do not enter: designs that differ only
+// there are the same physical netlist, placed and routed identically.
+func (f *Framework) layoutKey(m *rewrite.Mapped) string {
+	var e wire.Enc
+	fab := f.Fabric
+	for _, x := range []int{fab.W, fab.H, fab.MemColumnStride, fab.Tracks16, fab.Tracks1, fab.MaxRegsPerTile, f.PlaceSeeds, f.PlaceMoves} {
+		e.Int(x)
+	}
+	e.Uvarint(uint64(f.PlaceSeed))
+	e.Int(len(m.Nodes))
+	var pos []int
+	for i := range m.Nodes {
+		n := &m.Nodes[i]
+		e.Int(int(n.Kind))
+		e.Int(n.Arg)
+		for _, ports := range [2]map[int]int{n.DataIn, n.BitIn} {
+			pos = pos[:0]
+			for p := range ports {
+				pos = append(pos, p)
+			}
+			sort.Ints(pos)
+			e.Int(len(pos))
+			for _, p := range pos {
+				e.Int(p)
+				e.Int(ports[p])
+			}
+		}
+	}
+	sum := sha256.Sum256(e.Buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // fillMetrics computes the area/energy/performance roll-ups.

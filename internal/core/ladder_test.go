@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/fault"
+	"repro/internal/rewrite"
 )
 
 // trackless returns a framework whose fabric has no routing tracks at
@@ -150,5 +152,187 @@ func TestEvaluateCancellation(t *testing.T) {
 	}
 	if _, err := fw.Evaluate(mid, app, v, opt); !errors.Is(err, fault.ErrCanceled) {
 		t.Fatalf("mid-run: err = %v, want ErrCanceled", err)
+	}
+}
+
+// mapMemo is a minimal LayoutMemo: a plain map, built on first lookup.
+// onHit, when set, runs before a memoized layout is returned.
+type mapMemo struct {
+	layouts map[string]*Layout
+	builds  int
+	onHit   func()
+}
+
+func (m *mapMemo) Layout(ctx context.Context, key string, build func(context.Context) (*Layout, error)) (*Layout, error) {
+	if lay, ok := m.layouts[key]; ok {
+		if m.onHit != nil {
+			m.onHit()
+		}
+		return lay, nil
+	}
+	lay, err := build(ctx)
+	if err == nil {
+		m.builds++
+		m.layouts[key] = lay
+	}
+	return lay, err
+}
+
+// TestEvaluateCancellationOnLayoutHit: a cell whose layout is already
+// memoized still honours its own cancellation.
+func TestEvaluateCancellationOnLayoutHit(t *testing.T) {
+	fw := New()
+	app := apps.Camera()
+	v, err := fw.BaselinePE(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := &mapMemo{layouts: map[string]*Layout{}}
+	opt := FullEval
+	opt.Layouts = memo
+	if _, err := fw.Evaluate(context.Background(), app, v, opt); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	memo.onHit = cancel
+	if _, err := fw.Evaluate(ctx, app, v, opt); !errors.Is(err, fault.ErrCanceled) {
+		t.Fatalf("canceled during a layout hit: err = %v, want ErrCanceled", err)
+	}
+	if memo.builds != 1 {
+		t.Errorf("%d layout builds, want 1", memo.builds)
+	}
+}
+
+// TestPnRDegradedLayoutShared: a degraded ladder outcome is shared like
+// a routed one, and every cell that reuses it degrades exactly as a
+// memo-less evaluation does.
+func TestPnRDegradedLayoutShared(t *testing.T) {
+	fw := trackless()
+	app := apps.Camera()
+	v, err := fw.BaselinePE(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fw.Evaluate(context.Background(), app, v, FullEval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := &mapMemo{layouts: map[string]*Layout{}}
+	opt := FullEval
+	opt.Layouts = memo
+	for i := 0; i < 2; i++ {
+		r, err := fw.Evaluate(context.Background(), app, v, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Degraded || r.DegradedReason != want.DegradedReason || r.PnRAttempts != want.PnRAttempts || r.Routing != nil {
+			t.Errorf("evaluation %d: degraded=%v reason=%q attempts=%d; want %q after %d attempts",
+				i, r.Degraded, r.DegradedReason, r.PnRAttempts, want.DegradedReason, want.PnRAttempts)
+		}
+	}
+	if memo.builds != 1 {
+		t.Errorf("%d layout builds, want 1", memo.builds)
+	}
+}
+
+// TestLayoutKeyCoversNetlist: the layout key moves with everything the
+// place-and-route ladder reads — node kinds, producers, which port
+// (data or bit, and its position) a producer drives, the fabric, the
+// placement knobs — and ignores what it does not read, so designs that
+// differ only in PE configuration share a layout.
+func TestLayoutKeyCoversNetlist(t *testing.T) {
+	fw := New()
+	v, err := fw.BaselinePE(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := fw.Evaluate(context.Background(), apps.Harris(), v, PostMapping)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := func() *rewrite.Mapped {
+		m := *r.Balanced
+		m.Nodes = append([]rewrite.MNode(nil), m.Nodes...)
+		for i := range m.Nodes {
+			n := &m.Nodes[i]
+			n.DataIn, n.BitIn = maps.Clone(n.DataIn), maps.Clone(n.BitIn)
+			n.ConstVals = maps.Clone(n.ConstVals)
+		}
+		return &m
+	}
+	pe, reg := -1, -1
+	for i, n := range r.Balanced.Nodes {
+		if pe < 0 && n.Kind == rewrite.KindPE && len(n.DataIn) > 0 {
+			pe = i
+		}
+		if reg < 0 && n.Kind == rewrite.KindReg {
+			reg = i
+		}
+	}
+	if pe < 0 || reg < 0 {
+		t.Fatal("harris has no PE with data inputs or no interconnect register")
+	}
+	firstPort := func(m *rewrite.Mapped) int {
+		first := -1
+		for pos := range m.Nodes[pe].DataIn {
+			if first < 0 || pos < first {
+				first = pos
+			}
+		}
+		return first
+	}
+	base := fw.layoutKey(r.Balanced)
+	same := map[string]func(*rewrite.Mapped, *Framework){
+		"design name": func(m *rewrite.Mapped, _ *Framework) { m.Name = "other" },
+		"node name":   func(m *rewrite.Mapped, _ *Framework) { m.Nodes[reg].Name = "other" },
+		"rule":        func(m *rewrite.Mapped, _ *Framework) { m.Nodes[pe].Rule = nil },
+		"constants":   func(m *rewrite.Mapped, _ *Framework) { m.Nodes[pe].ConstVals = map[int]uint16{0: 7} },
+		"fifo depth":  func(m *rewrite.Mapped, _ *Framework) { m.Nodes[reg].Depth += 3 },
+	}
+	differ := map[string]func(*rewrite.Mapped, *Framework){
+		"kind": func(m *rewrite.Mapped, _ *Framework) { m.Nodes[reg].Kind = rewrite.KindRegFile },
+		"arg":  func(m *rewrite.Mapped, _ *Framework) { m.Nodes[reg].Arg = pe },
+		"producer": func(m *rewrite.Mapped, _ *Framework) {
+			m.Nodes[pe].DataIn[firstPort(m)] = reg
+		},
+		"port position": func(m *rewrite.Mapped, _ *Framework) {
+			p := firstPort(m)
+			m.Nodes[pe].DataIn[p+100] = m.Nodes[pe].DataIn[p]
+			delete(m.Nodes[pe].DataIn, p)
+		},
+		"bit port added": func(m *rewrite.Mapped, _ *Framework) {
+			m.Nodes[pe].BitIn = map[int]int{0: reg}
+		},
+		"data to bit port": func(m *rewrite.Mapped, _ *Framework) {
+			p := firstPort(m)
+			if m.Nodes[pe].BitIn == nil {
+				m.Nodes[pe].BitIn = map[int]int{}
+			}
+			m.Nodes[pe].BitIn[p] = m.Nodes[pe].DataIn[p]
+			delete(m.Nodes[pe].DataIn, p)
+		},
+		"fabric tracks": func(_ *rewrite.Mapped, f *Framework) {
+			fab := *f.Fabric
+			fab.Tracks16++
+			f.Fabric = &fab
+		},
+		"seed":        func(_ *rewrite.Mapped, f *Framework) { f.PlaceSeed++ },
+		"seeds":       func(_ *rewrite.Mapped, f *Framework) { f.PlaceSeeds = 4 },
+		"move budget": func(_ *rewrite.Mapped, f *Framework) { f.PlaceMoves = 1000 },
+	}
+	for name, mutate := range same {
+		m, f := clone(), *fw
+		mutate(m, &f)
+		if f.layoutKey(m) != base {
+			t.Errorf("changing the %s moved the layout key", name)
+		}
+	}
+	for name, mutate := range differ {
+		m, f := clone(), *fw
+		mutate(m, &f)
+		if f.layoutKey(m) == base {
+			t.Errorf("changing the %s left the layout key unchanged", name)
+		}
 	}
 }

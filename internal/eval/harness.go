@@ -28,14 +28,15 @@ import (
 	"repro/internal/store"
 )
 
-// Harness caches analyses, PE variants, and evaluation results across
-// experiments, so the full suite runs each expensive step once. All
-// methods are safe for concurrent use: the caches are singleflight memo
-// tables (duplicate keys compute exactly once even under contention),
-// and the figure drivers fan their independent (app, variant, pnr,
-// pipelined) cells out over a bounded worker pool before assembling the
-// tables in a fixed serial order — so worker count and completion order
-// can never change reported numbers or row order.
+// Harness caches analyses, PE variants, evaluation results, and
+// place-and-route layouts across experiments, so the full suite runs
+// each expensive step once. All methods are safe for concurrent use:
+// the caches are singleflight memo tables (duplicate keys compute
+// exactly once even under contention), and the figure drivers fan their
+// independent (app, variant, pnr, pipelined) cells out over a bounded
+// worker pool before assembling the tables in a fixed serial order — so
+// worker count and completion order can never change reported numbers
+// or row order.
 type Harness struct {
 	FW *core.Framework
 	// FastMode skips place-and-route everywhere (post-mapping numbers
@@ -73,6 +74,10 @@ type Harness struct {
 	analyses *memoTable[*core.Analysis]
 	variants *memoTable[*core.PEVariant]
 	results  *memoTable[*core.Result]
+	// layouts shares place-and-route between cells whose balanced
+	// designs are the same physical netlist (core.LayoutMemo), keyed by
+	// the netlist digest core computes.
+	layouts *memoTable[*core.Layout]
 
 	// store is the optional persistent content-addressed cache layered
 	// under the memo tables (SetStore); nil keeps the harness in-memory.
@@ -93,6 +98,7 @@ func NewHarness() *Harness {
 		analyses: newMemoTable[*core.Analysis](),
 		variants: newMemoTable[*core.PEVariant](),
 		results:  newMemoTable[*core.Result](),
+		layouts:  &memoTable[*core.Layout]{forgetCanceled: true},
 	}
 }
 
@@ -108,10 +114,11 @@ func (h *Harness) SetObs(o *obs.Obs) {
 	h.analyses.instrument("analyses", reg)
 	h.variants.instrument("variants", reg)
 	h.results.instrument("results", reg)
+	h.layouts.instrument("layouts", reg)
 }
 
-// ResetMemos drops every in-memory memoized analysis, variant, and
-// result. A long-running process (the apexd daemon) calls it
+// ResetMemos drops every in-memory memoized analysis, variant, result,
+// and layout. A long-running process (the apexd daemon) calls it
 // periodically so the in-process tables cannot grow without bound; with
 // a persistent store attached the next lookups reload from disk, so the
 // cost is deserialization, not recomputation. Safe to call concurrently
@@ -121,6 +128,7 @@ func (h *Harness) ResetMemos() {
 	h.analyses.reset()
 	h.variants.reset()
 	h.results.reset()
+	h.layouts.reset()
 }
 
 // ForgetResult drops one evaluation cell from the results memo so the
@@ -137,13 +145,14 @@ func (h *Harness) ForgetResult(appName, variantName string, pnr, pipelined bool)
 	h.results.forget(fmt.Sprintf("%s|%s|%v|%v", appName, variantName, pnr, pipelined))
 }
 
-// MemoStats snapshots the cache-effectiveness counters of the three
-// memo tables, keyed by table name.
+// MemoStats snapshots the cache-effectiveness counters of the memo
+// tables, keyed by table name.
 func (h *Harness) MemoStats() map[string]MemoStats {
 	return map[string]MemoStats{
 		"analyses": h.analyses.Stats(),
 		"variants": h.variants.Stats(),
 		"results":  h.results.Stats(),
+		"layouts":  h.layouts.Stats(),
 	}
 }
 
@@ -315,7 +324,7 @@ func (h *Harness) Evaluate(ctx context.Context, app *apps.App, v *core.PEVariant
 			cctx, cancel = context.WithTimeout(cctx, h.CellTimeout)
 			defer cancel()
 		}
-		opt := core.EvalOptions{PnR: pnr, Pipelined: pipelined}
+		opt := core.EvalOptions{PnR: pnr, Pipelined: pipelined, Layouts: layoutMemo{h}}
 		if h.Faults != nil {
 			if err := h.Faults.fire("evaluate", cell); err != nil {
 				return nil, err
@@ -338,6 +347,20 @@ func (h *Harness) Evaluate(ctx context.Context, app *apps.App, v *core.PEVariant
 		h.Report.record(Failure{Cell: key, Kind: "degraded", Err: r.DegradedReason})
 	}
 	return r, err
+}
+
+// layoutMemo serves core.LayoutMemo from the harness's layouts table. A
+// build runs under the evaluating cell's context, so its deadline and
+// cancellation apply, re-rooted like the cell's own evaluate span: the
+// span tree and the invariant metrics do not depend on which cell built
+// the layout first. The table drops canceled builds, so one cell's
+// timeout never reaches a sibling waiting on the same netlist.
+type layoutMemo struct{ h *Harness }
+
+func (m layoutMemo) Layout(ctx context.Context, key string, build func(context.Context) (*core.Layout, error)) (*core.Layout, error) {
+	return m.h.layouts.do(ctx, key, func() (*core.Layout, error) {
+		return build(m.h.obs.Reattach(ctx))
+	})
 }
 
 // logger returns the harness's structured logger (never nil).

@@ -60,7 +60,8 @@ func TestMapAppMatchesLegacy(t *testing.T) {
 // applications and rule sets built to hit backtracking paths the suite
 // rarely takes: commutative patterns whose first operand binds and whose
 // second fails (the failed order must unwind before the swap is tried),
-// and constants shared by two pattern users (re-bound at each site).
+// and constants shared by two pattern users (which must meet equal app
+// constants).
 func TestMapAppMatchesLegacyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	ops := []ir.Op{ir.OpAdd, ir.OpMul, ir.OpSub, ir.OpXor, ir.OpAnd}
@@ -255,15 +256,17 @@ func legacyTryMatch(app *ir.Graph, users [][]ir.NodeRef, covered []*legacyMatch,
 			}
 			mt.inputMap[pv] = anode
 			return true
-		case ir.OpConst:
-			if an.Op != ir.OpConst {
+		case ir.OpConst, ir.OpConstB:
+			if an.Op != pn.Op {
 				return false
 			}
-			mt.nodeMap[pv] = anode
-			return true
-		case ir.OpConstB:
-			if an.Op != ir.OpConstB {
-				return false
+			// Deliberate departure from the frozen copy: it re-bound a
+			// constant shared by two pattern users at each site, so the
+			// last site won and add(mul(x,k),k) mapped add(mul(a,3),5)
+			// to a*5+5. The selector now requires the same app constant
+			// or an equal value, and the oracle follows it.
+			if prev, ok := mt.nodeMap[pv]; ok {
+				return prev == anode || app.Nodes[prev].Val == an.Val
 			}
 			mt.nodeMap[pv] = anode
 			return true

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -36,10 +37,13 @@ import (
 // across worker counts.
 type memoTable[V any] struct {
 	mu      sync.Mutex
-	entries map[string]*memoEntry[V]
+	entries map[string]*memoEntry[V] // allocated by the first build
 
 	name string
 	reg  *obs.Registry
+
+	// forgetCanceled keeps canceled builds out of the table (see do).
+	forgetCanceled bool
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -54,7 +58,7 @@ type memoEntry[V any] struct {
 }
 
 func newMemoTable[V any]() *memoTable[V] {
-	return &memoTable[V]{entries: map[string]*memoEntry[V]{}}
+	return &memoTable[V]{}
 }
 
 // instrument names the table and attaches the metrics registry its
@@ -104,7 +108,7 @@ func (t *memoTable[V]) forget(key string) {
 // complete against their detached entries exactly as in forget.
 func (t *memoTable[V]) reset() {
 	t.mu.Lock()
-	t.entries = map[string]*memoEntry[V]{}
+	t.entries = nil
 	t.mu.Unlock()
 }
 
@@ -112,29 +116,46 @@ func (t *memoTable[V]) reset() {
 // key across all goroutines. A caller waiting on another goroutine's
 // in-flight build stops waiting when ctx is canceled (the build itself
 // keeps running and its result stays cached for later callers); the
-// builder's own ctx handling is the build function's business.
+// builder's own ctx handling is the build function's business. On a
+// table with forgetCanceled set, a build that fails with
+// fault.ErrCanceled is returned to its own caller only: the entry is
+// dropped, and callers that were waiting on it build afresh.
 func (t *memoTable[V]) do(ctx context.Context, key string, build func() (V, error)) (V, error) {
 	if t.reg != nil {
 		t.reg.Counter("memo." + t.name + ".lookups").Add(1)
 	}
-	t.mu.Lock()
-	if e, ok := t.entries[key]; ok {
+	for {
+		t.mu.Lock()
+		e, ok := t.entries[key]
+		if !ok {
+			break
+		}
 		t.mu.Unlock()
+		// A caller is a hit if the entry was final on arrival, coalesced
+		// if it joined the build in flight; it is counted once it leaves.
+		joined := &t.hits
 		select {
 		case <-e.done:
-			t.hits.Add(1)
 		default:
-			t.coalesced.Add(1)
+			joined = &t.coalesced
 		}
 		select {
 		case <-e.done:
+			if t.forgetCanceled && errors.Is(e.err, fault.ErrCanceled) {
+				continue
+			}
+			joined.Add(1)
 			return e.val, e.err
 		case <-ctx.Done():
+			joined.Add(1)
 			var zero V
 			return zero, fault.Canceled(ctx)
 		}
 	}
 	e := &memoEntry[V]{done: make(chan struct{})}
+	if t.entries == nil {
+		t.entries = map[string]*memoEntry[V]{}
+	}
 	t.entries[key] = e
 	t.mu.Unlock()
 	t.misses.Add(1)
@@ -147,6 +168,13 @@ func (t *memoTable[V]) do(ctx context.Context, key string, build func() (V, erro
 			if rec := recover(); rec != nil {
 				t.panics.Add(1)
 				e.err = fault.AsPanic("eval: build "+key, rec)
+			}
+			if t.forgetCanceled && errors.Is(e.err, fault.ErrCanceled) {
+				t.mu.Lock()
+				if t.entries[key] == e {
+					delete(t.entries, key)
+				}
+				t.mu.Unlock()
 			}
 			close(e.done)
 		}()

@@ -9,21 +9,22 @@ import (
 	"repro/internal/obs"
 )
 
-// obsSuiteRun executes the fast suite on a cold harness with the given
-// worker count and full observability enabled, returning the canonical
-// span tree and the registry dump with the scheduling-dependent sched.*
-// instruments filtered out (queue wait, run time, and peak concurrency
-// legitimately vary with the worker count; everything else must not).
-func obsSuiteRun(t *testing.T, workers int) (tree, metrics string) {
+// obsSuiteRun executes the suite (fast, or with full place-and-route) on
+// a cold harness with the given worker count and full observability
+// enabled, returning the harness, the canonical span tree and the
+// registry dump with the scheduling-dependent sched.* instruments
+// filtered out (queue wait, run time, and peak concurrency legitimately
+// vary with the worker count; everything else must not).
+func obsSuiteRun(t *testing.T, workers int, pnr bool) (h *Harness, tree, metrics string) {
 	t.Helper()
 	o := &obs.Obs{Tracer: obs.NewTracer(), Metrics: obs.NewRegistry()}
 	o.Tracer.LinkMetrics(o.Metrics)
-	h := NewHarness()
-	h.FastMode = true
+	h = NewHarness()
+	h.FastMode = !pnr
 	h.Workers = workers
 	h.SetObs(o)
 	ctx := o.Context(context.Background())
-	if _, err := h.Suite(ctx, false); err != nil {
+	if _, err := h.Suite(ctx, pnr); err != nil {
 		t.Fatal(err)
 	}
 	var kept []string
@@ -41,7 +42,7 @@ func obsSuiteRun(t *testing.T, workers int) (tree, metrics string) {
 		}
 		kept = append(kept, line)
 	}
-	return o.Tracer.TreeString(false), strings.Join(kept, "\n")
+	return h, o.Tracer.TreeString(false), strings.Join(kept, "\n")
 }
 
 // TestObsDeterminismAcrossWorkers is the observability analogue of the
@@ -49,8 +50,8 @@ func obsSuiteRun(t *testing.T, workers int) (tree, metrics string) {
 // canonical span tree and every worker-count-invariant metric must be
 // identical between a serial and an 8-worker run of the same suite.
 func TestObsDeterminismAcrossWorkers(t *testing.T) {
-	tree1, metrics1 := obsSuiteRun(t, 1)
-	tree8, metrics8 := obsSuiteRun(t, 8)
+	_, tree1, metrics1 := obsSuiteRun(t, 1, false)
+	_, tree8, metrics8 := obsSuiteRun(t, 8, false)
 	if tree1 != tree8 {
 		t.Errorf("span trees differ between workers=1 and workers=8:\n--- workers=1\n%s\n--- workers=8\n%s", tree1, tree8)
 	}

@@ -462,8 +462,12 @@ func (mt *matcher) bind(pv, anode ir.NodeRef) bool {
 		if an.Op != pn.Op {
 			return false
 		}
-		// A constant shared by two pattern users re-binds to the later
-		// site; the trail restores the earlier one on backtrack.
+		// A constant shared by two pattern users feeds both from one
+		// constant unit: once bound, it matches only the same app
+		// constant or one with an equal value.
+		if prev := mt.nodeMap[pv]; prev >= 0 {
+			return prev == anode || mt.app.Nodes[prev].Val == an.Val
+		}
 		mt.set(slotNode, pv, anode)
 		return true
 	}

@@ -112,6 +112,39 @@ func checkEquivalence(t *testing.T, app *ir.Graph, m *Mapped, trials int) {
 	}
 }
 
+// TestMapSharedPatternConstant: a pattern constant feeding two ops is
+// one constant unit on the PE, so add(mul(x,k),k) may cover
+// add(mul(a,3),3) but not add(mul(a,3),5) — which must still map, op by
+// op, to a design computing a*3+5.
+func TestMapSharedPatternConstant(t *testing.T) {
+	ops := []ir.Op{ir.OpAdd, ir.OpMul}
+	g := ir.NewGraph("p")
+	k := g.Const(0)
+	g.Output("o", g.OpNode(ir.OpAdd, g.OpNode(ir.OpMul, g.Input("x"), k), k))
+	pat, err := merge.FromPattern(g, "mulk_addk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := pe.FromDatapath("pe_k", merge.Merge(merge.BaselinePE(ops), pat, merge.Options{}))
+	rs := mustRuleSet(t, spec, []NamedPattern{{Name: "mulk_addk", Graph: g}}, ops)
+	for _, c := range []struct {
+		add uint16
+		pes int
+	}{{3, 1}, {5, 2}} {
+		app := ir.NewGraph("app")
+		a := app.Input("a")
+		app.Output("y", app.OpNode(ir.OpAdd, app.OpNode(ir.OpMul, a, app.Const(3)), app.Const(c.add)))
+		m, err := MapApp(app, rs, "shared-const")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.NumPEs() != c.pes {
+			t.Errorf("add constant %d: %d PEs, want %d", c.add, m.NumPEs(), c.pes)
+		}
+		checkEquivalence(t, app, m, 20)
+	}
+}
+
 func TestMapBaselineEquivalence(t *testing.T) {
 	app := convApp()
 	spec := baselineSpec(t, []ir.Op{ir.OpAdd, ir.OpMul})

@@ -424,21 +424,21 @@ func (s *Server) submit(j *Job) (status int, retryAfter time.Duration) {
 		return 429, wait
 	}
 
+	// The job enters the queue, the job table and the event stream in
+	// one critical section. A worker may pop it at once, but its
+	// "running" transition takes s.mu, so every subscriber sees
+	// "queued" first; a rejected job is never visible at all.
 	s.mu.Lock()
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
-	s.mu.Unlock()
-
-	if err := s.q.push(j, false); err != nil {
-		s.mu.Lock()
-		delete(s.jobs, j.ID)
-		for i := len(s.order) - 1; i >= 0; i-- {
-			if s.order[i] == j.ID {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
+	err := s.q.push(j, false)
+	if err == nil {
+		s.jobs[j.ID] = j
+		s.order = append(s.order, j.ID)
+		if s.events != nil {
+			s.events.publish(s.jobEvent(j))
 		}
-		s.mu.Unlock()
+	}
+	s.mu.Unlock()
+	if err != nil {
 		if errors.As(err, &errClosed{}) {
 			s.count("serve.http.rejected.drain", 1)
 			return 503, 5 * time.Second
@@ -450,7 +450,6 @@ func (s *Server) submit(j *Job) (status int, retryAfter time.Duration) {
 	s.noteClientDepth(j.Client)
 	s.count("serve.jobs.accepted", 1)
 	s.journal(j)
-	s.publishJob(j)
 	return 0, 0
 }
 

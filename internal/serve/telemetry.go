@@ -309,7 +309,14 @@ func (s *Server) publishJob(j *Job) {
 		return
 	}
 	s.mu.Lock()
-	ev := Event{Type: "job", Job: &JobEvent{
+	ev := s.jobEvent(j)
+	s.mu.Unlock()
+	s.events.publish(ev)
+}
+
+// jobEvent snapshots a job's state as an event; s.mu must be held.
+func (s *Server) jobEvent(j *Job) Event {
+	return Event{Type: "job", Job: &JobEvent{
 		ID:        j.ID,
 		State:     j.State,
 		Kind:      j.Kind,
@@ -318,8 +325,6 @@ func (s *Server) publishJob(j *Job) {
 		Error:     j.Error,
 		ErrorKind: j.ErrorKind,
 	}}
-	s.mu.Unlock()
-	s.events.publish(ev)
 }
 
 // timeseriesCatalog is the sampled-series contract: every name the
