@@ -96,9 +96,15 @@ fuzz:
 # math/rand call for call, every placement of a full suite pass must
 # match the pinned digest, and the harness's layout memo must place
 # each distinct netlist once, rebind shared layouts to each cell, drop
-# canceled builds, and keep the full-PnR span tree worker-invariant. The merge and instruction-selection hot
-# paths likewise: a clique search allocates per depth, not per branch
-# step, and a failing match attempt allocates nothing. The telemetry
+# canceled builds, and keep the full-PnR span tree worker-invariant; every
+# cell's bitstream words must match their pinned digest too. The merge and
+# instruction-selection hot paths likewise: a clique search allocates per
+# depth, not per branch step, and a failing match attempt allocates
+# nothing. Rule synthesis and the roll-ups: a rule-verification trial and
+# a PE activation's energy allocate nothing, and the compiled PE
+# evaluator, the compiled rule cross-check, dense pattern selection and
+# position-walked producer lists match frozen copies of the map-based
+# code they replaced. The telemetry
 # additions (DESIGN.md §14):
 # steady-state time-series recording and the no-subscriber event guard
 # are allocation-free, and per-job trace capture stays O(spans).
@@ -107,7 +113,10 @@ perfcheck:
 	$(GO) test ./internal/eval/ -run 'TestPlacementDigestPinned|TestFullPnRObsDeterminism|TestLayoutMemo' -count=1
 	$(GO) test ./internal/core/ -run 'TestEvaluateCancellationOnLayoutHit|TestPnRDegradedLayoutShared' -count=1
 	$(GO) test ./internal/graph/ -run TestCliqueAllocs -count=1 -v
-	$(GO) test ./internal/rewrite/ -run TestMatchAllocs -count=1 -v
+	$(GO) test ./internal/rewrite/ -run 'TestMatchAllocs|TestRuleTrialAllocs' -count=1 -v
+	$(GO) test ./internal/pe/ -run TestActivationEnergyAllocs -count=1 -v
+	$(GO) test ./internal/eval/ -run 'TestCompileMatchesLegacyEvaluate|TestCrossCheckMatchesLegacy|TestProducersMatchLegacy' -count=1
+	$(GO) test ./internal/core/ -run TestSelectPatternsMatchesLegacy -count=1
 	$(GO) test ./internal/obs/ -run TestTimeSeriesAllocs -count=1
 	$(GO) test ./internal/serve/ -run 'TestEventPublishInactiveAllocs|TestJobTraceCaptureAllocs' -count=1
 

@@ -160,3 +160,24 @@ func TestWorkersFlagRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileConstantOutput: a kernel whose only output ir.Optimize
+// folds to a constant compiles and maps (exit 0), on the baseline and
+// with subgraph merging requested.
+func TestCompileConstantOutput(t *testing.T) {
+	kern := filepath.Join(t.TempDir(), "constout.kern")
+	if err := os.WriteFile(kern, []byte("input x0\nt0 = x0 - x0\nout y0 = t0 + 5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"0", "2"} {
+		cmd := exec.Command(apexBin, "compile", "-k", k, kern)
+		var out bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &out
+		if code := exitCode(t, cmd.Run()); code != 0 {
+			t.Fatalf("apex compile -k %s: exit = %d, want 0\n%s", k, code, out.String())
+		}
+		if !strings.Contains(out.String(), "mapped onto 0 PEs") {
+			t.Errorf("apex compile -k %s output:\n%s", k, out.String())
+		}
+	}
+}

@@ -116,6 +116,10 @@ func GenerateBitstream(r *Routing) (*Bitstream, error) {
 			bs.Words = append(bs.Words, Word{tileAddr(c, featMemMode, 1), uint32(n.Depth)})
 		case rewrite.KindInput, rewrite.KindInputB, rewrite.KindOutput:
 			bs.Words = append(bs.Words, Word{tileAddr(c, featIOMode, 0), uint32(n.Kind)})
+			if n.Kind == rewrite.KindOutput && n.Arg < 0 {
+				// A constant-driven output carries its value.
+				bs.Words = append(bs.Words, Word{tileAddr(c, featIOMode, 1), uint32(n.Val)})
+			}
 		}
 	}
 

@@ -81,7 +81,10 @@ func Simulate(ctx context.Context, m *rewrite.Mapped, peLatency int, inputs map[
 				comb = ir.EvalOp(ir.OpRom, []uint16{vals[n.Arg]}, n.Val)
 				// ROM lookup result enters the delay line below.
 			case rewrite.KindOutput:
-				vals[i] = vals[n.Arg]
+				vals[i] = n.Val
+				if n.Arg >= 0 {
+					vals[i] = vals[n.Arg]
+				}
 				continue
 			case rewrite.KindPE:
 				cfg := n.Rule.Config.Clone()

@@ -291,18 +291,22 @@ func (f *Framework) RestrictedBaseline(ctx context.Context, name string, ops []i
 // This refines the paper's plain MIS-rank selection: a top-MIS pattern
 // whose occurrences overlap application fanout would waste a merge slot.
 func SelectPatterns(a *Analysis, k int) []mis.Ranked {
-	covered := map[graph.NodeID]bool{}
-	remaining := append([]mis.Ranked(nil), a.Ranked...)
+	sc := newSelectScratch(a.View.NumNodes())
+	remaining := make([]selectCand, 0, len(a.Ranked))
+	for _, r := range a.Ranked {
+		remaining = append(remaining, newSelectCand(r))
+	}
 	var out []mis.Ranked
 	for len(out) < k && len(remaining) > 0 {
 		bestIdx, bestScore := -1, 0
 		var bestOccs []graph.Embedding
-		for i, r := range remaining {
-			perOcc := r.Pattern.ComputeSize() - 1
+		for i := range remaining {
+			c := &remaining[i]
+			perOcc := c.r.Pattern.ComputeSize() - 1
 			if perOcc <= 0 {
 				continue
 			}
-			occs := absorbableDisjoint(a.View, r, covered)
+			occs := sc.absorbableDisjoint(a.View, c)
 			if score := len(occs) * perOcc; score > bestScore {
 				bestIdx, bestScore, bestOccs = i, score, occs
 			}
@@ -312,52 +316,87 @@ func SelectPatterns(a *Analysis, k int) []mis.Ranked {
 		}
 		for _, occ := range bestOccs {
 			for _, v := range occ {
-				covered[v] = true
+				sc.covered[v] = true
 			}
 		}
-		out = append(out, remaining[bestIdx])
+		out = append(out, remaining[bestIdx].r)
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
 	return out
 }
 
-// absorbableDisjoint returns a maximal set of pairwise-disjoint,
-// absorbable occurrences of the pattern that avoid covered nodes.
-func absorbableDisjoint(view *graph.Graph, r mis.Ranked, covered map[graph.NodeID]bool) []graph.Embedding {
+// selectCand is a ranked pattern with what absorbableDisjoint needs of
+// its shape, derived once per SelectPatterns call: the single sink (-1
+// when the pattern has none or several) and, per pattern position,
+// whether it is an interior compute node whose users must all stay
+// inside an occurrence.
+type selectCand struct {
+	r        mis.Ranked
+	sink     int
+	interior []bool
+}
+
+func newSelectCand(r mis.Ranked) selectCand {
 	p := r.Pattern.Graph
-	// Single sink required (rules are single-output).
-	sink := -1
+	c := selectCand{r: r, sink: -1}
 	for v := 0; v < p.NumNodes(); v++ {
 		if p.OutDegree(graph.NodeID(v)) == 0 {
-			if sink >= 0 {
-				return nil
+			if c.sink >= 0 {
+				c.sink = -1
+				return c // rules are single-output
 			}
-			sink = v
+			c.sink = v
 		}
 	}
-	if sink < 0 {
+	if c.sink < 0 {
+		return c
+	}
+	c.interior = make([]bool, p.NumNodes())
+	for v := range c.interior {
+		c.interior[v] = v != c.sink && ir.OpByName(p.Label(graph.NodeID(v))).IsCompute()
+	}
+	return c
+}
+
+// selectScratch holds SelectPatterns' per-view-node state, allocated
+// once per call: nodes covered by the selected patterns, nodes taken by
+// the occurrences chosen for the pattern being scored (cleared after
+// each), and the occurrence-membership stamp (inOcc[v] == epoch marks v
+// as in the occurrence under test).
+type selectScratch struct {
+	covered, taken []bool
+	inOcc          []uint32
+	epoch          uint32
+}
+
+func newSelectScratch(n int) *selectScratch {
+	return &selectScratch{covered: make([]bool, n), taken: make([]bool, n), inOcc: make([]uint32, n)}
+}
+
+// absorbableDisjoint returns a maximal set of pairwise-disjoint,
+// absorbable occurrences of the pattern that avoid covered nodes.
+func (sc *selectScratch) absorbableDisjoint(view *graph.Graph, c *selectCand) []graph.Embedding {
+	if c.sink < 0 {
 		return nil
 	}
 	var chosen []graph.Embedding
-	taken := map[graph.NodeID]bool{}
-	for _, occ := range r.Occurrences {
-		ok := true
-		inOcc := map[graph.NodeID]bool{}
+	for _, occ := range c.r.Occurrences {
+		sc.epoch++
 		for _, v := range occ {
-			inOcc[v] = true
+			sc.inOcc[v] = sc.epoch
 		}
+		ok := true
 		for pi, v := range occ {
-			if covered[v] || taken[v] {
+			if sc.covered[v] || sc.taken[v] {
 				ok = false
 				break
 			}
 			// Interior compute nodes must have all users inside.
-			op := ir.OpByName(p.Label(graph.NodeID(pi)))
-			if pi == sink || !op.IsCompute() {
+			if !c.interior[pi] {
 				continue
 			}
 			for _, e := range view.Out(v) {
-				if !inOcc[e.To] {
+				if sc.inOcc[e.To] != sc.epoch {
 					ok = false
 					break
 				}
@@ -370,9 +409,14 @@ func absorbableDisjoint(view *graph.Graph, r mis.Ranked, covered map[graph.NodeI
 			continue
 		}
 		for _, v := range occ {
-			taken[v] = true
+			sc.taken[v] = true
 		}
 		chosen = append(chosen, occ)
+	}
+	for _, occ := range chosen {
+		for _, v := range occ {
+			sc.taken[v] = false
+		}
 	}
 	return chosen
 }

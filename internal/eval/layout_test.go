@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -72,8 +73,69 @@ func checkPlacementDigest(t *testing.T, h *Harness) {
 	}
 }
 
+// bitstreamDigestFile pins the configuration bytes of every place-and-
+// route cell of one full suite pass: a change to bitstream generation
+// (or to anything upstream of it) must reproduce every word exactly, or
+// this digest moves.
+const bitstreamDigestFile = "testdata/bitstream.sha256"
+
+// bitstreamDigest hashes, in cell-key order, the words
+// cgra.GenerateBitstream emits for each routed PnR cell.
+func bitstreamDigest(t *testing.T, h *Harness) string {
+	t.Helper()
+	h.results.mu.Lock()
+	keys := make([]string, 0, len(h.results.entries))
+	for k := range h.results.entries {
+		if strings.Contains(k, "|true|") {
+			keys = append(keys, k)
+		}
+	}
+	h.results.mu.Unlock()
+	sort.Strings(keys)
+	sum := sha256.New()
+	var buf []byte
+	for _, k := range keys {
+		e := h.results.entries[k]
+		<-e.done
+		if e.err != nil {
+			t.Fatalf("cell %s: %v", k, e.err)
+		}
+		fmt.Fprintf(sum, "%s\n", k)
+		if e.val.Routing == nil {
+			continue
+		}
+		bs, err := cgra.GenerateBitstream(e.val.Routing)
+		if err != nil {
+			t.Fatalf("cell %s: %v", k, err)
+		}
+		buf = buf[:0]
+		for _, w := range bs.Words {
+			buf = binary.LittleEndian.AppendUint32(buf, w.Addr)
+			buf = binary.LittleEndian.AppendUint32(buf, w.Data)
+		}
+		sum.Write(buf)
+	}
+	return hex.EncodeToString(sum.Sum(nil))
+}
+
+// checkBitstreamDigest compares a finished full-PnR suite's bitstream
+// digest with the pinned one and, on a mismatch, prints the replacement
+// line.
+func checkBitstreamDigest(t *testing.T, h *Harness) {
+	t.Helper()
+	got := bitstreamDigest(t, h)
+	raw, err := os.ReadFile(bitstreamDigestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.TrimSpace(string(raw)); got != want {
+		t.Errorf("bitstream digest moved:\n got %s\nwant %s\n(replace %s only after an intentional bitstream change; its new line is:\n%s)", got, want, bitstreamDigestFile, got)
+	}
+}
+
 // TestPlacementDigestPinned: one serial full-PnR suite pass places and
-// routes every cell exactly as the pinned digest records, and places
+// routes every cell exactly as the pinned digest records, configures
+// every cell with exactly the pinned bitstream words, and places
 // each distinct physical netlist once: its 34 PnR cells share 24
 // layouts (camera on camera_pe2, camera_pe3 and pe_ip is one netlist,
 // resnet on baseline, pe_ml and spec_resnet another).
@@ -87,6 +149,7 @@ func TestPlacementDigestPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPlacementDigest(t, h)
+	checkBitstreamDigest(t, h)
 	if s := h.MemoStats()["layouts"]; s.Lookups() != 34 || s.Misses != 24 {
 		t.Errorf("layout memo: %d lookups, %d misses; want 34 lookups, 24 misses", s.Lookups(), s.Misses)
 	}
@@ -95,7 +158,7 @@ func TestPlacementDigestPinned(t *testing.T) {
 // TestFullPnRObsDeterminism: with the layout memo live, which cell of a
 // shared netlist places it depends on scheduling, but the span tree and
 // the invariant metrics of a full-PnR suite must not: they are equal at
-// one and eight workers, and so is every placement.
+// one and eight workers, and so is every placement and bitstream.
 func TestFullPnRObsDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full PnR suite skipped in -short mode")
@@ -114,6 +177,7 @@ func TestFullPnRObsDeterminism(t *testing.T) {
 		}
 	}
 	checkPlacementDigest(t, h8)
+	checkBitstreamDigest(t, h8)
 }
 
 // TestLayoutMemoHitRebinds: camera on camera_pe3 reuses the layout

@@ -1,15 +1,12 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/merge"
 	"repro/internal/pe"
@@ -21,21 +18,7 @@ import (
 // its map-and-snapshot predecessor, and requires identical mapped graphs
 // (or identical errors).
 func TestMapAppMatchesLegacy(t *testing.T) {
-	h := NewHarness()
-	h.FastMode = true
-	if _, err := h.Suite(context.Background(), false); err != nil {
-		t.Fatal(err)
-	}
-	var variants []*core.PEVariant
-	for _, e := range h.variants.entries {
-		if e.err == nil {
-			variants = append(variants, e.val)
-		}
-	}
-	sort.Slice(variants, func(i, j int) bool { return variants[i].Name < variants[j].Name })
-	if len(variants) < 10 {
-		t.Fatalf("suite built only %d variants", len(variants))
-	}
+	_, variants := fastSuiteVariants(t)
 	mapped := 0
 	for _, v := range variants {
 		for _, a := range apps.All() {

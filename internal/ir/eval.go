@@ -118,7 +118,7 @@ func (g *Graph) Eval(inputs map[string]uint16) (map[string]uint16, error) {
 	if g.err != nil {
 		return nil, g.err
 	}
-	order, err := g.topoOrder()
+	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
@@ -132,19 +132,33 @@ func (g *Graph) Eval(inputs map[string]uint16) (map[string]uint16, error) {
 			if n.Op == OpInputB {
 				vals[v] &= 1
 			}
-		case OpOutput:
-			vals[v] = vals[n.Args[0]]
-			outs[n.Name] = vals[v]
 		default:
-			var buf [3]uint16 // operands stay on the stack up to arity 3
-			args := buf[:0]
-			for _, a := range n.Args {
-				args = append(args, vals[a])
+			vals[v] = EvalNode(n, vals)
+			if n.Op == OpOutput {
+				outs[n.Name] = vals[v]
 			}
-			vals[v] = EvalOp(n.Op, args, n.Val)
 		}
 	}
 	return outs, nil
+}
+
+// EvalNode computes the combinational value of a non-input node from the
+// values of its operands, indexed by node in vals: an output passes its
+// operand through, registers, FIFOs and memories are transparent, and
+// every other node applies EvalOp to its operands and immediate. Inputs
+// are bound by the caller. Eval runs it on every node; callers that
+// evaluate one graph on many vectors reuse it over a TopoOrder computed
+// once.
+func EvalNode(n *Node, vals []uint16) uint16 {
+	if n.Op == OpOutput {
+		return vals[n.Args[0]]
+	}
+	var buf [3]uint16 // operands stay on the stack up to arity 3
+	args := buf[:0]
+	for _, a := range n.Args {
+		args = append(args, vals[a])
+	}
+	return EvalOp(n.Op, args, n.Val)
 }
 
 // Latency returns the sequential delay (in cycles) contributed by a node:
@@ -170,7 +184,7 @@ func (g *Graph) Simulate(inputs map[string][]uint16, cycles int) (map[string][]u
 	if g.err != nil {
 		return nil, g.err
 	}
-	order, err := g.topoOrder()
+	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +249,7 @@ func (g *Graph) Simulate(inputs map[string][]uint16, cycles int) (map[string][]u
 // TotalLatency returns the maximum sequential latency (in cycles) along
 // any input-to-output path.
 func (g *Graph) TotalLatency() (int, error) {
-	order, err := g.topoOrder()
+	order, err := g.TopoOrder()
 	if err != nil {
 		return 0, err
 	}

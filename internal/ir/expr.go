@@ -378,7 +378,7 @@ func (e *Expr) Vars() []string {
 // of the graph, with input nodes as variables (named by their IO name).
 // Registers, memories and FIFOs are transparent, matching Eval.
 func (g *Graph) SymbolicEval() (map[string]*Expr, error) {
-	order, err := g.topoOrder()
+	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}

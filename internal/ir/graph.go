@@ -194,14 +194,14 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	if _, err := g.topoOrder(); err != nil {
+	if _, err := g.TopoOrder(); err != nil {
 		return err
 	}
 	return nil
 }
 
-// topoOrder returns node refs in dependency order (operands first).
-func (g *Graph) topoOrder() ([]NodeRef, error) {
+// TopoOrder returns node refs in dependency order (operands first).
+func (g *Graph) TopoOrder() ([]NodeRef, error) {
 	n := len(g.Nodes)
 	state := make([]uint8, n) // 0 unvisited, 1 in-stack, 2 done
 	order := make([]NodeRef, 0, n)

@@ -18,9 +18,8 @@ func (s *Spec) ActivationEnergy(ops []ir.Op, m *tech.Model) float64 {
 			e += m.HWClassCost(cl).Energy
 		}
 	}
-	c := s.DP.Count()
 	e += m.Unit("decode").Energy
-	e += float64(c.MuxFanin) * m.Unit("mux16").Energy * 0.25
+	e += float64(s.muxFanin) * m.Unit("mux16").Energy * 0.25
 	return e
 }
 
@@ -38,16 +37,6 @@ func (s *Spec) CriticalPathPS(m *tech.Model) float64 {
 	succ := make([][]merge.Wire, n)
 	for _, w := range s.DP.Wires {
 		succ[w.From] = append(succ[w.From], w)
-	}
-	muxed := map[[2]int]bool{}
-	fanin := map[[2]int]int{}
-	for _, w := range s.DP.Wires {
-		fanin[[2]int{w.To, w.Port}]++
-	}
-	for k, c := range fanin {
-		if c > 1 {
-			muxed[k] = true
-		}
 	}
 	unitDelay := func(u int) float64 {
 		unit := &s.DP.Units[u]
@@ -80,7 +69,7 @@ func (s *Spec) CriticalPathPS(m *tech.Model) float64 {
 		best := 0.0
 		for _, w := range succ[u] {
 			d := longest(w.To)
-			if muxed[[2]int{w.To, w.Port}] {
+			if len(s.PortSources(w.To, w.Port)) > 1 { // a multiplexed hop
 				d += muxDelay
 			}
 			if d > best {

@@ -33,6 +33,9 @@ type Spec struct {
 
 	// portSources[(unit,port)] lists candidate source units.
 	portSources map[[2]int][]int
+	// muxFanin counts the extra mux inputs over all ports (sources
+	// beyond the first): merge.Datapath.Count's MuxFanin, counted once.
+	muxFanin int
 }
 
 // FromDatapath builds a Spec from a merged datapath.
@@ -56,8 +59,9 @@ func FromDatapath(name string, dp *merge.Datapath) *Spec {
 		k := [2]int{w.To, w.Port}
 		s.portSources[k] = append(s.portSources[k], w.From)
 	}
-	for k := range s.portSources {
-		sort.Ints(s.portSources[k])
+	for _, srcs := range s.portSources {
+		sort.Ints(srcs)
+		s.muxFanin += len(srcs) - 1
 	}
 	return s
 }
@@ -152,88 +156,31 @@ func (s *Spec) Validate(c Config) error {
 
 // Evaluate runs the functional model: inputVals maps PE data-input
 // position to its value, bitVals maps PE bit-input position to its value.
-// The result maps output unit index to the computed word.
+// The result maps output unit index to the computed word. It compiles
+// the configuration for one run; callers that evaluate one configuration
+// on many vectors should Compile once and Run per vector.
 func (s *Spec) Evaluate(c Config, inputVals map[int]uint16, bitVals map[int]uint16) (map[int]uint16, error) {
-	memo := map[int]uint16{}
-	state := map[int]uint8{} // 1 = in progress, 2 = done
-	var eval func(u int) (uint16, error)
-	eval = func(u int) (uint16, error) {
-		if state[u] == 2 {
-			return memo[u], nil
-		}
-		if state[u] == 1 {
-			return 0, fmt.Errorf("pe: configured datapath has a combinational cycle at unit %d", u)
-		}
-		state[u] = 1
-		unit := &s.DP.Units[u]
-		var v uint16
-		switch unit.Kind {
-		case merge.UnitInput:
-			pos := indexOf(s.Inputs, u)
-			v = inputVals[pos]
-		case merge.UnitInputB:
-			pos := indexOf(s.InputsB, u)
-			v = bitVals[pos] & 1
-		case merge.UnitConst:
-			v = c.ConstVals[u]
-			if unit.Bit {
-				v &= 1
-			}
-		case merge.UnitOp:
-			op, ok := c.OpSel[u]
-			if !ok {
-				if len(unit.Ops) == 1 {
-					op = unit.Ops[0]
-				} else {
-					return 0, fmt.Errorf("pe: unit %d (%s) has no op selected", u, unit)
-				}
-			}
-			var buf [3]uint16 // operands stay on the stack up to arity 3
-			args := buf[:0]
-			// Operand ports beyond the op's arity are ignored; the op
-			// consumes its operands from the low ports.
-			for p := 0; p < op.Arity(); p++ {
-				src, ok := c.PortSel[[2]int{u, p}]
-				if !ok {
-					return 0, fmt.Errorf("pe: unit %d port %d unconfigured", u, p)
-				}
-				av, err := eval(src)
-				if err != nil {
-					return 0, err
-				}
-				args = append(args, av)
-			}
-			// The immediate (LUT table) rides on the op selection; LUT
-			// tables are stored as the constant value of the unit's
-			// config — encode via ConstVals keyed by the FU index.
-			v = ir.EvalOp(op, args, c.ConstVals[u])
-		case merge.UnitOutput:
-			src, ok := c.OutSel[u]
-			if !ok {
-				return 0, fmt.Errorf("pe: output %d unconfigured", u)
-			}
-			sv, err := eval(src)
-			if err != nil {
-				return 0, err
-			}
-			v = sv
-		}
-		memo[u] = v
-		state[u] = 2
-		return v, nil
+	p, err := s.Compile(c)
+	if err != nil {
+		return nil, err
 	}
-	outs := map[int]uint16{}
-	for _, o := range s.Outputs {
-		if _, ok := c.OutSel[o]; !ok {
-			continue // unconfigured outputs are idle
-		}
-		v, err := eval(o)
-		if err != nil {
-			return nil, err
-		}
-		outs[o] = v
+	p.Run(positional(inputVals, len(s.Inputs)), positional(bitVals, len(s.InputsB)))
+	outs := make(map[int]uint16, len(p.Outputs))
+	for _, o := range p.Outputs {
+		outs[o] = p.Out(o)
 	}
 	return outs, nil
+}
+
+// positional spreads a position-keyed map over a slice of n positions.
+func positional(m map[int]uint16, n int) []uint16 {
+	xs := make([]uint16, n)
+	for pos, v := range m {
+		if pos >= 0 && pos < n {
+			xs[pos] = v
+		}
+	}
+	return xs
 }
 
 // SymbolicEval computes the canonical expression of each configured
@@ -319,8 +266,7 @@ func (s *Spec) SymbolicEval(c Config, pinConsts bool) (map[int]*ir.Expr, error) 
 // ConfigBits returns the size of the PE's configuration word.
 func (s *Spec) ConfigBits() int {
 	bits := 0
-	for k, srcs := range s.portSources {
-		_ = k
+	for _, srcs := range s.portSources {
 		if len(srcs) > 1 {
 			bits += bitsFor(len(srcs))
 		}

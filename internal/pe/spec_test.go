@@ -190,3 +190,24 @@ func TestConfigCloneIndependent(t *testing.T) {
 		t.Error("Clone shares storage")
 	}
 }
+
+// TestActivationEnergyAllocs: a PE activation's energy reads the mux
+// fan-in FromDatapath counted once, so it allocates nothing, and that
+// count is the one Datapath.Count reports, on a datapath with muxes.
+func TestActivationEnergyAllocs(t *testing.T) {
+	m := tech.Default()
+	g := ir.NewGraph("mac")
+	g.Output("o", g.OpNode(ir.OpAdd, g.OpNode(ir.OpMul, g.Input("a"), g.Input("b")), g.Input("c")))
+	pdp, err := merge.FromPattern(g, "mac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := FromDatapath("merged", merge.Merge(merge.BaselinePE(ir.BaselineALUOps()), pdp, merge.Options{Tech: m}))
+	if c := s.DP.Count(); c.MuxFanin == 0 || s.muxFanin != c.MuxFanin {
+		t.Fatalf("mux fan-in %d, Datapath.Count says %d", s.muxFanin, c.MuxFanin)
+	}
+	ops := []ir.Op{ir.OpMul, ir.OpAdd}
+	if allocs := testing.AllocsPerRun(100, func() { s.ActivationEnergy(ops, m) }); allocs != 0 {
+		t.Fatalf("ActivationEnergy allocated %v objects, want 0", allocs)
+	}
+}

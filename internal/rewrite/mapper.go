@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ir"
 	"repro/internal/pe"
@@ -59,7 +58,9 @@ type MNode struct {
 	// Single-producer fields (mem/reg/regfile/rom/output).
 	Arg   int // producer node index, -1 for sources
 	Depth int // FIFO depth for KindRegFile
-	Val   uint16
+	// Val is the table id of a KindRom, and the value a KindOutput with
+	// no producer (Arg -1) drives: an output folded to a constant.
+	Val uint16
 }
 
 // Producers returns the indices of all producer nodes feeding n, in
@@ -71,13 +72,7 @@ func (n *MNode) Producers() []int {
 	switch n.Kind {
 	case KindPE:
 		ps := make([]int, 0, len(n.DataIn)+len(n.BitIn))
-		for _, pos := range sortedPositions(n.DataIn) {
-			ps = append(ps, n.DataIn[pos])
-		}
-		for _, pos := range sortedPositions(n.BitIn) {
-			ps = append(ps, n.BitIn[pos])
-		}
-		return ps
+		return appendByPosition(appendByPosition(ps, n.DataIn), n.BitIn)
 	case KindInput, KindInputB:
 		return nil
 	default:
@@ -88,15 +83,18 @@ func (n *MNode) Producers() []int {
 	}
 }
 
-// sortedPositions returns the keys of a position-indexed map in
-// ascending order.
-func sortedPositions(m map[int]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// appendByPosition appends a position-indexed map's values to ps in
+// ascending position order. Positions are small and dense, so it probes
+// 0, 1, 2, ... until it has seen every entry; Mapped.Validate rejects
+// negative positions, which would never be reached.
+func appendByPosition(ps []int, m map[int]int) []int {
+	for pos, seen := 0, 0; seen < len(m); pos++ {
+		if p, ok := m[pos]; ok {
+			ps = append(ps, p)
+			seen++
+		}
 	}
-	sort.Ints(keys)
-	return keys
+	return ps
 }
 
 // Mapped is an application mapped onto a PE architecture: a graph of PE,
@@ -135,10 +133,14 @@ func (m *Mapped) countKind(k NodeKind) int {
 	return n
 }
 
-// Validate checks producer indices and acyclicity.
+// Validate checks port positions, producer indices and acyclicity.
 func (m *Mapped) Validate() error {
 	for i := range m.Nodes {
-		for _, p := range m.Nodes[i].Producers() {
+		n := &m.Nodes[i]
+		if negativePosition(n.DataIn) || negativePosition(n.BitIn) {
+			return fmt.Errorf("rewrite: mapped node %d has a negative port position", i)
+		}
+		for _, p := range n.Producers() {
 			if p < 0 || p >= len(m.Nodes) {
 				return fmt.Errorf("rewrite: mapped node %d references %d out of range", i, p)
 			}
@@ -169,6 +171,15 @@ func (m *Mapped) Validate() error {
 		}
 	}
 	return nil
+}
+
+func negativePosition(ports map[int]int) bool {
+	for pos := range ports {
+		if pos < 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // TopoOrder returns node indices in dependency order.
@@ -212,7 +223,10 @@ func (m *Mapped) Eval(inputs map[string]uint16) (map[string]uint16, error) {
 		case KindRom:
 			vals[i] = ir.EvalOp(ir.OpRom, []uint16{vals[n.Arg]}, n.Val)
 		case KindOutput:
-			vals[i] = vals[n.Arg]
+			vals[i] = n.Val
+			if n.Arg >= 0 {
+				vals[i] = vals[n.Arg]
+			}
 			outs[n.Name] = vals[i]
 		case KindPE:
 			cfg := n.Rule.Config.Clone()
@@ -527,6 +541,9 @@ func buildMapped(app *ir.Graph, covered []*match, spec *pe.Spec, name string) (*
 	// producerIdx resolves an app producer to its mapped node: compute
 	// nodes resolve to their match root's PE node.
 	producerIdx := func(a ir.NodeRef) (int, error) {
+		if op := app.Nodes[a].Op; op == ir.OpConst || op == ir.OpConstB {
+			return -1, fmt.Errorf("rewrite: producer %d is constant %d; only an output may be constant-driven", a, app.Nodes[a].Val)
+		}
 		if app.Nodes[a].Op.IsCompute() {
 			cm := covered[a]
 			if cm == nil || cm.root != a {
@@ -575,6 +592,12 @@ func buildMapped(app *ir.Graph, covered []*match, spec *pe.Spec, name string) (*
 			}
 			mappedIdx[av] = m.add(MNode{Kind: KindRom, Arg: p, Val: n.Val})
 		case ir.OpOutput:
+			if c := &app.Nodes[n.Args[0]]; c.Op == ir.OpConst || c.Op == ir.OpConstB {
+				// Folded to a constant: the output's IO tile drives the
+				// value itself, with no PE and no net.
+				mappedIdx[av] = m.add(MNode{Kind: KindOutput, Name: n.Name, Arg: -1, Val: c.Val})
+				break
+			}
 			p, err := producerIdx(n.Args[0])
 			if err != nil {
 				return nil, err

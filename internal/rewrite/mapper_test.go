@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
@@ -371,5 +372,76 @@ func TestMatchAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("%d failing attempts allocated %v objects, want 0", len(failing), allocs)
+	}
+}
+
+// TestMapConstantOutput: an output that ir.Optimize folds to a constant
+// (here y0 = (x0 - x0) + 5) maps to a constant-driven output node beside
+// an ordinary one, and the mapped graph computes what the application
+// does. A structural node reading a constant is still refused, with an
+// error that names it.
+func TestMapConstantOutput(t *testing.T) {
+	g := ir.NewGraph("constout")
+	x := g.Input("x0")
+	g.Output("y0", g.OpNode(ir.OpAdd, g.OpNode(ir.OpSub, x, x), g.Const(5)))
+	g.Output("y1", g.OpNode(ir.OpAdd, x, g.Const(1)))
+	app := ir.Optimize(g)
+	spec := baselineSpec(t, []ir.Op{ir.OpAdd, ir.OpSub})
+	rs := mustRuleSet(t, spec, nil, []ir.Op{ir.OpAdd, ir.OpSub})
+	m, err := MapApp(app, rs, "constout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts := 0
+	for i := range m.Nodes {
+		if n := &m.Nodes[i]; n.Kind == KindOutput && n.Arg < 0 {
+			consts++
+			if n.Name != "y0" || n.Val != 5 || len(n.Producers()) != 0 {
+				t.Errorf("constant output %+v, want y0 driving 5 with no producer", *n)
+			}
+		}
+	}
+	if consts != 1 || m.NumPEs() != 1 {
+		t.Fatalf("%d constant outputs, %d PEs; want 1 and 1", consts, m.NumPEs())
+	}
+	for _, v := range []uint16{0, 7, 0xffff} {
+		in := map[string]uint16{"x0": v}
+		got, err := m.Eval(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := app.Eval(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got["y0"] != want["y0"] || got["y1"] != want["y1"] {
+			t.Errorf("x0=%d: mapped %v, app %v", v, got, want)
+		}
+	}
+
+	r := ir.NewGraph("constreg")
+	r.Output("y", r.Reg(r.Const(3)))
+	if _, err := MapApp(r, rs, "constreg"); err == nil || !strings.Contains(err.Error(), "is constant 3") {
+		t.Errorf("register of a constant: error %v, want it to name the constant", err)
+	}
+}
+
+// TestValidateRejectsNegativePosition: Producers walks port positions
+// up from zero, so Validate must refuse a negative one before anything
+// walks it.
+func TestValidateRejectsNegativePosition(t *testing.T) {
+	m := &Mapped{Nodes: []MNode{
+		{Kind: KindInput, Name: "x", Arg: -1},
+		{Kind: KindPE, DataIn: map[int]int{0: 0}, BitIn: map[int]int{-1: 0}, Arg: -1},
+	}}
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "negative port position") {
+		t.Fatalf("Validate = %v, want a negative-position error", err)
+	}
+	m.Nodes[1].BitIn = map[int]int{2: 0}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Nodes[1].Producers(); len(got) != 2 {
+		t.Fatalf("Producers = %v, want both ports", got)
 	}
 }

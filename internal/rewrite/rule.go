@@ -337,15 +337,25 @@ func verifyRule(r *Rule) error {
 		return fmt.Errorf("rewrite: formal mismatch: PE %s vs pattern %s", peExpr, patExpr)
 	}
 	// Randomized cross-check of the functional model.
+	_, err = r.CrossCheck()
+	return err
+}
+
+// CrossCheck runs the rule's randomized functional cross-check: on each
+// of verifyTrials seeded vectors, the configured PE and the pattern must
+// agree at the rule's output. It returns the index of the first failing
+// trial and its error, or -1 and nil. Every call replays the same
+// vectors.
+func (r *Rule) CrossCheck() (int, error) {
 	rng := &trialRand{}
 	t := newRuleTrials(r)
 	for trial := 0; trial < verifyTrials; trial++ {
 		t.draw(rng)
 		if err := t.check(); err != nil {
-			return err
+			return trial, err
 		}
 	}
-	return nil
+	return -1, nil
 }
 
 // verifyTrials is the number of randomized functional cross-checks a
@@ -414,36 +424,60 @@ func sortedPorts(m map[ir.NodeRef]int) []portRef {
 }
 
 // ruleTrials is the randomized cross-check's state for one rule, built
-// once and overwritten in place by every draw: a clone of the pattern
-// wired to a probe output at the root, a clone of the configuration
-// (LUT immediates included), and the input maps for both models.
-// Ports are drawn in ascending pattern-node order, so a fixed rule gets
-// the same trial vectors in every run.
+// once and overwritten in place by every draw, so a trial allocates
+// nothing: the configuration compiled to a PE program (LUT immediates
+// included), the pattern's node order and per-node values, and the PE
+// port vectors. Ports are drawn in ascending pattern-node order, so a
+// fixed rule gets the same trial vectors in every run. Pattern inputs
+// are bound by name, as Graph.Eval binds them: a drawn value reaches
+// every pattern input of that name, and a later draw of a name
+// overwrites an earlier one.
 type ruleTrials struct {
 	r                 *Rule
-	pat               *ir.Graph
-	cfg               pe.Config
+	pat               *ir.Graph // clone; constant nodes carry the drawn values
+	order             []ir.NodeRef
+	patVals           []uint16 // pattern node -> value
+	prog              *pe.Program
+	err               error // a pattern or configuration error every trial reports
 	ins, bits, consts []portRef
-	inputs            map[string]uint16 // pattern input name -> value
-	inVals, bitVals   map[int]uint16    // PE port position -> value
+	// named[k] lists the pattern inputs that share the name of the k-th
+	// drawn input (data inputs, then bit inputs).
+	named           [][]ir.NodeRef
+	inVals, bitVals []uint16 // PE port position -> value
 }
-
-// ruleProbe names the output the trials wire to the pattern's root.
-const ruleProbe = "__rule_probe"
 
 func newRuleTrials(r *Rule) *ruleTrials {
 	t := &ruleTrials{
 		r:       r,
 		pat:     r.Pattern.Clone(),
-		cfg:     r.Config.Clone(),
+		patVals: make([]uint16, len(r.Pattern.Nodes)),
 		ins:     sortedPorts(r.InputPorts),
 		bits:    sortedPorts(r.BitPorts),
 		consts:  sortedPorts(r.ConstRegs),
-		inputs:  map[string]uint16{},
-		inVals:  map[int]uint16{},
-		bitVals: map[int]uint16{},
+		inVals:  make([]uint16, r.Spec.NumDataInputs()),
+		bitVals: make([]uint16, r.Spec.NumBitInputs()),
 	}
-	t.pat.Output(ruleProbe, r.Root)
+	for _, ps := range [][]portRef{t.ins, t.bits} {
+		for _, p := range ps {
+			var same []ir.NodeRef
+			for v := range t.pat.Nodes {
+				n := &t.pat.Nodes[v]
+				if (n.Op == ir.OpInput || n.Op == ir.OpInputB) && n.Name == t.pat.Nodes[p.v].Name {
+					same = append(same, ir.NodeRef(v))
+				}
+			}
+			t.named = append(t.named, same)
+		}
+	}
+	// Both models' errors depend on the rule alone, never on a vector,
+	// so they are found once; the pattern's takes precedence.
+	t.err = t.pat.Err()
+	if t.err == nil {
+		t.order, t.err = t.pat.TopoOrder()
+	}
+	if t.err == nil {
+		t.prog, t.err = r.Spec.Compile(r.Config)
+	}
 	return t
 }
 
@@ -451,14 +485,14 @@ func newRuleTrials(r *Rule) *ruleTrials {
 // then constants (each constant's value goes to both the pattern node
 // and its PE constant unit).
 func (t *ruleTrials) draw(rng *trialRand) {
-	for _, p := range t.ins {
+	for i, p := range t.ins {
 		x := rng.intn(1 << 16)
-		t.inputs[t.pat.Nodes[p.v].Name] = x
+		t.bindName(i, x)
 		t.inVals[p.pos] = x
 	}
-	for _, p := range t.bits {
+	for i, p := range t.bits {
 		x := rng.intn(2)
-		t.inputs[t.pat.Nodes[p.v].Name] = x
+		t.bindName(len(t.ins)+i, x)
 		t.bitVals[p.pos] = x
 	}
 	for _, p := range t.consts {
@@ -467,24 +501,39 @@ func (t *ruleTrials) draw(rng *trialRand) {
 			x &= 1
 		}
 		t.pat.Nodes[p.v].Val = x
-		t.cfg.ConstVals[p.pos] = x
+		if t.prog != nil {
+			t.prog.Consts[p.pos] = x
+		}
+	}
+}
+
+// bindName gives value x to every pattern input named like the k-th
+// drawn input (a 1-bit input keeps its low bit).
+func (t *ruleTrials) bindName(k int, x uint16) {
+	for _, v := range t.named[k] {
+		if t.pat.Nodes[v].Op == ir.OpInputB {
+			t.patVals[v] = x & 1
+		} else {
+			t.patVals[v] = x
+		}
 	}
 }
 
 // check evaluates the pattern and the configured PE on the current
 // vector and reports a mismatch at the rule's output.
 func (t *ruleTrials) check() error {
-	outs, err := t.pat.Eval(t.inputs)
-	if err != nil {
-		return err
+	if t.err != nil {
+		return t.err
 	}
-	want := outs[ruleProbe]
-	got, err := t.r.Spec.Evaluate(t.cfg, t.inVals, t.bitVals)
-	if err != nil {
-		return err
+	for _, v := range t.order {
+		if n := &t.pat.Nodes[v]; n.Op != ir.OpInput && n.Op != ir.OpInputB {
+			t.patVals[v] = ir.EvalNode(n, t.patVals)
+		}
 	}
-	if got[t.r.OutUnit] != want {
-		return fmt.Errorf("rewrite: simulation mismatch: PE %d vs pattern %d", got[t.r.OutUnit], want)
+	want := t.patVals[t.r.Root]
+	t.prog.Run(t.inVals, t.bitVals)
+	if got := t.prog.Out(t.r.OutUnit); got != want {
+		return fmt.Errorf("rewrite: simulation mismatch: PE %d vs pattern %d", got, want)
 	}
 	return nil
 }

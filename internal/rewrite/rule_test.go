@@ -1,7 +1,6 @@
 package rewrite
 
 import (
-	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -243,11 +242,19 @@ func TestVerifyTrialsDeterministic(t *testing.T) {
 		var vs []vector
 		for i := 0; i < verifyTrials; i++ {
 			tr.draw(rng)
-			consts := map[int]uint16{}
-			for _, cu := range r.ConstRegs {
-				consts[cu] = tr.cfg.ConstVals[cu]
+			v := vector{map[string]uint16{}, map[int]uint16{}, map[int]uint16{}, map[int]uint16{}}
+			for _, p := range tr.ins {
+				v.Inputs[r.Pattern.Nodes[p.v].Name] = tr.patVals[p.v]
+				v.InVals[p.pos] = tr.inVals[p.pos]
 			}
-			vs = append(vs, vector{maps.Clone(tr.inputs), maps.Clone(tr.inVals), maps.Clone(tr.bitVals), consts})
+			for _, p := range tr.bits {
+				v.Inputs[r.Pattern.Nodes[p.v].Name] = tr.patVals[p.v]
+				v.BitVals[p.pos] = tr.bitVals[p.pos]
+			}
+			for _, cu := range r.ConstRegs {
+				v.Consts[cu] = tr.prog.Consts[cu]
+			}
+			vs = append(vs, v)
 		}
 		return vs
 	}
@@ -274,6 +281,31 @@ func TestTrialRandMatchesMathRand(t *testing.T) {
 		}
 		if w, g := uint16(want.Intn(n)), got.intn(int32(n)); g != w {
 			t.Fatalf("draw %d (n=%d): got %d, math/rand %d", i, n, g, w)
+		}
+	}
+}
+
+// TestRuleTrialAllocs gates the randomized cross-check's trial loop:
+// once a rule's trial state is built, drawing a vector and checking it
+// on both models allocates nothing, for every rule of a specialized
+// camera PE (LUTs, selects, constants and multi-op patterns included).
+func TestRuleTrialAllocs(t *testing.T) {
+	_, rs := cameraSpecRules(t)
+	if len(rs.Rules) < 20 {
+		t.Fatalf("only %d rules; the gate needs a real rule set", len(rs.Rules))
+	}
+	rng := &trialRand{}
+	for _, r := range rs.Rules {
+		tr := newRuleTrials(r)
+		allocs := testing.AllocsPerRun(verifyTrials, func() {
+			rng.i = 0 // stay inside the shared prefix
+			tr.draw(rng)
+			if err := tr.check(); err != nil {
+				t.Fatalf("%s: %v", r.Name, err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: a trial allocated %v objects, want 0", r.Name, allocs)
 		}
 	}
 }
