@@ -104,19 +104,25 @@ fuzz:
 # a PE activation's energy allocate nothing, and the compiled PE
 # evaluator, the compiled rule cross-check, dense pattern selection and
 # position-walked producer lists match frozen copies of the map-based
-# code they replaced. The telemetry
+# code they replaced. Evaluation reuse: every app is one shared value
+# that a parallel suite leaves untouched (under the race detector), the
+# memoized greedy selection order answers every k like the frozen
+# selector in any call order, and the harness maps each (app, variant)
+# and balances each (app, variant, PE latency) once per pass with
+# results byte-identical to memo-less evaluations. The telemetry
 # additions (DESIGN.md §14):
 # steady-state time-series recording and the no-subscriber event guard
 # are allocation-free, and per-job trace capture stays O(spans).
 perfcheck:
 	$(GO) test ./internal/cgra -run 'TestAnnealAllocs|TestRouteAllocs|TestAnnealRandMatchesMathRand|TestDivisorRemainder' -count=1 -v
-	$(GO) test ./internal/eval/ -run 'TestPlacementDigestPinned|TestFullPnRObsDeterminism|TestLayoutMemo' -count=1
+	$(GO) test ./internal/eval/ -run 'TestPlacementDigestPinned|TestFullPnRObsDeterminism|TestLayoutMemo|TestDesignMemo' -count=1
+	$(GO) test -race ./internal/eval/ -run TestAppsSharedReadOnly -count=1
 	$(GO) test ./internal/core/ -run 'TestEvaluateCancellationOnLayoutHit|TestPnRDegradedLayoutShared' -count=1
 	$(GO) test ./internal/graph/ -run TestCliqueAllocs -count=1 -v
 	$(GO) test ./internal/rewrite/ -run 'TestMatchAllocs|TestRuleTrialAllocs' -count=1 -v
 	$(GO) test ./internal/pe/ -run TestActivationEnergyAllocs -count=1 -v
 	$(GO) test ./internal/eval/ -run 'TestCompileMatchesLegacyEvaluate|TestCrossCheckMatchesLegacy|TestProducersMatchLegacy' -count=1
-	$(GO) test ./internal/core/ -run TestSelectPatternsMatchesLegacy -count=1
+	$(GO) test ./internal/core/ -run 'TestSelectPatternsMatchesLegacy|TestSelectPatternsPrefix' -count=1
 	$(GO) test ./internal/obs/ -run TestTimeSeriesAllocs -count=1
 	$(GO) test ./internal/serve/ -run 'TestEventPublishInactiveAllocs|TestJobTraceCaptureAllocs' -count=1
 

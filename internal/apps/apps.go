@@ -7,6 +7,12 @@
 // paper reports (e.g. camera pipeline: ~90 primitive operations per output
 // pixel, all baseline ops except left shift and bitwise logic, unrolled
 // 4x; Table 3 memory-tile and I/O counts).
+//
+// Each application is built once per process, on first use, and every
+// constructor, ByName, All, AnalyzedIP, AnalyzedML and UnseenIP return
+// that same *App afterwards. Apps and their graphs are therefore shared
+// read-only values: callers must not modify them (optimize, map or
+// encode a graph by reading it; Clone one to change it).
 package apps
 
 import (
@@ -70,10 +76,8 @@ func (a *App) UsedOps() []ir.Op {
 	return ops
 }
 
-// Builder for each named application.
-type builder func() *App
-
-var registry = map[string]builder{
+// registry maps each application name to its shared constructor.
+var registry = map[string]func() *App{
 	"camera":    Camera,
 	"harris":    Harris,
 	"gaussian":  Gaussian,
@@ -85,8 +89,8 @@ var registry = map[string]builder{
 	"fast":      FASTCorner,
 }
 
-// ByName builds the named application; it returns an error for unknown
-// names.
+// ByName returns the named (shared) application; it returns an error for
+// unknown names.
 func ByName(name string) (*App, error) {
 	b, ok := registry[name]
 	if !ok {

@@ -99,10 +99,20 @@ func TestSeenFlags(t *testing.T) {
 	}
 }
 
+// TestGraphsDeterministic: building an application afresh yields the
+// same graph as the shared instance every constructor returns.
 func TestGraphsDeterministic(t *testing.T) {
+	builders := map[string]func() *App{
+		"camera": buildCamera, "harris": buildHarris, "gaussian": buildGaussian,
+		"unsharp": buildUnsharp, "resnet": buildResNet, "mobilenet": buildMobileNet,
+		"laplacian": buildLaplacian, "stereo": buildStereo, "fast": buildFASTCorner,
+	}
 	for _, name := range Names() {
 		a1, _ := ByName(name)
-		a2, _ := ByName(name)
+		a2 := builders[name]()
+		if a1 == a2 {
+			t.Fatalf("%s: fresh build returned the shared app", name)
+		}
 		if a1.Graph.NumNodes() != a2.Graph.NumNodes() {
 			t.Errorf("%s: nondeterministic node count", name)
 		}

@@ -2,16 +2,21 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ir"
 )
 
-// Camera builds the camera pipeline: denoise, demosaic, color correction,
+// Camera returns the camera pipeline: denoise, demosaic, color correction,
 // and color curves (the paper's Section 5.1 application). It uses every
 // baseline PE operation except left shift and bitwise logic, needs ~90
 // primitive operations (compute + constants) per output pixel, and is
 // unrolled 4x to fill the 32x16 CGRA.
-func Camera() *App {
+func Camera() *App { return camera() }
+
+var camera = sync.OnceValue(buildCamera)
+
+func buildCamera() *App {
 	g := ir.NewGraph("camera")
 	const unroll = 4
 

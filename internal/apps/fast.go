@@ -2,16 +2,21 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ir"
 )
 
-// FASTCorner builds the FAST corner detector: compare 16 pixels on a
+// FASTCorner returns the FAST corner detector: compare 16 pixels on a
 // Bresenham circle of radius 3 against the center pixel plus/minus a
 // threshold, count brighter and darker pixels, and flag a corner when
 // either count clears the contiguity proxy threshold. Unseen during PE
 // generation (Fig. 13).
-func FASTCorner() *App {
+func FASTCorner() *App { return fastCorner() }
+
+var fastCorner = sync.OnceValue(buildFASTCorner)
+
+func buildFASTCorner() *App {
 	g := ir.NewGraph("fast")
 	const unroll = 2
 

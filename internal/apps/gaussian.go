@@ -2,16 +2,21 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ir"
 )
 
-// Gaussian builds a separable 3x3 binomial blur (kernel [1 2 1] in both
+// Gaussian returns a separable 3x3 binomial blur (kernel [1 2 1] in both
 // dimensions, normalized by 16), unrolled 10x. The blur itself is cheap,
 // so the workload is I/O-bound: the paper's Table 3 shows gaussian using
 // more I/O tiles (42) than any other application while needing the fewest
 // memory tiles (14); auxiliary passthrough planes model that footprint.
-func Gaussian() *App {
+func Gaussian() *App { return gaussian() }
+
+var gaussian = sync.OnceValue(buildGaussian)
+
+func buildGaussian() *App {
 	g := ir.NewGraph("gaussian")
 	const unroll = 10
 

@@ -2,15 +2,20 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ir"
 )
 
-// Harris builds the Harris corner detector: Sobel gradients, structure
+// Harris returns the Harris corner detector: Sobel gradients, structure
 // tensor products with horizontal smoothing, the corner response
 // det(M) - k*trace(M)^2, non-maximum suppression, and thresholding.
 // Unrolled 4x like the other image-processing applications.
-func Harris() *App {
+func Harris() *App { return harris() }
+
+var harris = sync.OnceValue(buildHarris)
+
+func buildHarris() *App {
 	g := ir.NewGraph("harris")
 	const unroll = 4
 

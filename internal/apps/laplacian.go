@@ -2,15 +2,20 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ir"
 )
 
-// Laplacian builds one level of a Laplacian pyramid: blur the image with a
+// Laplacian returns one level of a Laplacian pyramid: blur the image with a
 // binomial kernel, upsample-interpolate the coarse level, and subtract to
 // get the band-pass residual. Not analyzed during PE generation; used in
 // the paper's Fig. 13 generalization experiment.
-func Laplacian() *App {
+func Laplacian() *App { return laplacian() }
+
+var laplacian = sync.OnceValue(buildLaplacian)
+
+func buildLaplacian() *App {
 	g := ir.NewGraph("laplacian")
 	const unroll = 4
 

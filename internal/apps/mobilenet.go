@@ -2,16 +2,21 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ir"
 )
 
-// MobileNet builds one MobileNet block tile: a 3x3 depthwise convolution
+// MobileNet returns one MobileNet block tile: a 3x3 depthwise convolution
 // over four channels with ReLU6 and requantization, followed by a 1x1
 // pointwise convolution producing two output channels. MobileNet is the
 // most memory-heavy workload in the suite (52 memory tiles in Table 3):
 // the depthwise stage double-buffers every channel.
-func MobileNet() *App {
+func MobileNet() *App { return mobileNet() }
+
+var mobileNet = sync.OnceValue(buildMobileNet)
+
+func buildMobileNet() *App {
 	g := ir.NewGraph("mobilenet")
 	const dwCh = 4
 	const pwCh = 2

@@ -2,16 +2,21 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ir"
 )
 
-// ResNet builds one residual-network layer tile: a 3x3 convolution over
+// ResNet returns one residual-network layer tile: a 3x3 convolution over
 // one input-channel slice plus a 3x1 tap of a second slice, partial-sum
 // accumulation (channel reduction happens across invocations), per-channel
 // bias, requantization, ReLU, and the residual add. Four output channels
 // are computed in parallel.
-func ResNet() *App {
+func ResNet() *App { return resNet() }
+
+var resNet = sync.OnceValue(buildResNet)
+
+func buildResNet() *App {
 	g := ir.NewGraph("resnet")
 	const outCh = 4
 

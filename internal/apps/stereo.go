@@ -2,15 +2,20 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ir"
 )
 
-// Stereo builds a block-matching stereo depth estimator: for each of four
+// Stereo returns a block-matching stereo depth estimator: for each of four
 // candidate disparities, the sum of absolute differences over a 3x3 window
 // between the left and right images, then an argmin reduction to the best
 // disparity. Unseen during PE generation (Fig. 13).
-func Stereo() *App {
+func Stereo() *App { return stereo() }
+
+var stereo = sync.OnceValue(buildStereo)
+
+func buildStereo() *App {
 	g := ir.NewGraph("stereo")
 	const unroll = 2
 	const disparities = 4

@@ -2,15 +2,20 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/ir"
 )
 
-// Unsharp builds unsharp masking: RGB-to-luma conversion, a 7-tap
+// Unsharp returns unsharp masking: RGB-to-luma conversion, a 7-tap
 // separable Gaussian blur of the luma, an edge signal with coring
 // (threshold on |edge|), and per-channel add-back with clamping.
 // Unrolled 4x.
-func Unsharp() *App {
+func Unsharp() *App { return unsharp() }
+
+var unsharp = sync.OnceValue(buildUnsharp)
+
+func buildUnsharp() *App {
 	g := ir.NewGraph("unsharp")
 	const unroll = 4
 	const ktaps = 7

@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/cgra"
@@ -81,9 +82,16 @@ func New() *Framework {
 
 // Analysis is the result of mining one application: the compute view the
 // patterns embed into, and the MIS-ranked pattern list.
+//
+// An Analysis is read-only once built and may be shared between
+// goroutines. Its one piece of mutable state, the greedy selection order
+// SelectPatterns extends on demand, is derived from View and Ranked,
+// guarded by its own lock, and never encoded.
 type Analysis struct {
 	View   *graph.Graph
 	Ranked []mis.Ranked
+
+	order selectOrder
 }
 
 // Analyze mines an application's compute view and ranks the frequent
@@ -290,46 +298,78 @@ func (f *Framework) RestrictedBaseline(ctx context.Context, name string, ops []i
 // conditions the mapper enforces, so the score predicts real coverage.
 // This refines the paper's plain MIS-rank selection: a top-MIS pattern
 // whose occurrences overlap application fanout would waste a merge slot.
+//
+// The picks for k are a prefix of the picks for k+1, so the analysis
+// keeps the order found so far and a call runs only the rounds no
+// earlier call has run. The returned slice is the caller's own.
 func SelectPatterns(a *Analysis, k int) []mis.Ranked {
-	sc := newSelectScratch(a.View.NumNodes())
-	remaining := make([]selectCand, 0, len(a.Ranked))
-	for _, r := range a.Ranked {
-		remaining = append(remaining, newSelectCand(r))
+	o := &a.order
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for len(o.picks) < k && !o.done {
+		o.extend(a)
 	}
-	var out []mis.Ranked
-	for len(out) < k && len(remaining) > 0 {
-		bestIdx, bestScore := -1, 0
-		var bestOccs []graph.Embedding
-		for i := range remaining {
-			c := &remaining[i]
-			perOcc := c.r.Pattern.ComputeSize() - 1
-			if perOcc <= 0 {
-				continue
-			}
-			occs := sc.absorbableDisjoint(a.View, c)
-			if score := len(occs) * perOcc; score > bestScore {
-				bestIdx, bestScore, bestOccs = i, score, occs
-			}
+	n := min(k, len(o.picks))
+	if n <= 0 {
+		return nil
+	}
+	return append([]mis.Ranked(nil), o.picks[:n]...)
+}
+
+// selectOrder is an analysis's greedy selection order, extended one
+// round at a time: the picks so far, the candidates and covered view
+// nodes the next round resumes from, and whether no further pattern can
+// be picked (the scratch state is released then).
+type selectOrder struct {
+	mu        sync.Mutex
+	picks     []mis.Ranked
+	remaining []selectCand
+	sc        *selectScratch
+	done      bool
+}
+
+// extend runs one greedy round: pick the remaining pattern whose
+// absorbable occurrences cover the most compute nodes not yet covered.
+func (o *selectOrder) extend(a *Analysis) {
+	if o.sc == nil {
+		o.sc = newSelectScratch(a.View.NumNodes())
+		o.remaining = make([]selectCand, 0, len(a.Ranked))
+		for _, r := range a.Ranked {
+			o.remaining = append(o.remaining, newSelectCand(r))
 		}
-		if bestIdx < 0 {
-			break
+	}
+	bestIdx, bestScore := -1, 0
+	var bestOccs []graph.Embedding
+	for i := range o.remaining {
+		c := &o.remaining[i]
+		perOcc := c.r.Pattern.ComputeSize() - 1
+		if perOcc <= 0 {
+			continue
 		}
+		occs := o.sc.absorbableDisjoint(a.View, c)
+		if score := len(occs) * perOcc; score > bestScore {
+			bestIdx, bestScore, bestOccs = i, score, occs
+		}
+	}
+	if bestIdx >= 0 {
 		for _, occ := range bestOccs {
 			for _, v := range occ {
-				sc.covered[v] = true
+				o.sc.covered[v] = true
 			}
 		}
-		out = append(out, remaining[bestIdx].r)
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
+		o.picks = append(o.picks, o.remaining[bestIdx].r)
+		o.remaining = append(o.remaining[:bestIdx], o.remaining[bestIdx+1:]...)
 	}
-	return out
+	if bestIdx < 0 || len(o.remaining) == 0 {
+		o.done, o.remaining, o.sc = true, nil, nil
+	}
 }
 
 // selectCand is a ranked pattern with what absorbableDisjoint needs of
-// its shape, derived once per SelectPatterns call: the single sink (-1
-// when the pattern has none or several) and, per pattern position,
-// whether it is an interior compute node whose users must all stay
-// inside an occurrence.
+// its shape, derived once per analysis: the single sink (-1 when the
+// pattern has none or several) and, per pattern position, whether it is
+// an interior compute node whose users must all stay inside an
+// occurrence.
 type selectCand struct {
 	r        mis.Ranked
 	sink     int
@@ -358,9 +398,9 @@ func newSelectCand(r mis.Ranked) selectCand {
 	return c
 }
 
-// selectScratch holds SelectPatterns' per-view-node state, allocated
-// once per call: nodes covered by the selected patterns, nodes taken by
-// the occurrences chosen for the pattern being scored (cleared after
+// selectScratch holds the selection's per-view-node state, allocated
+// once per analysis: nodes covered by the selected patterns, nodes taken
+// by the occurrences chosen for the pattern being scored (cleared after
 // each), and the occurrence-membership stamp (inOcc[v] == epoch marks v
 // as in the occurrence under test).
 type selectScratch struct {

@@ -41,16 +41,20 @@ type EvalOptions struct {
 	// deterministic fault injection in tests (see eval.FaultPlan); it must
 	// be safe for concurrent use.
 	Hook StageHook
-	// Layouts, when non-nil, lets this evaluation share place-and-route
-	// outcomes with others whose balanced designs are the same physical
-	// netlist (see LayoutMemo). It is ignored while Hook is set, so fault
-	// injection always sees every stage run. Results are identical
-	// either way.
-	Layouts LayoutMemo
+	// Memo, when non-nil, lets this evaluation share work with the
+	// others evaluated through it: the mapped design of an (application,
+	// variant) pair, its balanced design at a PE latency, and the
+	// place-and-route outcome of a physical netlist (see Memo). It is
+	// ignored while Hook is set, so fault injection always sees every
+	// stage run. Results are identical either way.
+	Memo Memo
 }
 
 // StageHook observes or sabotages pipeline stages; see EvalOptions.Hook.
 type StageHook func(stage string) error
+
+// shared reports whether this evaluation shares work through its memo.
+func (o EvalOptions) shared() bool { return o.Memo != nil && o.Hook == nil }
 
 // hook runs the stage hook if one is installed.
 func (o EvalOptions) hook(stage string) error {
@@ -177,12 +181,20 @@ func (f *Framework) Evaluate(ctx context.Context, app *apps.App, v *PEVariant, o
 	if err := opt.hook("map"); err != nil {
 		return nil, fmt.Errorf("core: map %s on %s: %w", app.Name, v.Name, err)
 	}
+	prefix := DesignKeyPrefix(app.Name, v.Name)
 	_, mapSpan := obs.StartSpan(ctx, "map")
-	mapped, err := rewrite.MapApp(app.Graph, v.Rules, app.Name+"@"+v.Name)
+	md, err := opt.design(ctx, prefix+"map", func() (*Design, error) {
+		m, err := rewrite.MapApp(app.Graph, v.Rules, app.Name+"@"+v.Name)
+		if err != nil {
+			return nil, err
+		}
+		return &Design{mapped: m}, nil
+	})
 	mapSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: map %s on %s: %w", app.Name, v.Name, err)
 	}
+	mapped := md.mapped
 	peLat := 0
 	if opt.Pipelined {
 		peLat = v.Pipelined.Stages
@@ -194,8 +206,15 @@ func (f *Framework) Evaluate(ctx context.Context, app *apps.App, v *PEVariant, o
 		return nil, fmt.Errorf("core: balance %s on %s: %w", app.Name, v.Name, err)
 	}
 	_, balSpan := obs.StartSpan(ctx, "balance")
-	balanced, report := pipeline.BalanceApp(mapped, pipeline.AppOptions{PELatency: peLat})
+	bd, err := opt.design(ctx, fmt.Sprintf("%sbalance|%d", prefix, peLat), func() (*Design, error) {
+		b, report := pipeline.BalanceApp(mapped, pipeline.AppOptions{PELatency: peLat})
+		return &Design{mapped: b, report: report}, nil
+	})
 	balSpan.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: balance %s on %s: %w", app.Name, v.Name, err)
+	}
+	balanced, report := bd.mapped, bd.report
 
 	r := &Result{
 		App:        app.Name,
@@ -211,13 +230,14 @@ func (f *Framework) Evaluate(ctx context.Context, app *apps.App, v *PEVariant, o
 		Balanced:   balanced,
 	}
 
+	usedSB := 0
 	if opt.PnR {
-		if err := f.placeAndRoute(ctx, app, v, balanced, opt, r); err != nil {
+		if usedSB, err = f.placeAndRoute(ctx, app, v, balanced, opt, r); err != nil {
 			return nil, err
 		}
 	}
 
-	f.fillMetrics(app, v, r, opt)
+	f.fillMetrics(app, v, r, opt, usedSB)
 	if err := f.Tech.Err(); err != nil {
 		return nil, fmt.Errorf("core: evaluate %s on %s: %w", app.Name, v.Name, err)
 	}
@@ -227,18 +247,33 @@ func (f *Framework) Evaluate(ctx context.Context, app *apps.App, v *PEVariant, o
 	return r, nil
 }
 
+// design returns the design build produces, memoized under key when
+// this evaluation shares work (see shared). A memo hit still honours
+// this cell's cancellation.
+func (o EvalOptions) design(ctx context.Context, key string, build func() (*Design, error)) (*Design, error) {
+	if !o.shared() {
+		return build()
+	}
+	d, err := o.Memo.Design(ctx, key, build)
+	if err == nil {
+		err = fault.Canceled(ctx)
+	}
+	return d, err
+}
+
 // placeAndRoute fills the routing fields of r from the cell's layout,
 // degrading to the analytical estimate (Routing left nil, Degraded set)
 // when the ladder could not complete for a reason retrying will not fix.
-// With a layout memo (and no stage hook, whose injections must see every
-// stage run) a netlist another evaluation already placed is not placed
-// again; the hit still honours this cell's cancellation.
-func (f *Framework) placeAndRoute(ctx context.Context, app *apps.App, v *PEVariant, balanced *rewrite.Mapped, opt EvalOptions, r *Result) error {
+// It returns the number of tiles whose switch box the routing uses (0
+// when degraded). With a memo (and no stage hook, whose injections must
+// see every stage run) a netlist another evaluation already placed is
+// not placed again; the hit still honours this cell's cancellation.
+func (f *Framework) placeAndRoute(ctx context.Context, app *apps.App, v *PEVariant, balanced *rewrite.Mapped, opt EvalOptions, r *Result) (int, error) {
 	build := func(ctx context.Context) (*Layout, error) { return f.layout(ctx, app, v, balanced, opt) }
 	var lay *Layout
 	var err error
-	if opt.Layouts != nil && opt.Hook == nil {
-		lay, err = opt.Layouts.Layout(ctx, f.layoutKey(balanced), build)
+	if opt.shared() {
+		lay, err = opt.Memo.Layout(ctx, f.layoutKey(balanced), build)
 		if err == nil {
 			err = fault.Canceled(ctx)
 		}
@@ -248,9 +283,9 @@ func (f *Framework) placeAndRoute(ctx context.Context, app *apps.App, v *PEVaria
 	if err != nil {
 		var se *stageError
 		if errors.As(err, &se) {
-			return fmt.Errorf("core: %s %s on %s: %w", se.stage, app.Name, v.Name, se.err)
+			return 0, fmt.Errorf("core: %s %s on %s: %w", se.stage, app.Name, v.Name, se.err)
 		}
-		return err
+		return 0, err
 	}
 	r.PnRAttempts = lay.attempts
 	if lay.routing == nil {
@@ -260,7 +295,7 @@ func (f *Framework) placeAndRoute(ctx context.Context, app *apps.App, v *PEVaria
 		obs.Logger(ctx).Warn("pnr degraded to analytical estimate",
 			"app", app.Name, "variant", v.Name,
 			"attempts", r.PnRAttempts, "reason", r.DegradedReason)
-		return nil
+		return 0, nil
 	}
 	// Rebind the shared layout to this cell's design: the bitstream and
 	// its decoder read the PE configurations through Placement.Mapped.
@@ -270,8 +305,8 @@ func (f *Framework) placeAndRoute(ctx context.Context, app *apps.App, v *PEVaria
 	routing.Placement = &placed
 	r.Routing = &routing
 	r.Routed = true
-	r.RoutingTiles = routing.RoutingOnlyTiles()
-	return nil
+	r.RoutingTiles = lay.routingTiles
+	return lay.usedSBTiles, nil
 }
 
 // Layout is the outcome of the place-and-route retry ladder for one
@@ -286,14 +321,41 @@ type Layout struct {
 	attempts int
 	degraded error  // why the ladder degraded
 	metric   string // pnr.degraded.<metric> counter suffix
+	// The routing's tile counts (Routing.RoutingOnlyTiles and
+	// UsedSBTiles), counted once per layout: they read only node kinds,
+	// locations and route paths, which every design sharing the layout
+	// has in common.
+	routingTiles, usedSBTiles int
 }
 
-// LayoutMemo shares layouts between evaluations (EvalOptions.Layouts).
-// Layout returns the layout memoized under key, calling build at most
-// once per key among concurrent callers, with the context the build must
-// run under. A build that fails with fault.ErrCanceled has only been
-// stopped, so it must not be memoized or served to another caller.
-type LayoutMemo interface {
+// Design is what one design stage of an evaluation produced: the mapped
+// design of an (application, variant) pair, or its balanced design and
+// balance report at one PE latency. It is read-only once built; every
+// evaluation that shares it, and its Result, point at the same design.
+type Design struct {
+	mapped *rewrite.Mapped
+	report pipeline.BalanceReport
+}
+
+// DesignKeyPrefix is the prefix of every Design key of an (application,
+// variant) pair, so a memo can drop one pair's designs. Design keys name
+// the pair rather than digest it: a Memo must only be shared by
+// evaluations in which an application name and a variant name each
+// identify one graph and one rule set, as within one eval.Harness.
+func DesignKeyPrefix(app, variant string) string { return app + "|" + variant + "|" }
+
+// Memo shares work between evaluations (EvalOptions.Memo). Each method
+// returns the value memoized under key, calling build at most once per
+// key among concurrent callers; a caller waiting on another's build
+// stops waiting when ctx is done.
+type Memo interface {
+	// Design memoizes mapped and balanced designs under keys that start
+	// with DesignKeyPrefix. Design builds are never canceled.
+	Design(ctx context.Context, key string, build func() (*Design, error)) (*Design, error)
+	// Layout memoizes place-and-route outcomes under a netlist digest.
+	// build receives the context it must run under. A build that fails
+	// with fault.ErrCanceled has only been stopped, so it must not be
+	// memoized or served to another caller.
 	Layout(ctx context.Context, key string, build func(context.Context) (*Layout, error)) (*Layout, error)
 }
 
@@ -356,6 +418,7 @@ func (f *Framework) layout(ctx context.Context, app *apps.App, v *PEVariant, bal
 		routeSpan.End()
 		if err == nil {
 			lay.routing = routing
+			lay.routingTiles, lay.usedSBTiles = routing.RoutingOnlyTiles(), routing.UsedSBTiles()
 			return lay, nil
 		}
 		if errors.Is(err, fault.ErrCanceled) {
@@ -409,8 +472,9 @@ func (f *Framework) layoutKey(m *rewrite.Mapped) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// fillMetrics computes the area/energy/performance roll-ups.
-func (f *Framework) fillMetrics(app *apps.App, v *PEVariant, r *Result, opt EvalOptions) {
+// fillMetrics computes the area/energy/performance roll-ups; usedSB is
+// the routed design's switch-box tile count (read only when routed).
+func (f *Framework) fillMetrics(app *apps.App, v *PEVariant, r *Result, opt EvalOptions, usedSB int) {
 	m := f.Tech
 
 	// --- Area.
@@ -425,7 +489,7 @@ func (f *Framework) fillMetrics(app *apps.App, v *PEVariant, r *Result, opt Eval
 
 	sbTiles := r.NumPEs + r.NumMems + r.RoutingTiles
 	if r.Routing != nil {
-		sbTiles = r.Routing.UsedSBTiles()
+		sbTiles = usedSB
 	}
 	r.SBArea = m.SwitchBox().Area*float64(sbTiles) +
 		m.Unit("pipereg").Area*float64(r.NumRegs)

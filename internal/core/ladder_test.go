@@ -155,12 +155,17 @@ func TestEvaluateCancellation(t *testing.T) {
 	}
 }
 
-// mapMemo is a minimal LayoutMemo: a plain map, built on first lookup.
-// onHit, when set, runs before a memoized layout is returned.
+// mapMemo is a minimal Memo: layouts in a plain map, built on first
+// lookup; designs built on every lookup. onHit, when set, runs before a
+// memoized layout is returned.
 type mapMemo struct {
 	layouts map[string]*Layout
 	builds  int
 	onHit   func()
+}
+
+func (m *mapMemo) Design(_ context.Context, _ string, build func() (*Design, error)) (*Design, error) {
+	return build()
 }
 
 func (m *mapMemo) Layout(ctx context.Context, key string, build func(context.Context) (*Layout, error)) (*Layout, error) {
@@ -189,7 +194,7 @@ func TestEvaluateCancellationOnLayoutHit(t *testing.T) {
 	}
 	memo := &mapMemo{layouts: map[string]*Layout{}}
 	opt := FullEval
-	opt.Layouts = memo
+	opt.Memo = memo
 	if _, err := fw.Evaluate(context.Background(), app, v, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +225,7 @@ func TestPnRDegradedLayoutShared(t *testing.T) {
 	}
 	memo := &mapMemo{layouts: map[string]*Layout{}}
 	opt := FullEval
-	opt.Layouts = memo
+	opt.Memo = memo
 	for i := 0; i < 2; i++ {
 		r, err := fw.Evaluate(context.Background(), app, v, opt)
 		if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
@@ -36,6 +37,56 @@ func TestSelectPatternsMatchesLegacy(t *testing.T) {
 	}
 	if picked == 0 {
 		t.Fatal("no app selected any pattern")
+	}
+}
+
+// TestSelectPatternsPrefix: the memoized selection order answers every
+// k = 0..8 exactly as the frozen copy does on every suite app, whether
+// the calls on one analysis ask for increasing k, decreasing k, or all
+// k at once from several goroutines; and a caller that overwrites its
+// result cannot reach the memoized order.
+func TestSelectPatternsPrefix(t *testing.T) {
+	const maxK = 8
+	fw := New()
+	for _, app := range apps.All() {
+		an, err := fw.Analyze(context.Background(), app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]mis.Ranked, maxK+1)
+		for k := range want {
+			want[k] = legacySelectPatterns(an, k)
+		}
+		fresh := func() *Analysis { return &Analysis{View: an.View, Ranked: an.Ranked} }
+		check := func(order string, a *Analysis, k int) {
+			got := SelectPatterns(a, k)
+			if !reflect.DeepEqual(got, want[k]) {
+				t.Errorf("%s, %s order, k=%d: selected %d patterns, legacy %d, or a different order", app.Name, order, k, len(got), len(want[k]))
+			}
+			for i := range got {
+				got[i] = mis.Ranked{}
+			}
+		}
+		inc := fresh()
+		for k := 0; k <= maxK; k++ {
+			check("increasing", inc, k)
+		}
+		dec := fresh()
+		for k := maxK; k >= 0; k-- {
+			check("decreasing", dec, k)
+		}
+		conc := fresh()
+		var wg sync.WaitGroup
+		for rep := 0; rep < 3; rep++ {
+			for k := 0; k <= maxK; k++ {
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					check("concurrent", conc, k)
+				}(k)
+			}
+		}
+		wg.Wait()
 	}
 }
 

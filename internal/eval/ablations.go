@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/mining"
 	"repro/internal/mis"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
@@ -36,11 +35,8 @@ func (h *Harness) Ablations(ctx context.Context) (*Table, error) {
 	}
 	freqVariant := func() (*core.PEVariant, error) {
 		return h.Variant("abl_freq", func(ctx context.Context) (*core.PEVariant, error) {
-			pats, err := h.freqPatterns(ctx, app)
-			if err != nil {
-				return nil, err
-			}
-			byFreq := mis.RankByFrequency(ctx, pats)
+			byFreq := append([]mis.Ranked(nil), h.Analysis(app).Ranked...)
+			mis.SortByFrequency(byFreq)
 			pick := 0
 			for pick < len(byFreq) {
 				if _, err := rewrite.PatternFromMined(byFreq[pick].Pattern.Graph, "probe"); err == nil {
@@ -119,20 +115,4 @@ func (h *Harness) Ablations(ctx context.Context) (*Table, error) {
 		})
 	}
 	return t, nil
-}
-
-// freqPatterns re-mines the app for the frequency-ranking ablation (the
-// cached analysis is already MIS-ranked; ranking is cheap, mining is
-// what the cache saves — reuse the cached view's parameters).
-func (h *Harness) freqPatterns(ctx context.Context, app *apps.App) ([]mining.Pattern, error) {
-	view, _ := mining.ComputeView(app.Graph)
-	minSupport := app.ComputeOps() / 40
-	if minSupport < 4 {
-		minSupport = 4
-	}
-	return mining.Mine(ctx, view, mining.Options{
-		MinSupport: minSupport,
-		MaxNodes:   h.FW.MaxPatternNodes,
-		Workers:    h.FW.MineWorkers,
-	})
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/store"
 )
 
 // TestMemoTableExactlyOnce races 32 goroutines over overlapping keys and
@@ -22,7 +23,7 @@ func TestMemoTableExactlyOnce(t *testing.T) {
 		keys       = 5
 		callsEach  = 50
 	)
-	table := newMemoTable[int]()
+	table := &memoTable[int]{}
 	builds := make([]atomic.Int64, keys)
 	var wg sync.WaitGroup
 	got := make([][]int, goroutines)
@@ -62,7 +63,7 @@ func TestMemoTableExactlyOnce(t *testing.T) {
 // TestMemoTableCachesErrors verifies a failing build is also
 // exactly-once: later callers get the same error without re-running it.
 func TestMemoTableCachesErrors(t *testing.T) {
-	table := newMemoTable[int]()
+	table := &memoTable[int]{}
 	sentinel := errors.New("boom")
 	var builds atomic.Int64
 	build := func() (int, error) {
@@ -198,6 +199,34 @@ func TestSuiteDeterministicAcrossWorkers(t *testing.T) {
 		if s, p := st[i].Markdown(), pt[i].Markdown(); s != p {
 			t.Errorf("%s differs between workers=1 and workers=8:\nserial:\n%s\nparallel:\n%s",
 				st[i].ID, s, p)
+		}
+	}
+}
+
+// TestAppsSharedReadOnly: every application constructor returns one
+// shared *App, and a full fast suite on eight workers leaves every
+// app's fingerprint as it found it. Under -race this also shows that
+// no cell writes a shared app while another reads it.
+func TestAppsSharedReadOnly(t *testing.T) {
+	before := map[string]store.Key{}
+	for _, name := range apps.Names() {
+		a, err := apps.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, _ := apps.ByName(name); a != b {
+			t.Errorf("ByName(%q) built a second app", name)
+		}
+		before[name] = store.AppHash(a)
+	}
+	h := fastHarness()
+	h.Workers = 8
+	if _, err := h.Suite(context.Background(), false); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range apps.All() {
+		if got := store.AppHash(a); got != before[a.Name] {
+			t.Errorf("%s: app fingerprint moved during the suite: %s -> %s", a.Name, before[a.Name], got)
 		}
 	}
 }

@@ -28,10 +28,10 @@ import (
 	"repro/internal/store"
 )
 
-// Harness caches analyses, PE variants, evaluation results, and
-// place-and-route layouts across experiments, so the full suite runs
-// each expensive step once. All methods are safe for concurrent use:
-// the caches are singleflight memo tables (duplicate keys compute
+// Harness caches analyses, PE variants, evaluation results, mapped and
+// balanced designs, and place-and-route layouts across experiments, so
+// the full suite runs each expensive step once. All methods are safe
+// for concurrent use: the caches are singleflight memo tables (duplicate keys compute
 // exactly once even under contention), and the figure drivers fan their
 // independent (app, variant, pnr, pipelined) cells out over a bounded
 // worker pool before assembling the tables in a fixed serial order — so
@@ -71,13 +71,16 @@ type Harness struct {
 	// instrumentation point on its zero-cost disabled path.
 	obs *obs.Obs
 
-	analyses *memoTable[*core.Analysis]
-	variants *memoTable[*core.PEVariant]
-	results  *memoTable[*core.Result]
-	// layouts shares place-and-route between cells whose balanced
-	// designs are the same physical netlist (core.LayoutMemo), keyed by
-	// the netlist digest core computes.
-	layouts *memoTable[*core.Layout]
+	analyses memoTable[*core.Analysis]
+	variants memoTable[*core.PEVariant]
+	results  memoTable[*core.Result]
+	// designs shares each (app, variant) mapping and each (app, variant,
+	// PE latency) balance between the cells that need it, and layouts
+	// shares place-and-route between cells whose balanced designs are the
+	// same physical netlist, keyed by the netlist digest core computes;
+	// both serve core.Memo (evalMemo).
+	designs memoTable[*core.Design]
+	layouts memoTable[*core.Layout]
 
 	// store is the optional persistent content-addressed cache layered
 	// under the memo tables (SetStore); nil keeps the harness in-memory.
@@ -92,14 +95,9 @@ type Harness struct {
 
 // NewHarness returns a harness with the paper's defaults.
 func NewHarness() *Harness {
-	return &Harness{
-		FW:       core.New(),
-		Report:   &Report{},
-		analyses: newMemoTable[*core.Analysis](),
-		variants: newMemoTable[*core.PEVariant](),
-		results:  newMemoTable[*core.Result](),
-		layouts:  &memoTable[*core.Layout]{forgetCanceled: true},
-	}
+	h := &Harness{FW: core.New(), Report: &Report{}}
+	h.layouts.forgetCanceled = true
+	return h
 }
 
 // SetObs installs the run's observability bundle on the harness and its
@@ -114,11 +112,12 @@ func (h *Harness) SetObs(o *obs.Obs) {
 	h.analyses.instrument("analyses", reg)
 	h.variants.instrument("variants", reg)
 	h.results.instrument("results", reg)
+	h.designs.instrument("designs", reg)
 	h.layouts.instrument("layouts", reg)
 }
 
 // ResetMemos drops every in-memory memoized analysis, variant, result,
-// and layout. A long-running process (the apexd daemon) calls it
+// design, and layout. A long-running process (the apexd daemon) calls it
 // periodically so the in-process tables cannot grow without bound; with
 // a persistent store attached the next lookups reload from disk, so the
 // cost is deserialization, not recomputation. Safe to call concurrently
@@ -128,12 +127,14 @@ func (h *Harness) ResetMemos() {
 	h.analyses.reset()
 	h.variants.reset()
 	h.results.reset()
+	h.designs.reset()
 	h.layouts.reset()
 }
 
-// ForgetResult drops one evaluation cell from the results memo so the
-// next Evaluate of the same cell runs (or reloads) fresh. The memo
-// deliberately caches errors — within one deterministic run a retry
+// ForgetResult drops one evaluation cell from the results memo, and the
+// mapped and balanced designs of its (app, variant) pair from the
+// designs memo, so the next Evaluate of the same cell runs (or reloads)
+// fresh. The memo deliberately caches errors — within one deterministic run a retry
 // cannot succeed — but a supervisor that re-enqueues failed jobs (with
 // new options, after transient injected faults, or after a timeout)
 // needs to invalidate the cached failure first. The arguments mirror
@@ -143,6 +144,7 @@ func (h *Harness) ForgetResult(appName, variantName string, pnr, pipelined bool)
 		pnr = false
 	}
 	h.results.forget(fmt.Sprintf("%s|%s|%v|%v", appName, variantName, pnr, pipelined))
+	h.designs.forgetPrefix(core.DesignKeyPrefix(appName, variantName))
 }
 
 // MemoStats snapshots the cache-effectiveness counters of the memo
@@ -152,6 +154,7 @@ func (h *Harness) MemoStats() map[string]MemoStats {
 		"analyses": h.analyses.Stats(),
 		"variants": h.variants.Stats(),
 		"results":  h.results.Stats(),
+		"designs":  h.designs.Stats(),
 		"layouts":  h.layouts.Stats(),
 	}
 }
@@ -324,7 +327,7 @@ func (h *Harness) Evaluate(ctx context.Context, app *apps.App, v *core.PEVariant
 			cctx, cancel = context.WithTimeout(cctx, h.CellTimeout)
 			defer cancel()
 		}
-		opt := core.EvalOptions{PnR: pnr, Pipelined: pipelined, Layouts: layoutMemo{h}}
+		opt := core.EvalOptions{PnR: pnr, Pipelined: pipelined, Memo: evalMemo{h}}
 		if h.Faults != nil {
 			if err := h.Faults.fire("evaluate", cell); err != nil {
 				return nil, err
@@ -349,15 +352,21 @@ func (h *Harness) Evaluate(ctx context.Context, app *apps.App, v *core.PEVariant
 	return r, err
 }
 
-// layoutMemo serves core.LayoutMemo from the harness's layouts table. A
-// build runs under the evaluating cell's context, so its deadline and
-// cancellation apply, re-rooted like the cell's own evaluate span: the
-// span tree and the invariant metrics do not depend on which cell built
-// the layout first. The table drops canceled builds, so one cell's
-// timeout never reaches a sibling waiting on the same netlist.
-type layoutMemo struct{ h *Harness }
+// evalMemo serves core.Memo from the harness's designs and layouts
+// tables. A layout build runs under the evaluating cell's context, so
+// its deadline and cancellation apply, re-rooted like the cell's own
+// evaluate span: the span tree and the invariant metrics do not depend
+// on which cell built the layout first. The layouts table drops
+// canceled builds, so one cell's timeout never reaches a sibling
+// waiting on the same netlist. Design builds take no context and
+// record no spans.
+type evalMemo struct{ h *Harness }
 
-func (m layoutMemo) Layout(ctx context.Context, key string, build func(context.Context) (*core.Layout, error)) (*core.Layout, error) {
+func (m evalMemo) Design(ctx context.Context, key string, build func() (*core.Design, error)) (*core.Design, error) {
+	return m.h.designs.do(ctx, key, build)
+}
+
+func (m evalMemo) Layout(ctx context.Context, key string, build func(context.Context) (*core.Layout, error)) (*core.Layout, error) {
 	return m.h.layouts.do(ctx, key, func() (*core.Layout, error) {
 		return build(m.h.obs.Reattach(ctx))
 	})

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/cgra"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/store"
 )
 
 // placementDigestFile pins the physical outcome of every place-and-route
@@ -243,7 +245,7 @@ func TestLayoutMemoHitRebinds(t *testing.T) {
 // on it nor kept for later lookups.
 func TestLayoutMemoDropsCanceledBuild(t *testing.T) {
 	h := NewHarness()
-	memo := layoutMemo{h}
+	memo := evalMemo{h}
 	started, release := make(chan struct{}), make(chan struct{})
 	ctxA, cancelA := context.WithCancel(context.Background())
 	defer cancelA()
@@ -288,5 +290,66 @@ func TestLayoutMemoDropsCanceledBuild(t *testing.T) {
 	}
 	if s := h.MemoStats()["layouts"]; s.Misses != 2 || s.Lookups() != 3 {
 		t.Errorf("layout memo %+v, want 2 misses in 3 lookups", s)
+	}
+}
+
+// TestDesignMemo: one serial full-PnR suite pass maps each distinct
+// (app, variant) pair once and balances each distinct (app, variant, PE
+// latency) once — 38 mappings and 50 balances for its 68 cells — and
+// cells of one pair share one mapped design. Every cell's Result encodes
+// byte-identically to a memo-less evaluation of the same cell.
+func TestDesignMemo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full PnR suite skipped in -short mode")
+	}
+	ctx := context.Background()
+	h := NewHarness()
+	h.Workers = 1
+	if _, err := h.Suite(ctx, true); err != nil {
+		t.Fatal(err)
+	}
+	type cell struct {
+		app       *apps.App
+		v         *core.PEVariant
+		pnr, pipe bool
+		r         *core.Result
+	}
+	var cells []cell
+	maps := map[string]*core.Result{}
+	balances := map[string]bool{}
+	for key, e := range h.results.entries {
+		<-e.done
+		if e.err != nil {
+			t.Fatalf("cell %s: %v", key, e.err)
+		}
+		f := strings.Split(key, "|")
+		app, err := apps.ByName(f[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ve := h.variants.entries[f[1]]
+		c := cell{app: app, v: ve.val, pnr: f[2] == "true", pipe: f[3] == "true", r: e.val}
+		cells = append(cells, c)
+		pair := f[0] + "|" + f[1]
+		if first, ok := maps[pair]; ok && first.Mapped != c.r.Mapped {
+			t.Errorf("cells of %s do not share one mapped design", pair)
+		}
+		maps[pair] = c.r
+		balances[fmt.Sprintf("%s|%d", pair, c.r.PELatency)] = true
+	}
+	if len(cells) != 68 || len(maps) != 38 || len(balances) != 50 {
+		t.Errorf("suite has %d cells, %d (app, variant) pairs and %d balances; want 68, 38 and 50", len(cells), len(maps), len(balances))
+	}
+	if s := h.MemoStats()["designs"]; s.Misses != int64(len(maps)+len(balances)) || s.Lookups() != int64(2*len(cells)) {
+		t.Errorf("design memo: %d lookups, %d misses; want %d lookups, %d misses", s.Lookups(), s.Misses, 2*len(cells), len(maps)+len(balances))
+	}
+	for _, c := range cells {
+		fresh, err := h.FW.Evaluate(ctx, c.app, c.v, core.EvalOptions{PnR: c.pnr, Pipelined: c.pipe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(store.EncodeResult(c.r), store.EncodeResult(fresh)) {
+			t.Errorf("%s on %s (pnr=%v pipelined=%v): result differs from a memo-less evaluation", c.app.Name, c.v.Name, c.pnr, c.pipe)
+		}
 	}
 }

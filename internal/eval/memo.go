@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -39,8 +40,11 @@ type memoTable[V any] struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry[V] // allocated by the first build
 
-	name string
-	reg  *obs.Registry
+	// inst names the table and holds the registry its invariant
+	// counters go to; nil when uninstrumented. One pointer keeps the
+	// table small: a harness holds five of them by value, and building
+	// a harness is a benchmarked set-up cost.
+	inst *memoInst
 
 	// forgetCanceled keeps canceled builds out of the table (see do).
 	forgetCanceled bool
@@ -57,14 +61,18 @@ type memoEntry[V any] struct {
 	err  error
 }
 
-func newMemoTable[V any]() *memoTable[V] {
-	return &memoTable[V]{}
+type memoInst struct {
+	name string
+	reg  *obs.Registry
 }
 
 // instrument names the table and attaches the metrics registry its
 // invariant counters go to (nil detaches).
 func (t *memoTable[V]) instrument(name string, reg *obs.Registry) {
-	t.name, t.reg = name, reg
+	t.inst = nil
+	if reg != nil {
+		t.inst = &memoInst{name, reg}
+	}
 }
 
 // MemoStats is a point-in-time snapshot of one memo table's cache
@@ -103,6 +111,18 @@ func (t *memoTable[V]) forget(key string) {
 	t.mu.Unlock()
 }
 
+// forgetPrefix drops every key that starts with prefix, as forget does
+// for one key.
+func (t *memoTable[V]) forgetPrefix(prefix string) {
+	t.mu.Lock()
+	for k := range t.entries {
+		if strings.HasPrefix(k, prefix) {
+			delete(t.entries, k)
+		}
+	}
+	t.mu.Unlock()
+}
+
 // reset drops every entry (counters are kept — they describe the
 // process lifetime, not the current generation). In-flight builds
 // complete against their detached entries exactly as in forget.
@@ -121,8 +141,8 @@ func (t *memoTable[V]) reset() {
 // fault.ErrCanceled is returned to its own caller only: the entry is
 // dropped, and callers that were waiting on it build afresh.
 func (t *memoTable[V]) do(ctx context.Context, key string, build func() (V, error)) (V, error) {
-	if t.reg != nil {
-		t.reg.Counter("memo." + t.name + ".lookups").Add(1)
+	if t.inst != nil {
+		t.inst.reg.Counter("memo." + t.inst.name + ".lookups").Add(1)
 	}
 	for {
 		t.mu.Lock()
@@ -159,8 +179,8 @@ func (t *memoTable[V]) do(ctx context.Context, key string, build func() (V, erro
 	t.entries[key] = e
 	t.mu.Unlock()
 	t.misses.Add(1)
-	if t.reg != nil {
-		t.reg.Counter("memo." + t.name + ".miss").Add(1)
+	if t.inst != nil {
+		t.inst.reg.Counter("memo." + t.inst.name + ".miss").Add(1)
 	}
 
 	func() {

@@ -102,13 +102,23 @@ func Rank(ctx context.Context, patterns []mining.Pattern) []Ranked {
 	return ranked
 }
 
-// RankByFrequency sorts patterns by raw embedding count instead of MIS
-// size — the ablation baseline for the paper's MIS-guided ranking.
+// RankByFrequency analyzes every pattern and orders the result by
+// frequency (SortByFrequency) instead of MIS size — the ablation
+// baseline for the paper's MIS-guided ranking.
 func RankByFrequency(ctx context.Context, patterns []mining.Pattern) []Ranked {
 	ranked := make([]Ranked, len(patterns))
 	for i, p := range patterns {
 		ranked[i] = analyzeTraced(ctx, p)
 	}
+	SortByFrequency(ranked)
+	return ranked
+}
+
+// SortByFrequency orders analyzed patterns in place by their number of
+// distinct occurrences, most first, ties broken by canonical code. The
+// order is total, so it does not depend on the order patterns arrive in:
+// re-sorting an MIS ranking gives what RankByFrequency gives.
+func SortByFrequency(ranked []Ranked) {
 	sort.Slice(ranked, func(i, j int) bool {
 		fi, fj := len(ranked[i].Occurrences), len(ranked[j].Occurrences)
 		if fi != fj {
@@ -116,7 +126,6 @@ func RankByFrequency(ctx context.Context, patterns []mining.Pattern) []Ranked {
 		}
 		return ranked[i].Pattern.Code < ranked[j].Pattern.Code
 	})
-	return ranked
 }
 
 // dedupeBySet collapses embeddings that cover the same target-node set

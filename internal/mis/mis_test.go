@@ -2,7 +2,7 @@ package mis
 
 import (
 	"context"
-
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -177,5 +177,24 @@ func TestIndependentSetIsActuallyIndependent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSortByFrequencyOfMISRanking: re-sorting an MIS ranking by
+// frequency gives exactly what RankByFrequency gives on the same mined
+// patterns, so the frequency ablation can reuse a cached analysis.
+func TestSortByFrequencyOfMISRanking(t *testing.T) {
+	pats, err := mining.Mine(context.Background(), convView(), mining.Options{MinSupport: 2, MaxNodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pats) < 3 {
+		t.Fatalf("mined %d patterns, want several to order", len(pats))
+	}
+	want := RankByFrequency(context.Background(), pats)
+	got := Rank(context.Background(), pats)
+	SortByFrequency(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("frequency-sorted MIS ranking differs from RankByFrequency")
 	}
 }

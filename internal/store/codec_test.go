@@ -42,7 +42,10 @@ func TestAnalysisRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, dec) {
+	// The fixture already selected patterns from a; that lazily built
+	// selection order is derived state and not encoded, so compare the
+	// encoded fields.
+	if want := (&core.Analysis{View: a.View, Ranked: a.Ranked}); !reflect.DeepEqual(want, dec) {
 		t.Fatal("analysis did not round-trip exactly")
 	}
 	// Re-encoding the decoded value must be byte-identical (canonical
