@@ -54,8 +54,11 @@ bench-triage:
 # The persistent-store and sweep-engine gates (DESIGN.md §12): the wire
 # framing primitives guard every count, codecs round-trip pipeline
 # artifacts exactly and keep their pinned bytes, poisoned cache entries are
-# detected and recomputed, a warm suite is byte-identical to cold, and a
-# checkpointed sweep resumes without recomputing finished cells.
+# detected and recomputed, a warm suite is byte-identical to cold, a
+# checkpointed sweep resumes without recomputing finished cells, and a
+# sweep's cells share designs and layouts (TestSweepSharesLayouts) while
+# its report keeps its pinned bytes at any worker count
+# (TestSweepReportPinned, testdata/report.sha256).
 sweepcheck:
 	$(GO) test ./internal/wire/ ./internal/store/ -count=1
 	$(GO) test ./internal/eval/ -run TestPersist -count=1
@@ -109,7 +112,9 @@ fuzz:
 # memoized greedy selection order answers every k like the frozen
 # selector in any call order, and the harness maps each (app, variant)
 # and balances each (app, variant, PE latency) once per pass with
-# results byte-identical to memo-less evaluations. The telemetry
+# results byte-identical to memo-less evaluations; PEs generated along an
+# analysis's merge chain encode exactly like from-scratch ones in any
+# call order (under the race detector). The telemetry
 # additions (DESIGN.md §14):
 # steady-state time-series recording and the no-subscriber event guard
 # are allocation-free, and per-job trace capture stays O(spans).
@@ -123,6 +128,7 @@ perfcheck:
 	$(GO) test ./internal/pe/ -run TestActivationEnergyAllocs -count=1 -v
 	$(GO) test ./internal/eval/ -run 'TestCompileMatchesLegacyEvaluate|TestCrossCheckMatchesLegacy|TestProducersMatchLegacy' -count=1
 	$(GO) test ./internal/core/ -run 'TestSelectPatternsMatchesLegacy|TestSelectPatternsPrefix' -count=1
+	$(GO) test -race ./internal/core/ -run TestGenerateTopPEMatchesGeneratePE -count=1
 	$(GO) test ./internal/obs/ -run TestTimeSeriesAllocs -count=1
 	$(GO) test ./internal/serve/ -run 'TestEventPublishInactiveAllocs|TestJobTraceCaptureAllocs' -count=1
 
@@ -135,7 +141,7 @@ golden:
 # failure mode (panic, non-convergence, timeout, cancellation) must
 # surface per cell while the rest of the run completes (DESIGN.md §8).
 faultcheck:
-	$(GO) test -race ./internal/fault/ ./internal/eval/ -run 'Fault|KeepGoing|Cancel|Timeout|Memo'
+	$(GO) test -race ./internal/fault/ ./internal/memo/ ./internal/eval/ -run 'Fault|KeepGoing|Cancel|Timeout|Memo'
 	$(GO) test -race ./internal/core/ -run 'PnR|Cancellation'
 
 # Library code must use the internal/fault taxonomy, not panics or

@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/apps"
@@ -84,14 +85,16 @@ func New() *Framework {
 // patterns embed into, and the MIS-ranked pattern list.
 //
 // An Analysis is read-only once built and may be shared between
-// goroutines. Its one piece of mutable state, the greedy selection order
-// SelectPatterns extends on demand, is derived from View and Ranked,
+// goroutines. Its two pieces of mutable state, the greedy selection
+// order SelectPatterns extends on demand and the merged datapaths along
+// it that GenerateTopPE extends, are derived from View and Ranked, each
 // guarded by its own lock, and never encoded.
 type Analysis struct {
 	View   *graph.Graph
 	Ranked []mis.Ranked
 
 	order selectOrder
+	chain mergeChain
 }
 
 // Analyze mines an application's compute view and ranks the frequent
@@ -190,26 +193,50 @@ var ControlOps = []ir.Op{ir.OpSel, ir.OpLUT}
 // (PE 2 merges one, PE 3 two, and so on), plus the synthesized compiler
 // and automatic pipelining.
 func (f *Framework) GeneratePE(ctx context.Context, name string, baseOps []ir.Op, patterns []mis.Ranked) (*PEVariant, error) {
+	return f.generateRanked(ctx, name, baseOps, patterns, new(mergeChain))
+}
+
+// GenerateTopPE is GeneratePE over SelectPatterns(a, k). PE k+1 is PE k's
+// datapath merged with one more subgraph (paper Fig. 11), so the analysis
+// keeps the merged datapaths along its selection order and a call merges
+// only the picks no earlier call has merged. The chain is built for the
+// tech model and base op set of its first call; a call with another model
+// or op set merges privately, from scratch. Either way the variant is
+// identical to GeneratePE's.
+func (f *Framework) GenerateTopPE(ctx context.Context, name string, baseOps []ir.Op, a *Analysis, k int) (*PEVariant, error) {
+	return f.generateRanked(ctx, name, baseOps, SelectPatterns(a, k), &a.chain)
+}
+
+// generateRanked names the ranked patterns "<name>_sg<i>" and generates
+// the PE along chain.
+func (f *Framework) generateRanked(ctx context.Context, name string, baseOps []ir.Op, patterns []mis.Ranked, chain *mergeChain) (*PEVariant, error) {
 	ctx, span := obs.StartSpan(ctx, "generate_pe",
 		obs.String("variant", name), obs.Int("patterns", len(patterns)))
 	defer span.End()
-	ops := withControlOps(baseOps)
-	dp := merge.BaselinePE(ops)
 	var named []rewrite.NamedPattern
 	for i, r := range patterns {
 		np, err := rewrite.PatternFromMined(r.Pattern.Graph, fmt.Sprintf("%s_sg%d", name, i))
 		if err != nil {
 			return nil, err
 		}
-		_, mspan := obs.StartSpan(ctx, "merge", obs.String("pattern", np.Name))
-		pdp, err := merge.FromPattern(np.Graph, np.Name)
-		if err != nil {
-			mspan.End()
-			return nil, err
-		}
-		dp = merge.Merge(dp, pdp, merge.Options{Tech: f.Tech})
-		mspan.End()
 		named = append(named, np)
+	}
+	v, err := f.generate(ctx, name, baseOps, named, chain)
+	if err != nil {
+		return nil, err
+	}
+	obs.Logger(ctx).Info("generated PE",
+		"variant", name, "merged_patterns", len(named), "rules", len(v.Rules.Rules), "stages", v.Pipelined.Stages)
+	return v, nil
+}
+
+// generate merges the named patterns into the baseline over baseOps
+// along chain, then synthesizes the compiler and pipelines the PE.
+func (f *Framework) generate(ctx context.Context, name string, baseOps []ir.Op, named []rewrite.NamedPattern, chain *mergeChain) (*PEVariant, error) {
+	ops := withControlOps(baseOps)
+	dp, err := chain.fitting(f.Tech, ops).datapath(ctx, named)
+	if err != nil {
+		return nil, err
 	}
 	spec := pe.FromDatapath(name, dp)
 	rules, err := synthesizeRules(ctx, spec, named, ops)
@@ -217,9 +244,61 @@ func (f *Framework) GeneratePE(ctx context.Context, name string, baseOps []ir.Op
 		return nil, err
 	}
 	pp := pipelinePE(ctx, spec, f.Tech)
-	obs.Logger(ctx).Info("generated PE",
-		"variant", name, "merged_patterns", len(named), "rules", len(rules.Rules), "stages", pp.Stages)
 	return &PEVariant{Name: name, Spec: spec, Pipelined: pp, Rules: rules}, nil
+}
+
+// mergeChain holds merged datapaths along a pattern order: dps[i] is the
+// baseline over ops merged with patterns 0..i-1, every merge weighted by
+// tech. An analysis keeps one along its selection order; GeneratePE
+// merges along a throwaway one, so there is one merge loop. A chain is
+// fixed to the tech model and op set that first claimed it, guarded by
+// its own lock, and never encoded.
+type mergeChain struct {
+	mu   sync.Mutex
+	tech *tech.Model
+	ops  []ir.Op
+	dps  []*merge.Datapath
+}
+
+// fitting returns c if its datapaths are built for m and ops, claiming
+// an unclaimed c for them, and otherwise a fresh private chain.
+func (c *mergeChain) fitting(m *tech.Model, ops []ir.Op) *mergeChain {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dps == nil {
+		c.tech, c.ops, c.dps = m, ops, []*merge.Datapath{merge.BaselinePE(ops)}
+	}
+	if c.tech == m && slices.Equal(c.ops, ops) {
+		return c
+	}
+	return new(mergeChain).fitting(m, ops)
+}
+
+// datapath returns a copy of the baseline merged with the named patterns
+// in order, extending the chain by the merges no earlier call has run.
+// Each pattern gets one merge span, run or reused, so the span tree does
+// not depend on call order. A pattern's name enters its merge only as
+// provenance (Sources[1+i]), which the copy takes from named.
+func (c *mergeChain) datapath(ctx context.Context, named []rewrite.NamedPattern) (*merge.Datapath, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, np := range named {
+		_, span := obs.StartSpan(ctx, "merge", obs.String("pattern", np.Name))
+		if i+1 == len(c.dps) {
+			pdp, err := merge.FromPattern(np.Graph, np.Name)
+			if err != nil {
+				span.End()
+				return nil, err
+			}
+			c.dps = append(c.dps, merge.Merge(c.dps[i], pdp, merge.Options{Tech: c.tech}))
+		}
+		span.End()
+	}
+	dp := c.dps[len(named)].Clone()
+	for i, np := range named {
+		dp.Sources[1+i] = np.Name
+	}
+	return dp, nil
 }
 
 // synthesizeRules wraps compiler generation in its span.
@@ -248,25 +327,7 @@ func (f *Framework) GeneratePEFromPatterns(ctx context.Context, name string, bas
 	ctx, span := obs.StartSpan(ctx, "generate_pe",
 		obs.String("variant", name), obs.Int("patterns", len(named)))
 	defer span.End()
-	ops := withControlOps(baseOps)
-	dp := merge.BaselinePE(ops)
-	for _, np := range named {
-		_, mspan := obs.StartSpan(ctx, "merge", obs.String("pattern", np.Name))
-		pdp, err := merge.FromPattern(np.Graph, np.Name)
-		if err != nil {
-			mspan.End()
-			return nil, err
-		}
-		dp = merge.Merge(dp, pdp, merge.Options{Tech: f.Tech})
-		mspan.End()
-	}
-	spec := pe.FromDatapath(name, dp)
-	rules, err := synthesizeRules(ctx, spec, named, ops)
-	if err != nil {
-		return nil, err
-	}
-	pp := pipelinePE(ctx, spec, f.Tech)
-	return &PEVariant{Name: name, Spec: spec, Pipelined: pp, Rules: rules}, nil
+	return f.generate(ctx, name, baseOps, named, new(mergeChain))
 }
 
 // BaselinePE returns the paper's general-purpose baseline PE variant.

@@ -26,11 +26,11 @@ func fastSuiteVariants(t *testing.T) (*Harness, []*core.PEVariant) {
 		t.Fatal(err)
 	}
 	var variants []*core.PEVariant
-	for _, e := range h.variants.entries {
-		if e.err == nil {
-			variants = append(variants, e.val)
+	h.variants.Each(func(_ string, v *core.PEVariant, err error) {
+		if err == nil {
+			variants = append(variants, v)
 		}
-	}
+	})
 	sort.Slice(variants, func(i, j int) bool { return variants[i].Name < variants[j].Name })
 	if len(variants) < 10 {
 		t.Fatalf("suite built only %d variants", len(variants))
@@ -437,11 +437,11 @@ func legacyEvaluate(s *pe.Spec, c pe.Config, inputVals map[int]uint16, bitVals m
 func TestProducersMatchLegacy(t *testing.T) {
 	h, _ := fastSuiteVariants(t)
 	designs, nodes := 0, 0
-	for _, e := range h.results.entries {
-		if e.err != nil {
-			continue
+	h.results.Each(func(_ string, r *core.Result, err error) {
+		if err != nil {
+			return
 		}
-		for _, m := range []*rewrite.Mapped{e.val.Mapped, e.val.Balanced} {
+		for _, m := range []*rewrite.Mapped{r.Mapped, r.Balanced} {
 			if m == nil {
 				continue
 			}
@@ -453,7 +453,7 @@ func TestProducersMatchLegacy(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 	if designs == 0 {
 		t.Fatal("suite produced no mapped designs")
 	}

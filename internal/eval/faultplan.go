@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/memo"
 )
 
 // FaultKind selects what an injected fault does when it fires.
@@ -135,7 +136,7 @@ type Failure struct {
 type Report struct {
 	mu    sync.Mutex
 	m     map[string]Failure
-	memos map[string]MemoStats
+	memos map[string]memo.Stats
 }
 
 // classify maps an evaluation error to a report kind.
@@ -167,7 +168,7 @@ func (r *Report) record(f Failure) bool {
 
 // SetMemoStats attaches the harness's memo-table statistics snapshot to
 // the report (Harness.MemoStats at end of run).
-func (r *Report) SetMemoStats(stats map[string]MemoStats) {
+func (r *Report) SetMemoStats(stats map[string]memo.Stats) {
 	if r == nil {
 		return
 	}
@@ -178,7 +179,7 @@ func (r *Report) SetMemoStats(stats map[string]MemoStats) {
 
 // MemoStats returns the attached memo-table statistics, keyed by table
 // name ("analyses", "variants", "results"); nil when never set.
-func (r *Report) MemoStats() map[string]MemoStats {
+func (r *Report) MemoStats() map[string]memo.Stats {
 	if r == nil {
 		return nil
 	}

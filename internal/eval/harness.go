@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ir"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/rewrite"
 	"repro/internal/store"
@@ -71,16 +72,16 @@ type Harness struct {
 	// instrumentation point on its zero-cost disabled path.
 	obs *obs.Obs
 
-	analyses memoTable[*core.Analysis]
-	variants memoTable[*core.PEVariant]
-	results  memoTable[*core.Result]
+	analyses memo.Table[*core.Analysis]
+	variants memo.Table[*core.PEVariant]
+	results  memo.Table[*core.Result]
 	// designs shares each (app, variant) mapping and each (app, variant,
 	// PE latency) balance between the cells that need it, and layouts
 	// shares place-and-route between cells whose balanced designs are the
 	// same physical netlist, keyed by the netlist digest core computes;
 	// both serve core.Memo (evalMemo).
-	designs memoTable[*core.Design]
-	layouts memoTable[*core.Layout]
+	designs memo.Table[*core.Design]
+	layouts memo.Table[*core.Layout]
 
 	// store is the optional persistent content-addressed cache layered
 	// under the memo tables (SetStore); nil keeps the harness in-memory.
@@ -96,7 +97,7 @@ type Harness struct {
 // NewHarness returns a harness with the paper's defaults.
 func NewHarness() *Harness {
 	h := &Harness{FW: core.New(), Report: &Report{}}
-	h.layouts.forgetCanceled = true
+	h.layouts.ForgetCanceled = true
 	return h
 }
 
@@ -109,11 +110,11 @@ func (h *Harness) SetObs(o *obs.Obs) {
 	if o != nil {
 		reg = o.Metrics
 	}
-	h.analyses.instrument("analyses", reg)
-	h.variants.instrument("variants", reg)
-	h.results.instrument("results", reg)
-	h.designs.instrument("designs", reg)
-	h.layouts.instrument("layouts", reg)
+	h.analyses.Instrument("analyses", reg)
+	h.variants.Instrument("variants", reg)
+	h.results.Instrument("results", reg)
+	h.designs.Instrument("designs", reg)
+	h.layouts.Instrument("layouts", reg)
 }
 
 // ResetMemos drops every in-memory memoized analysis, variant, result,
@@ -124,11 +125,11 @@ func (h *Harness) SetObs(o *obs.Obs) {
 // with evaluations: in-flight builds complete against their detached
 // entries and their callers observe them normally.
 func (h *Harness) ResetMemos() {
-	h.analyses.reset()
-	h.variants.reset()
-	h.results.reset()
-	h.designs.reset()
-	h.layouts.reset()
+	h.analyses.Reset()
+	h.variants.Reset()
+	h.results.Reset()
+	h.designs.Reset()
+	h.layouts.Reset()
 }
 
 // ForgetResult drops one evaluation cell from the results memo, and the
@@ -143,14 +144,14 @@ func (h *Harness) ForgetResult(appName, variantName string, pnr, pipelined bool)
 	if h.FastMode {
 		pnr = false
 	}
-	h.results.forget(fmt.Sprintf("%s|%s|%v|%v", appName, variantName, pnr, pipelined))
-	h.designs.forgetPrefix(core.DesignKeyPrefix(appName, variantName))
+	h.results.Forget(fmt.Sprintf("%s|%s|%v|%v", appName, variantName, pnr, pipelined))
+	h.designs.ForgetPrefix(core.DesignKeyPrefix(appName, variantName))
 }
 
 // MemoStats snapshots the cache-effectiveness counters of the memo
 // tables, keyed by table name.
-func (h *Harness) MemoStats() map[string]MemoStats {
-	return map[string]MemoStats{
+func (h *Harness) MemoStats() map[string]memo.Stats {
+	return map[string]memo.Stats{
 		"analyses": h.analyses.Stats(),
 		"variants": h.variants.Stats(),
 		"results":  h.results.Stats(),
@@ -177,7 +178,7 @@ func (h *Harness) buildCtx() context.Context {
 func (h *Harness) Analysis(app *apps.App) *core.Analysis {
 	// buildCtx is uncancellable, so Analyze's only error — cancellation —
 	// cannot occur here.
-	a, _ := h.analyses.do(context.Background(), app.Name, func() (*core.Analysis, error) {
+	a, _ := h.analyses.Do(context.Background(), app.Name, func() (*core.Analysis, error) {
 		if h.useStore() {
 			if a, ok := h.loadAnalysis(app); ok {
 				return a, nil
@@ -196,7 +197,7 @@ func (h *Harness) Analysis(app *apps.App) *core.Analysis {
 // function receives the harness's build context (observability attached,
 // no caller deadline — see buildCtx).
 func (h *Harness) Variant(name string, build func(ctx context.Context) (*core.PEVariant, error)) (*core.PEVariant, error) {
-	v, err := h.variants.do(context.Background(), name, func() (*core.PEVariant, error) {
+	v, err := h.variants.Do(context.Background(), name, func() (*core.PEVariant, error) {
 		if h.useStore() {
 			if v, ok := h.loadVariant(name); ok {
 				return v, nil
@@ -224,8 +225,7 @@ func (h *Harness) Baseline() (*core.PEVariant, error) {
 // three subgraphs.
 func (h *Harness) SpecializedPE(app *apps.App) (*core.PEVariant, error) {
 	return h.Variant("spec_"+app.Name, func(ctx context.Context) (*core.PEVariant, error) {
-		chosen := core.SelectPatterns(h.Analysis(app), 3)
-		return h.FW.GeneratePE(ctx, "spec_"+app.Name, app.UsedOps(), chosen)
+		return h.FW.GenerateTopPE(ctx, "spec_"+app.Name, app.UsedOps(), h.Analysis(app), 3)
 	})
 }
 
@@ -234,8 +234,7 @@ func (h *Harness) SpecializedPE(app *apps.App) (*core.PEVariant, error) {
 func (h *Harness) LadderPE(app *apps.App, k int) (*core.PEVariant, error) {
 	name := fmt.Sprintf("%s_pe%d", app.Name, k)
 	return h.Variant(name, func(ctx context.Context) (*core.PEVariant, error) {
-		chosen := core.SelectPatterns(h.Analysis(app), k-1)
-		return h.FW.GeneratePE(ctx, name, app.UsedOps(), chosen)
+		return h.FW.GenerateTopPE(ctx, name, app.UsedOps(), h.Analysis(app), k-1)
 	})
 }
 
@@ -308,7 +307,7 @@ func (h *Harness) Evaluate(ctx context.Context, app *apps.App, v *core.PEVariant
 	}
 	key := fmt.Sprintf("%s|%s|%v|%v", app.Name, v.Name, pnr, pipelined)
 	cell := app.Name + "|" + v.Name
-	r, err := h.results.do(ctx, key, func() (*core.Result, error) {
+	r, err := h.results.Do(ctx, key, func() (*core.Result, error) {
 		if h.useStore() {
 			if r, ok := h.loadResult(app, v, pnr, pipelined); ok {
 				return r, nil
@@ -363,11 +362,11 @@ func (h *Harness) Evaluate(ctx context.Context, app *apps.App, v *core.PEVariant
 type evalMemo struct{ h *Harness }
 
 func (m evalMemo) Design(ctx context.Context, key string, build func() (*core.Design, error)) (*core.Design, error) {
-	return m.h.designs.do(ctx, key, build)
+	return m.h.designs.Do(ctx, key, build)
 }
 
 func (m evalMemo) Layout(ctx context.Context, key string, build func(context.Context) (*core.Layout, error)) (*core.Layout, error) {
-	return m.h.layouts.do(ctx, key, func() (*core.Layout, error) {
+	return m.h.layouts.Do(ctx, key, func() (*core.Layout, error) {
 		return build(m.h.obs.Reattach(ctx))
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -32,32 +31,23 @@ const placementDigestFile = "testdata/placement.sha256"
 // outcome, node locations, and routed paths.
 func placementDigest(t *testing.T, h *Harness) string {
 	t.Helper()
-	h.results.mu.Lock()
-	keys := make([]string, 0, len(h.results.entries))
-	for k := range h.results.entries {
-		if strings.Contains(k, "|true|") {
-			keys = append(keys, k)
-		}
-	}
-	h.results.mu.Unlock()
-	sort.Strings(keys)
 	sum := sha256.New()
-	for _, k := range keys {
-		e := h.results.entries[k]
-		<-e.done
-		if e.err != nil {
-			t.Fatalf("cell %s: %v", k, e.err)
+	h.results.Each(func(k string, r *core.Result, err error) {
+		if !strings.Contains(k, "|true|") {
+			return
 		}
-		r := e.val
+		if err != nil {
+			t.Fatalf("cell %s: %v", k, err)
+		}
 		fmt.Fprintf(sum, "%s attempts=%d degraded=%q\n", k, r.PnRAttempts, r.DegradedReason)
 		if r.Routing == nil {
-			continue
+			return
 		}
 		fmt.Fprintf(sum, "loc %v\n", r.Routing.Placement.Loc)
 		for _, rt := range r.Routing.Routes {
 			fmt.Fprintf(sum, "net %d %d %v %v\n", rt.Net.Src, rt.Net.Dst, rt.Net.Bit, rt.Path)
 		}
-	}
+	})
 	return hex.EncodeToString(sum.Sum(nil))
 }
 
@@ -85,28 +75,20 @@ const bitstreamDigestFile = "testdata/bitstream.sha256"
 // cgra.GenerateBitstream emits for each routed PnR cell.
 func bitstreamDigest(t *testing.T, h *Harness) string {
 	t.Helper()
-	h.results.mu.Lock()
-	keys := make([]string, 0, len(h.results.entries))
-	for k := range h.results.entries {
-		if strings.Contains(k, "|true|") {
-			keys = append(keys, k)
-		}
-	}
-	h.results.mu.Unlock()
-	sort.Strings(keys)
 	sum := sha256.New()
 	var buf []byte
-	for _, k := range keys {
-		e := h.results.entries[k]
-		<-e.done
-		if e.err != nil {
-			t.Fatalf("cell %s: %v", k, e.err)
+	h.results.Each(func(k string, r *core.Result, err error) {
+		if !strings.Contains(k, "|true|") {
+			return
+		}
+		if err != nil {
+			t.Fatalf("cell %s: %v", k, err)
 		}
 		fmt.Fprintf(sum, "%s\n", k)
-		if e.val.Routing == nil {
-			continue
+		if r.Routing == nil {
+			return
 		}
-		bs, err := cgra.GenerateBitstream(e.val.Routing)
+		bs, err := cgra.GenerateBitstream(r.Routing)
 		if err != nil {
 			t.Fatalf("cell %s: %v", k, err)
 		}
@@ -116,7 +98,7 @@ func bitstreamDigest(t *testing.T, h *Harness) string {
 			buf = binary.LittleEndian.AppendUint32(buf, w.Data)
 		}
 		sum.Write(buf)
-	}
+	})
 	return hex.EncodeToString(sum.Sum(nil))
 }
 
@@ -317,18 +299,18 @@ func TestDesignMemo(t *testing.T) {
 	var cells []cell
 	maps := map[string]*core.Result{}
 	balances := map[string]bool{}
-	for key, e := range h.results.entries {
-		<-e.done
-		if e.err != nil {
-			t.Fatalf("cell %s: %v", key, e.err)
+	variants := map[string]*core.PEVariant{}
+	h.variants.Each(func(name string, v *core.PEVariant, _ error) { variants[name] = v })
+	h.results.Each(func(key string, r *core.Result, err error) {
+		if err != nil {
+			t.Fatalf("cell %s: %v", key, err)
 		}
 		f := strings.Split(key, "|")
 		app, err := apps.ByName(f[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		ve := h.variants.entries[f[1]]
-		c := cell{app: app, v: ve.val, pnr: f[2] == "true", pipe: f[3] == "true", r: e.val}
+		c := cell{app: app, v: variants[f[1]], pnr: f[2] == "true", pipe: f[3] == "true", r: r}
 		cells = append(cells, c)
 		pair := f[0] + "|" + f[1]
 		if first, ok := maps[pair]; ok && first.Mapped != c.r.Mapped {
@@ -336,7 +318,7 @@ func TestDesignMemo(t *testing.T) {
 		}
 		maps[pair] = c.r
 		balances[fmt.Sprintf("%s|%d", pair, c.r.PELatency)] = true
-	}
+	})
 	if len(cells) != 68 || len(maps) != 38 || len(balances) != 50 {
 		t.Errorf("suite has %d cells, %d (app, variant) pairs and %d balances; want 68, 38 and 50", len(cells), len(maps), len(balances))
 	}

@@ -201,8 +201,7 @@ func (s *Server) variantFor(p Params) (*core.PEVariant, error) {
 	}
 	name := s.variantName(p)
 	return s.h.Variant(name, func(ctx context.Context) (*core.PEVariant, error) {
-		chosen := core.SelectPatterns(s.h.Analysis(app), p.K)
-		return s.h.FW.GeneratePE(ctx, name, app.UsedOps(), chosen)
+		return s.h.FW.GenerateTopPE(ctx, name, app.UsedOps(), s.h.Analysis(app), p.K)
 	})
 }
 

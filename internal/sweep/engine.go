@@ -12,8 +12,10 @@ import (
 	"repro/internal/cgra"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/tech"
 )
 
 // Options configures one sweep run.
@@ -149,24 +151,26 @@ func (s *shard) size() int {
 	return len(s.cells)
 }
 
-// entry is a singleflight slot for a shared front-end build.
-type entry[V any] struct {
-	once sync.Once
-	val  V
-	err  error
-}
-
-// engine carries the shared state of one Run.
+// engine carries the shared state of one Run. Its memo tables build
+// each analysis, variant and post-mapping result once and, as the
+// core.Memo of every evaluation, each mapped and balanced design and
+// each physical netlist's place-and-route. Every cell's framework uses
+// the run's one tech model, so the variants of an analysis extend the
+// analysis's one merge chain (core.GenerateTopPE).
 type engine struct {
 	grid Grid
 	opt  Options
 	st   *store.Store
+	tech *tech.Model
 
-	mu       sync.Mutex
-	analyses map[string]*entry[*core.Analysis]
-	variants map[string]*entry[*core.PEVariant]
-	postmaps map[string]*entry[*core.Result]
-	appKeys  map[string]store.Key
+	analyses memo.Table[*core.Analysis]
+	variants memo.Table[*core.PEVariant]
+	postmaps memo.Table[*core.Result]
+	designs  memo.Table[*core.Design]
+	layouts  memo.Table[*core.Layout]
+
+	mu      sync.Mutex
+	appKeys map[string]store.Key
 
 	steals atomic.Int64
 
@@ -285,7 +289,7 @@ func (e *engine) runPhase(ctx context.Context, pending []Cell, col *collector) {
 					e.steals.Add(1)
 					e.count("sweep.steals", 1)
 				}
-				completed <- e.evalCell(ctx, c)
+				completed <- guardCell(c, func() CellResult { return e.evalCell(ctx, c) })
 			}
 		}(i)
 	}
@@ -311,14 +315,7 @@ func Run(ctx context.Context, g Grid, opt Options) (*Report, error) {
 	fp := runFingerprint(g, opt.Triage)
 	rep := &Report{Grid: g, Fingerprint: string(fp), Results: make([]CellResult, len(cells))}
 
-	e := &engine{
-		grid:     g,
-		opt:      opt,
-		analyses: map[string]*entry[*core.Analysis]{},
-		variants: map[string]*entry[*core.PEVariant]{},
-		postmaps: map[string]*entry[*core.Result]{},
-		appKeys:  map[string]store.Key{},
-	}
+	e := newEngine(g, opt)
 	if opt.CacheDir != "" {
 		st, err := store.Open(opt.CacheDir)
 		if err != nil {
@@ -383,6 +380,21 @@ func Run(ctx context.Context, g Grid, opt Options) (*Report, error) {
 	return rep, nil
 }
 
+func newEngine(g Grid, opt Options) *engine {
+	e := &engine{grid: g, opt: opt, tech: tech.Default(), appKeys: map[string]store.Key{}}
+	e.layouts.ForgetCanceled = true
+	var reg *obs.Registry
+	if opt.Obs != nil {
+		reg = opt.Obs.Metrics
+	}
+	e.analyses.Instrument("analyses", reg)
+	e.variants.Instrument("variants", reg)
+	e.postmaps.Instrument("postmaps", reg)
+	e.designs.Instrument("designs", reg)
+	e.layouts.Instrument("layouts", reg)
+	return e
+}
+
 // count bumps an observability counter when a registry is attached.
 func (e *engine) count(name string, n int64) {
 	if e.opt.Obs != nil && e.opt.Obs.Metrics != nil {
@@ -400,11 +412,12 @@ func (e *engine) logger() interface {
 }
 
 // frameworkFor builds the per-cell framework: the paper defaults with
-// the cell's mining support, fabric size, and placement seed applied.
-// Frameworks are immutable after construction, so each cell gets its
-// own; the expensive state (tech model, fabric) is tiny.
+// the cell's mining support, fabric size, and placement seed applied,
+// over the run's one tech model. Frameworks are immutable after
+// construction, so each cell gets its own; the fabric is tiny.
 func (e *engine) frameworkFor(c Cell) *core.Framework {
 	fw := core.New()
+	fw.Tech = e.tech
 	fw.MinSupport = c.Support
 	fw.Fabric = cgra.NewFabric(c.FabricW, c.FabricH)
 	fw.PlaceSeed = c.Seed
@@ -431,67 +444,82 @@ func (e *engine) registryKey() store.Key {
 	return e.registry
 }
 
-// analysis returns the mined analysis for (app, support), singleflighted
+// analysis returns the mined analysis for (app, support), memoized
 // across cells and backed by the persistent store.
 func (e *engine) analysis(ctx context.Context, app *apps.App, fw *core.Framework) (*core.Analysis, error) {
 	key := fmt.Sprintf("%s|s%d", app.Name, fw.MinSupport)
-	e.mu.Lock()
-	ent, ok := e.analyses[key]
-	if !ok {
-		ent = &entry[*core.Analysis]{}
-		e.analyses[key] = ent
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() {
+	return e.analyses.Do(ctx, key, func() (*core.Analysis, error) {
 		if e.st != nil {
 			sk := store.AnalysisKey(e.appKey(app), fw)
 			if payload, ok := e.st.Get(store.KindAnalysis, sk); ok {
 				if a, err := store.DecodeAnalysis(payload); err == nil {
-					ent.val = a
-					return
+					return a, nil
 				}
 			}
 		}
-		ent.val, ent.err = fw.Analyze(ctx, app)
-		if ent.err == nil && e.st != nil {
-			e.st.Put(store.KindAnalysis, store.AnalysisKey(e.appKey(app), fw), store.EncodeAnalysis(ent.val))
+		a, err := fw.Analyze(ctx, app)
+		if err == nil && e.st != nil {
+			e.st.Put(store.KindAnalysis, store.AnalysisKey(e.appKey(app), fw), store.EncodeAnalysis(a))
 		}
+		return a, err
 	})
-	return ent.val, ent.err
 }
 
-// variant returns the cell's specialized PE, singleflighted across cells
+// variant returns the cell's specialized PE, memoized across cells
 // sharing (app, support, k) and backed by the persistent store.
 func (e *engine) variant(ctx context.Context, c Cell, app *apps.App, fw *core.Framework) (*core.PEVariant, error) {
 	name := c.VariantName()
-	e.mu.Lock()
-	ent, ok := e.variants[name]
-	if !ok {
-		ent = &entry[*core.PEVariant]{}
-		e.variants[name] = ent
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() {
+	return e.variants.Do(ctx, name, func() (*core.PEVariant, error) {
 		if e.st != nil {
 			sk := store.VariantKey(name, e.registryKey(), fw)
 			if payload, ok := e.st.Get(store.KindVariant, sk); ok {
 				if v, err := store.DecodeVariant(payload, fw.Tech); err == nil {
-					ent.val = v
-					return
+					return v, nil
 				}
 			}
 		}
 		a, err := e.analysis(ctx, app, fw)
 		if err != nil {
-			ent.err = err
-			return
+			return nil, err
 		}
-		ent.val, ent.err = fw.GeneratePE(ctx, name, app.UsedOps(), core.SelectPatterns(a, c.K))
-		if ent.err == nil && e.st != nil {
-			e.st.Put(store.KindVariant, store.VariantKey(name, e.registryKey(), fw), store.EncodeVariant(ent.val))
+		v, err := fw.GenerateTopPE(ctx, name, app.UsedOps(), a, c.K)
+		if err == nil && e.st != nil {
+			e.st.Put(store.KindVariant, store.VariantKey(name, e.registryKey(), fw), store.EncodeVariant(v))
 		}
+		return v, err
 	})
-	return ent.val, ent.err
+}
+
+// Design and Layout make the engine the core.Memo of every evaluation
+// in its run. Design keys name the (app, variant) pair, and a sweep
+// variant name is unique per (app, support, k). Layout keys digest the
+// fabric and the placement seed, so only cells that agree on both share
+// a layout. A layout build runs
+// under the evaluating cell's context (its deadline applies) re-rooted
+// at the run's trace root, so the span tree does not depend on which
+// cell placed the netlist first; the layouts table drops canceled
+// builds, so one cell's timeout never reaches a sibling.
+func (e *engine) Design(ctx context.Context, key string, build func() (*core.Design, error)) (*core.Design, error) {
+	return e.designs.Do(ctx, key, build)
+}
+
+func (e *engine) Layout(ctx context.Context, key string, build func(context.Context) (*core.Layout, error)) (*core.Layout, error) {
+	return e.layouts.Do(ctx, key, func() (*core.Layout, error) {
+		return build(e.opt.Obs.Reattach(ctx))
+	})
+}
+
+// guardCell runs one cell's evaluation behind a recover boundary: a
+// panic becomes the cell's error instead of crashing the process (apexd
+// runs sweeps in-process).
+func guardCell(c Cell, eval func() CellResult) (res CellResult) {
+	if err := fault.Guard("sweep: cell "+c.String(), func() error {
+		res = eval()
+		return nil
+	}); err != nil {
+		res = CellResult{Cell: c, Variant: c.VariantName(), Err: err.Error()}
+	}
+	return res
 }
 
 // evalCell evaluates one grid point end to end.
@@ -524,7 +552,7 @@ func (e *engine) evalCell(ctx context.Context, c Cell) CellResult {
 			ectx, cancel = context.WithTimeout(ctx, e.opt.CellTimeout)
 			defer cancel()
 		}
-		r, err = fw.Evaluate(ectx, app, v, core.EvalOptions{PnR: e.grid.PnR, Pipelined: e.grid.Pipelined})
+		r, err = fw.Evaluate(ectx, app, v, core.EvalOptions{PnR: e.grid.PnR, Pipelined: e.grid.Pipelined, Memo: e})
 		if err != nil {
 			res.Err = err.Error()
 			return res

@@ -1,0 +1,148 @@
+package sweep
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/core"
+	"repro/internal/obs"
+)
+
+// reportDigestFile pins the bytes of one small triaged PnR sweep report
+// (Steals zeroed: it is a scheduler statistic). Sharing designs and
+// layouts between cells must not move a single number of it.
+const reportDigestFile = "testdata/report.sha256"
+
+// pinnedGrid is a triaged PnR grid on which work is shared: camera's
+// selection order runs out after four picks, so its k = 4, 5 and 6
+// variants (at either support) are one physical netlist per seed, and
+// the triage sends several of those cells to the oracle.
+func pinnedGrid() (Grid, TriageOptions) {
+	return Grid{
+		Apps:      []string{"camera"},
+		Supports:  []int{0, 8},
+		Fabrics:   [][2]int{{32, 16}},
+		Seeds:     []int64{1, 2, 3},
+		Ks:        []int{1, 3, 4, 5, 6},
+		PnR:       true,
+		Pipelined: true,
+	}, TriageOptions{Enabled: true, Top: 0.5, Explore: 0.2, Seed: 1, MinTrain: 2}
+}
+
+func reportDigest(t *testing.T, rep *Report) string {
+	t.Helper()
+	r := *rep
+	r.Steals = 0
+	b, err := json.Marshal(&r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestSweepReportPinned: the pinned grid's report matches its pinned
+// digest at one and four workers.
+func TestSweepReportPinned(t *testing.T) {
+	raw, err := os.ReadFile(reportDigestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.TrimSpace(string(raw))
+	g, tri := pinnedGrid()
+	for _, w := range []int{1, 4} {
+		rep := mustRun(t, g, Options{Workers: w, Triage: tri})
+		if got := reportDigest(t, rep); got != want {
+			t.Errorf("Workers=%d: report digest moved:\n got %s\nwant %s\n(replace %s only after an intentional change to sweep results)", w, got, want, reportDigestFile)
+		}
+	}
+}
+
+var errKeyOnly = errors.New("layout key recorded")
+
+// keyMemo is a core.Memo that builds designs and records, instead of
+// building, the layout an evaluation asks for.
+type keyMemo struct{ key string }
+
+func (m *keyMemo) Design(_ context.Context, _ string, build func() (*core.Design, error)) (*core.Design, error) {
+	return build()
+}
+
+func (m *keyMemo) Layout(_ context.Context, key string, _ func(context.Context) (*core.Layout, error)) (*core.Layout, error) {
+	m.key = key
+	return nil, errKeyOnly
+}
+
+// TestSweepSharesLayouts: on the pinned grid the run places each
+// distinct physical netlist of its oracle cells once — fewer layouts
+// than oracle cells — and maps each variant and balances it at each PE
+// latency once, shared by its post-mapping and oracle evaluations.
+func TestSweepSharesLayouts(t *testing.T) {
+	g, tri := pinnedGrid()
+	reg := obs.NewRegistry()
+	rep := mustRun(t, g, Options{Workers: 4, Triage: tri, Obs: &obs.Obs{Metrics: reg}})
+
+	ctx := context.Background()
+	e := newEngine(g.Normalized(), Options{})
+	netlists := map[string]bool{}
+	designs := map[string]bool{}
+	oracle := 0
+	for _, r := range rep.Results {
+		app, err := apps.ByName(r.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw := e.frameworkFor(r.Cell)
+		v, err := e.variant(ctx, r.Cell, app, fw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		designs[v.Name+"|map"] = true
+		designs[fmt.Sprintf("%s|balance|%d", v.Name, max(v.Pipelined.Stages, 1))] = true
+		if r.Predicted {
+			continue
+		}
+		oracle++
+		m := &keyMemo{}
+		if _, err := fw.Evaluate(ctx, app, v, core.EvalOptions{PnR: true, Pipelined: true, Memo: m}); !errors.Is(err, errKeyOnly) {
+			t.Fatalf("cell %s: recording evaluation returned %v", r.Cell, err)
+		}
+		netlists[m.key] = true
+	}
+	t.Logf("%d oracle cells, %d distinct netlists, %d designs", oracle, len(netlists), len(designs))
+	if len(netlists) >= oracle {
+		t.Fatalf("%d oracle cells have %d distinct netlists; the grid shares none", oracle, len(netlists))
+	}
+	if got := reg.Counter("memo.layouts.miss").Value(); got != int64(len(netlists)) {
+		t.Errorf("placed %d layouts for %d oracle cells; want one per distinct netlist, %d", got, oracle, len(netlists))
+	}
+	if got := reg.Counter("memo.designs.miss").Value(); got != int64(len(designs)) {
+		t.Errorf("built %d designs; want %d (one map per variant, one balance per variant and PE latency)", got, len(designs))
+	}
+}
+
+// TestGuardCellRecoversPanic: a panic in one cell's evaluation becomes
+// that cell's error instead of crashing the worker and the process, and
+// a clean evaluation passes through unchanged.
+func TestGuardCellRecoversPanic(t *testing.T) {
+	c := Cell{Index: 7, App: "camera", FabricW: 32, FabricH: 16, Seed: 1, K: 2}
+	res := guardCell(c, func() CellResult { panic("boom") })
+	if res.Cell != c || res.Variant != c.VariantName() {
+		t.Fatalf("guarded result names cell %+v variant %q; want %+v %q", res.Cell, res.Variant, c, c.VariantName())
+	}
+	if !strings.Contains(res.Err, "panic: boom") || !strings.Contains(res.Err, c.String()) {
+		t.Fatalf("guarded result error %q does not name the cell and the panic", res.Err)
+	}
+	want := CellResult{Cell: c, Variant: "v", NumPEs: 3}
+	if got := guardCell(c, func() CellResult { return want }); got != want {
+		t.Fatalf("guardCell changed a clean result: %+v", got)
+	}
+}

@@ -332,7 +332,13 @@ func (e *engine) warmPostmaps(ctx context.Context, cells []Cell) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for c := range work {
-				e.cellFeatures(ctx, c)
+				// The serial stages call cellFeatures again and see
+				// any error there; the guard only keeps a panic from
+				// ending the process.
+				_ = fault.Guard("sweep: features "+c.String(), func() error {
+					_, _, err := e.cellFeatures(ctx, c)
+					return err
+				})
 			}
 		}()
 	}
@@ -359,24 +365,16 @@ func (e *engine) knobsFor(c Cell, fw *core.Framework) costmodel.Knobs {
 }
 
 // postmap returns the cell's variant evaluated to the analytical
-// post-mapping level with artifacts attached, singleflighted per
-// variant: post-mapping metrics depend only on the variant (never the
-// fabric or seed), so every cell of a variant shares one evaluation.
-// The store is deliberately not consulted — cached results carry no
-// Mapped artifact, and feature extraction needs the graph.
+// post-mapping level with artifacts attached, memoized per variant:
+// post-mapping metrics depend only on the variant (never the fabric or
+// seed), so every cell of a variant shares one evaluation, and its
+// mapped and balanced designs are the ones the variant's oracle cells
+// reuse. The store is deliberately not consulted — cached results carry
+// no Mapped artifact, and feature extraction needs the graph.
 func (e *engine) postmap(ctx context.Context, c Cell, app *apps.App, v *core.PEVariant, fw *core.Framework) (*core.Result, error) {
-	name := c.VariantName()
-	e.mu.Lock()
-	ent, ok := e.postmaps[name]
-	if !ok {
-		ent = &entry[*core.Result]{}
-		e.postmaps[name] = ent
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() {
-		ent.val, ent.err = fw.Evaluate(ctx, app, v, core.EvalOptions{PnR: false, Pipelined: e.grid.Pipelined})
+	return e.postmaps.Do(ctx, c.VariantName(), func() (*core.Result, error) {
+		return fw.Evaluate(ctx, app, v, core.EvalOptions{PnR: false, Pipelined: e.grid.Pipelined, Memo: e})
 	})
-	return ent.val, ent.err
 }
 
 // cellFeatures computes one cell's feature vector (and returns the
