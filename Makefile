@@ -58,7 +58,9 @@ bench-triage:
 # checkpointed sweep resumes without recomputing finished cells, and a
 # sweep's cells share designs and layouts (TestSweepSharesLayouts) while
 # its report keeps its pinned bytes at any worker count
-# (TestSweepReportPinned, testdata/report.sha256).
+# (TestSweepReportPinned, testdata/report.sha256), and an undecodable
+# stored variant or result under a sweep cell's key is counted as corrupt
+# and recomputed (TestRunRecomputesUndecodablePayloads).
 sweepcheck:
 	$(GO) test ./internal/wire/ ./internal/store/ -count=1
 	$(GO) test ./internal/eval/ -run TestPersist -count=1

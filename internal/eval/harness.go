@@ -171,41 +171,58 @@ func (h *Harness) buildCtx() context.Context {
 	return h.obs.Context(context.Background())
 }
 
-// Analysis returns the mined analysis of an application, cached. Analyses
-// and variant builds are pure CPU-bound front-end work shared by many
-// cells, so they run to completion regardless of any one cell's deadline
-// (the memo wait uses a background context).
+// Analysis returns the mined analysis of an application under the
+// harness's framework, cached.
 func (h *Harness) Analysis(app *apps.App) *core.Analysis {
+	return h.AnalysisFor(h.FW, app)
+}
+
+// AnalysisFor returns the mined analysis of an application under fw,
+// memoized per (app, support): frameworks sharing a harness must agree
+// on every other mining setting. Analyses and variant builds are pure
+// CPU-bound front-end work shared by many cells, so they run to
+// completion regardless of any one cell's deadline (the memo wait uses
+// a background context).
+func (h *Harness) AnalysisFor(fw *core.Framework, app *apps.App) *core.Analysis {
+	key := fmt.Sprintf("%s|s%d", app.Name, fw.MinSupport)
 	// buildCtx is uncancellable, so Analyze's only error — cancellation —
 	// cannot occur here.
-	a, _ := h.analyses.Do(context.Background(), app.Name, func() (*core.Analysis, error) {
+	a, _ := h.analyses.Do(context.Background(), key, func() (*core.Analysis, error) {
 		if h.useStore() {
-			if a, ok := h.loadAnalysis(app); ok {
+			if a, ok := h.loadAnalysis(fw, app); ok {
 				return a, nil
 			}
 		}
-		a, err := h.FW.Analyze(h.buildCtx(), app)
+		a, err := fw.Analyze(h.buildCtx(), app)
 		if err == nil && h.useStore() {
-			h.saveAnalysis(app, a)
+			h.saveAnalysis(fw, app, a)
 		}
 		return a, err
 	})
 	return a
 }
 
-// Variant builds (or returns cached) a named PE variant. The build
-// function receives the harness's build context (observability attached,
-// no caller deadline — see buildCtx).
+// Variant builds (or returns cached) a named PE variant under the
+// harness's framework.
 func (h *Harness) Variant(name string, build func(ctx context.Context) (*core.PEVariant, error)) (*core.PEVariant, error) {
+	return h.VariantFor(h.FW, name, build)
+}
+
+// VariantFor builds (or returns cached) a named PE variant, stored
+// under fw's front-end options. Names must be unique per composition
+// across every framework sharing the harness. The build function
+// receives the harness's build context (observability attached, no
+// caller deadline — see buildCtx).
+func (h *Harness) VariantFor(fw *core.Framework, name string, build func(ctx context.Context) (*core.PEVariant, error)) (*core.PEVariant, error) {
 	v, err := h.variants.Do(context.Background(), name, func() (*core.PEVariant, error) {
 		if h.useStore() {
-			if v, ok := h.loadVariant(name); ok {
+			if v, ok := h.loadVariant(fw, name); ok {
 				return v, nil
 			}
 		}
 		v, err := build(h.buildCtx())
 		if err == nil && h.useStore() {
-			h.saveVariant(v)
+			h.saveVariant(fw, v)
 		}
 		return v, err
 	})
@@ -289,55 +306,19 @@ func (h *Harness) PEML() (*core.PEVariant, error) {
 	return h.DomainPE("pe_ml", apps.AnalyzedML(), 2, nil)
 }
 
-// Evaluate runs (and caches) the backend for an (app, variant) pair.
-// pnr=false evaluates post-mapping only; pipelined=false disables PE and
-// application pipelining (Fig. 16's "pre-pipelining" rows). The options
-// travel to the framework as explicit core.EvalOptions, so concurrent
-// evaluations cannot interfere and a failing evaluation leaves no state
-// behind that could change later results.
-//
-// Each cell runs under its own deadline when CellTimeout is set, through
-// the fault-injection plan when one is installed, and behind the memo
-// table's recover boundary — so a panicking, hanging, or non-converging
-// cell surfaces as that cell's typed error while every other cell
-// completes normally. Failures and degradations are recorded in Report.
+// Evaluate runs (and caches) the backend for an (app, variant) pair
+// under the harness's framework. pnr=false evaluates post-mapping only;
+// pipelined=false disables PE and application pipelining (Fig. 16's
+// "pre-pipelining" rows). The results table runs each cell once, behind
+// its recover boundary, and failures and degradations are recorded in
+// Report.
 func (h *Harness) Evaluate(ctx context.Context, app *apps.App, v *core.PEVariant, pnr, pipelined bool) (*core.Result, error) {
 	if h.FastMode {
 		pnr = false
 	}
 	key := fmt.Sprintf("%s|%s|%v|%v", app.Name, v.Name, pnr, pipelined)
-	cell := app.Name + "|" + v.Name
 	r, err := h.results.Do(ctx, key, func() (*core.Result, error) {
-		if h.useStore() {
-			if r, ok := h.loadResult(app, v, pnr, pipelined); ok {
-				return r, nil
-			}
-		}
-		// Re-root the observability context for the memoized build:
-		// cancellation still flows from the caller, and any per-request
-		// bundle the caller threaded through ctx (the daemon's per-job
-		// tracer and delta registry) is kept, but the "evaluate" span
-		// re-roots at its tracer's root, so the span tree does not depend
-		// on which racing goroutine won the memo entry. Facilities the
-		// caller did not carry fall back to the harness bundle.
-		cctx := h.obs.Reattach(ctx)
-		if h.CellTimeout > 0 {
-			var cancel context.CancelFunc
-			cctx, cancel = context.WithTimeout(cctx, h.CellTimeout)
-			defer cancel()
-		}
-		opt := core.EvalOptions{PnR: pnr, Pipelined: pipelined, Memo: evalMemo{h}}
-		if h.Faults != nil {
-			if err := h.Faults.fire("evaluate", cell); err != nil {
-				return nil, err
-			}
-			opt.Hook = func(stage string) error { return h.Faults.fire(stage, cell) }
-		}
-		r, err := h.FW.Evaluate(cctx, app, v, opt)
-		if err == nil && h.useStore() {
-			h.saveResult(app, v, pnr, pipelined, r)
-		}
-		return r, err
+		return h.EvaluateFor(ctx, h.FW, app, v, pnr, pipelined)
 	})
 	switch {
 	case err != nil:
@@ -351,14 +332,64 @@ func (h *Harness) Evaluate(ctx context.Context, app *apps.App, v *core.PEVariant
 	return r, err
 }
 
+// EvaluateFor evaluates app on v under fw, unmemoized: the store serves
+// the result when it holds one, and a computed result is written back.
+// The options travel to the framework as explicit core.EvalOptions, so
+// concurrent evaluations cannot interfere and a failing evaluation
+// leaves no state behind that could change later results; the designs
+// and layouts it builds are shared through the harness's memo.
+//
+// The evaluation runs under its own deadline when CellTimeout is set
+// and through the fault-injection plan when one is installed — so a
+// hanging or non-converging cell surfaces as that cell's typed error
+// while every other cell completes normally.
+func (h *Harness) EvaluateFor(ctx context.Context, fw *core.Framework, app *apps.App, v *core.PEVariant, pnr, pipelined bool) (*core.Result, error) {
+	if h.useStore() {
+		if r, ok := h.loadResult(fw, app, v, pnr, pipelined); ok {
+			return r, nil
+		}
+	}
+	// Re-root the observability context: cancellation still flows from
+	// the caller, and any per-request bundle the caller threaded through
+	// ctx (the daemon's per-job tracer and delta registry) is kept, but
+	// the "evaluate" span re-roots at its tracer's root, so the span tree
+	// does not depend on which goroutine evaluates the cell.
+	// Facilities the caller did not carry fall back to the harness bundle.
+	cctx := h.obs.Reattach(ctx)
+	if h.CellTimeout > 0 {
+		var cancel context.CancelFunc
+		cctx, cancel = context.WithTimeout(cctx, h.CellTimeout)
+		defer cancel()
+	}
+	opt := core.EvalOptions{PnR: pnr, Pipelined: pipelined, Memo: h.Memo()}
+	if h.Faults != nil {
+		cell := app.Name + "|" + v.Name
+		if err := h.Faults.fire("evaluate", cell); err != nil {
+			return nil, err
+		}
+		opt.Hook = func(stage string) error { return h.Faults.fire(stage, cell) }
+	}
+	r, err := fw.Evaluate(cctx, app, v, opt)
+	if err == nil && h.useStore() {
+		h.saveResult(fw, app, v, pnr, pipelined, r)
+	}
+	return r, err
+}
+
+// Memo returns the core.Memo every harness evaluation uses: the designs
+// and layouts tables.
+func (h *Harness) Memo() core.Memo { return evalMemo{h} }
+
 // evalMemo serves core.Memo from the harness's designs and layouts
 // tables. A layout build runs under the evaluating cell's context, so
 // its deadline and cancellation apply, re-rooted like the cell's own
 // evaluate span: the span tree and the invariant metrics do not depend
 // on which cell built the layout first. The layouts table drops
 // canceled builds, so one cell's timeout never reaches a sibling
-// waiting on the same netlist. Design builds take no context and
-// record no spans.
+// waiting on the same netlist. Design keys name the (app, variant)
+// pair and layout keys digest the fabric and placement seed, so cells
+// of different frameworks share exactly what they agree on. Design
+// builds take no context and record no spans.
 type evalMemo struct{ h *Harness }
 
 func (m evalMemo) Design(ctx context.Context, key string, build func() (*core.Design, error)) (*core.Design, error) {

@@ -61,9 +61,13 @@ func (h *Harness) registryKey() store.Key {
 	return h.registry
 }
 
+// The load/save helpers key every entry by the framework the caller
+// built it with: the harness's own FW for the paper suite, a cell's
+// framework for a sweep.
+
 // loadAnalysis consults the store for a mined analysis.
-func (h *Harness) loadAnalysis(app *apps.App) (*core.Analysis, bool) {
-	key := store.AnalysisKey(h.appKey(app), h.FW)
+func (h *Harness) loadAnalysis(fw *core.Framework, app *apps.App) (*core.Analysis, bool) {
+	key := store.AnalysisKey(h.appKey(app), fw)
 	payload, ok := h.store.Get(store.KindAnalysis, key)
 	if !ok {
 		h.cacheCount("cache.analysis.miss")
@@ -81,21 +85,21 @@ func (h *Harness) loadAnalysis(app *apps.App) (*core.Analysis, bool) {
 	return a, true
 }
 
-func (h *Harness) saveAnalysis(app *apps.App, a *core.Analysis) {
-	key := store.AnalysisKey(h.appKey(app), h.FW)
+func (h *Harness) saveAnalysis(fw *core.Framework, app *apps.App, a *core.Analysis) {
+	key := store.AnalysisKey(h.appKey(app), fw)
 	h.store.Put(store.KindAnalysis, key, store.EncodeAnalysis(a))
 	h.cacheCount("cache.analysis.put")
 }
 
 // loadVariant consults the store for a generated PE variant.
-func (h *Harness) loadVariant(name string) (*core.PEVariant, bool) {
-	key := store.VariantKey(name, h.registryKey(), h.FW)
+func (h *Harness) loadVariant(fw *core.Framework, name string) (*core.PEVariant, bool) {
+	key := store.VariantKey(name, h.registryKey(), fw)
 	payload, ok := h.store.Get(store.KindVariant, key)
 	if !ok {
 		h.cacheCount("cache.variant.miss")
 		return nil, false
 	}
-	v, err := store.DecodeVariant(payload, h.FW.Tech)
+	v, err := store.DecodeVariant(payload, fw.Tech)
 	if err != nil {
 		h.cacheCount("cache.variant.corrupt")
 		h.logger().Warn("cached variant undecodable, recomputing", "variant", name, "err", err.Error())
@@ -105,15 +109,15 @@ func (h *Harness) loadVariant(name string) (*core.PEVariant, bool) {
 	return v, true
 }
 
-func (h *Harness) saveVariant(v *core.PEVariant) {
-	key := store.VariantKey(v.Name, h.registryKey(), h.FW)
+func (h *Harness) saveVariant(fw *core.Framework, v *core.PEVariant) {
+	key := store.VariantKey(v.Name, h.registryKey(), fw)
 	h.store.Put(store.KindVariant, key, store.EncodeVariant(v))
 	h.cacheCount("cache.variant.put")
 }
 
 // loadResult consults the store for an evaluation cell.
-func (h *Harness) loadResult(app *apps.App, v *core.PEVariant, pnr, pipelined bool) (*core.Result, bool) {
-	key := h.resultKey(app, v, pnr, pipelined)
+func (h *Harness) loadResult(fw *core.Framework, app *apps.App, v *core.PEVariant, pnr, pipelined bool) (*core.Result, bool) {
+	key := h.ResultKey(fw, app, v.Name, pnr, pipelined)
 	payload, ok := h.store.Get(store.KindResult, key)
 	if !ok {
 		h.cacheCount("cache.result.miss")
@@ -130,12 +134,14 @@ func (h *Harness) loadResult(app *apps.App, v *core.PEVariant, pnr, pipelined bo
 	return r, true
 }
 
-func (h *Harness) saveResult(app *apps.App, v *core.PEVariant, pnr, pipelined bool, r *core.Result) {
-	h.store.Put(store.KindResult, h.resultKey(app, v, pnr, pipelined), store.EncodeResult(r))
+func (h *Harness) saveResult(fw *core.Framework, app *apps.App, v *core.PEVariant, pnr, pipelined bool, r *core.Result) {
+	h.store.Put(store.KindResult, h.ResultKey(fw, app, v.Name, pnr, pipelined), store.EncodeResult(r))
 	h.cacheCount("cache.result.put")
 }
 
-func (h *Harness) resultKey(app *apps.App, v *core.PEVariant, pnr, pipelined bool) store.Key {
-	vk := store.VariantKey(v.Name, h.registryKey(), h.FW)
-	return store.ResultKey(h.appKey(app), vk, h.FW, pnr, pipelined)
+// ResultKey is the store key of the evaluation of app on the named
+// variant under fw: the key EvaluateFor reads and writes.
+func (h *Harness) ResultKey(fw *core.Framework, app *apps.App, variant string, pnr, pipelined bool) store.Key {
+	vk := store.VariantKey(variant, h.registryKey(), fw)
+	return store.ResultKey(h.appKey(app), vk, fw, pnr, pipelined)
 }

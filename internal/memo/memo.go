@@ -1,8 +1,9 @@
 // Package memo is the pipeline's one in-process memo mechanism: a
 // concurrency-safe, singleflight-style table that builds each key at
-// most once. The evaluation harness (internal/eval) and the sweep engine
-// (internal/sweep) both keep their analyses, variants, results, designs
-// and layouts in Tables.
+// most once. The evaluation harness (internal/eval) keeps its analyses,
+// variants, results, designs and layouts in Tables, for the paper suite
+// and for every sweep cell; the sweep engine (internal/sweep) keeps only
+// its triage's post-mapping results in one.
 package memo
 
 import (

@@ -5,8 +5,9 @@
 // mining option set — to versioned, checksummed binary encodings of
 // core.Analysis, core.PEVariant, and core.Result values.
 //
-// The store sits *under* the in-process singleflight memo tables
-// (internal/eval) and the sweep engine (internal/sweep): a memo miss
+// The store sits *under* the in-process singleflight memo tables of the
+// evaluation harness (internal/eval), which also serves every sweep
+// cell (internal/sweep): a memo miss
 // consults the disk before computing, and a computed value is written
 // back, so repeated and interrupted runs — in one process or many — only
 // ever pay for cells nobody has computed before.

@@ -11,11 +11,11 @@ import (
 	"repro/internal/apps"
 	"repro/internal/cgra"
 	"repro/internal/core"
+	"repro/internal/eval"
 	"repro/internal/fault"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/tech"
 )
 
 // Options configures one sweep run.
@@ -46,8 +46,8 @@ type Options struct {
 	// it fails with a canceled error recorded in its CellResult — the
 	// sweep continues and the run exits with the failed-cell status —
 	// while the shared front-end builds (analysis, variant) run under
-	// the run's own context and are never poisoned by one cell's
-	// deadline.
+	// the harness's uncancellable build context: neither a cell's
+	// deadline nor the run's cancellation stops one midway.
 	CellTimeout time.Duration
 	// Obs is the run's observability bundle; nil disables instrumentation.
 	Obs *obs.Obs
@@ -151,31 +151,23 @@ func (s *shard) size() int {
 	return len(s.cells)
 }
 
-// engine carries the shared state of one Run. Its memo tables build
-// each analysis, variant and post-mapping result once and, as the
-// core.Memo of every evaluation, each mapped and balanced design and
-// each physical netlist's place-and-route. Every cell's framework uses
-// the run's one tech model, so the variants of an analysis extend the
-// analysis's one merge chain (core.GenerateTopPE).
+// engine carries the shared state of one Run. Every cell runs through
+// the run's own eval.Harness, which builds each analysis and variant
+// once, shares each mapped and balanced design and each physical
+// netlist's place-and-route between cells, and layers the persistent
+// store under all of it. Every cell's framework uses the harness's one
+// tech model, so the variants of an analysis extend the analysis's one
+// merge chain (core.GenerateTopPE). The postmaps table holds the
+// triage's artifact-bearing post-mapping results, which bypass the
+// store.
 type engine struct {
 	grid Grid
 	opt  Options
-	st   *store.Store
-	tech *tech.Model
+	h    *eval.Harness
 
-	analyses memo.Table[*core.Analysis]
-	variants memo.Table[*core.PEVariant]
 	postmaps memo.Table[*core.Result]
-	designs  memo.Table[*core.Design]
-	layouts  memo.Table[*core.Layout]
-
-	mu      sync.Mutex
-	appKeys map[string]store.Key
 
 	steals atomic.Int64
-
-	registryOnce sync.Once
-	registry     store.Key
 }
 
 // collector is the single writer of the report and the checkpoint. While
@@ -324,7 +316,7 @@ func Run(ctx context.Context, g Grid, opt Options) (*Report, error) {
 		if opt.CacheMaxBytes > 0 {
 			st.SetMaxBytes(opt.CacheMaxBytes)
 		}
-		e.st = st
+		e.h.SetStore(st)
 	}
 
 	// Resume: preload completed cells from the checkpoint. A fingerprint
@@ -365,8 +357,8 @@ func Run(ctx context.Context, g Grid, opt Options) (*Report, error) {
 	col.flush()
 	rep.Steals = int(e.steals.Load())
 
-	if e.st != nil {
-		s := e.st.Stats()
+	if st := e.h.Store(); st != nil {
+		s := st.Stats()
 		rep.Store = &s
 	}
 	if err := fault.Canceled(ctx); err != nil {
@@ -381,17 +373,15 @@ func Run(ctx context.Context, g Grid, opt Options) (*Report, error) {
 }
 
 func newEngine(g Grid, opt Options) *engine {
-	e := &engine{grid: g, opt: opt, tech: tech.Default(), appKeys: map[string]store.Key{}}
-	e.layouts.ForgetCanceled = true
+	h := eval.NewHarness()
+	h.SetObs(opt.Obs)
+	h.CellTimeout = opt.CellTimeout
+	e := &engine{grid: g, opt: opt, h: h}
 	var reg *obs.Registry
 	if opt.Obs != nil {
 		reg = opt.Obs.Metrics
 	}
-	e.analyses.Instrument("analyses", reg)
-	e.variants.Instrument("variants", reg)
 	e.postmaps.Instrument("postmaps", reg)
-	e.designs.Instrument("designs", reg)
-	e.layouts.Instrument("layouts", reg)
 	return e
 }
 
@@ -413,11 +403,11 @@ func (e *engine) logger() interface {
 
 // frameworkFor builds the per-cell framework: the paper defaults with
 // the cell's mining support, fabric size, and placement seed applied,
-// over the run's one tech model. Frameworks are immutable after
+// over the harness's one tech model. Frameworks are immutable after
 // construction, so each cell gets its own; the fabric is tiny.
 func (e *engine) frameworkFor(c Cell) *core.Framework {
 	fw := core.New()
-	fw.Tech = e.tech
+	fw.Tech = e.h.FW.Tech
 	fw.MinSupport = c.Support
 	fw.Fabric = cgra.NewFabric(c.FabricW, c.FabricH)
 	fw.PlaceSeed = c.Seed
@@ -427,85 +417,12 @@ func (e *engine) frameworkFor(c Cell) *core.Framework {
 	return fw
 }
 
-// appKey memoizes the application fingerprint.
-func (e *engine) appKey(app *apps.App) store.Key {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if k, ok := e.appKeys[app.Name]; ok {
-		return k
-	}
-	k := store.AppHash(app)
-	e.appKeys[app.Name] = k
-	return k
-}
-
-func (e *engine) registryKey() store.Key {
-	e.registryOnce.Do(func() { e.registry = store.RegistryHash() })
-	return e.registry
-}
-
-// analysis returns the mined analysis for (app, support), memoized
-// across cells and backed by the persistent store.
-func (e *engine) analysis(ctx context.Context, app *apps.App, fw *core.Framework) (*core.Analysis, error) {
-	key := fmt.Sprintf("%s|s%d", app.Name, fw.MinSupport)
-	return e.analyses.Do(ctx, key, func() (*core.Analysis, error) {
-		if e.st != nil {
-			sk := store.AnalysisKey(e.appKey(app), fw)
-			if payload, ok := e.st.Get(store.KindAnalysis, sk); ok {
-				if a, err := store.DecodeAnalysis(payload); err == nil {
-					return a, nil
-				}
-			}
-		}
-		a, err := fw.Analyze(ctx, app)
-		if err == nil && e.st != nil {
-			e.st.Put(store.KindAnalysis, store.AnalysisKey(e.appKey(app), fw), store.EncodeAnalysis(a))
-		}
-		return a, err
-	})
-}
-
-// variant returns the cell's specialized PE, memoized across cells
-// sharing (app, support, k) and backed by the persistent store.
-func (e *engine) variant(ctx context.Context, c Cell, app *apps.App, fw *core.Framework) (*core.PEVariant, error) {
+// variant returns the cell's specialized PE, built once per run for
+// the cells sharing (app, support, k).
+func (e *engine) variant(c Cell, app *apps.App, fw *core.Framework) (*core.PEVariant, error) {
 	name := c.VariantName()
-	return e.variants.Do(ctx, name, func() (*core.PEVariant, error) {
-		if e.st != nil {
-			sk := store.VariantKey(name, e.registryKey(), fw)
-			if payload, ok := e.st.Get(store.KindVariant, sk); ok {
-				if v, err := store.DecodeVariant(payload, fw.Tech); err == nil {
-					return v, nil
-				}
-			}
-		}
-		a, err := e.analysis(ctx, app, fw)
-		if err != nil {
-			return nil, err
-		}
-		v, err := fw.GenerateTopPE(ctx, name, app.UsedOps(), a, c.K)
-		if err == nil && e.st != nil {
-			e.st.Put(store.KindVariant, store.VariantKey(name, e.registryKey(), fw), store.EncodeVariant(v))
-		}
-		return v, err
-	})
-}
-
-// Design and Layout make the engine the core.Memo of every evaluation
-// in its run. Design keys name the (app, variant) pair, and a sweep
-// variant name is unique per (app, support, k). Layout keys digest the
-// fabric and the placement seed, so only cells that agree on both share
-// a layout. A layout build runs
-// under the evaluating cell's context (its deadline applies) re-rooted
-// at the run's trace root, so the span tree does not depend on which
-// cell placed the netlist first; the layouts table drops canceled
-// builds, so one cell's timeout never reaches a sibling.
-func (e *engine) Design(ctx context.Context, key string, build func() (*core.Design, error)) (*core.Design, error) {
-	return e.designs.Do(ctx, key, build)
-}
-
-func (e *engine) Layout(ctx context.Context, key string, build func(context.Context) (*core.Layout, error)) (*core.Layout, error) {
-	return e.layouts.Do(ctx, key, func() (*core.Layout, error) {
-		return build(e.opt.Obs.Reattach(ctx))
+	return e.h.VariantFor(fw, name, func(ctx context.Context) (*core.PEVariant, error) {
+		return fw.GenerateTopPE(ctx, name, app.UsedOps(), e.h.AnalysisFor(fw, app), c.K)
 	})
 }
 
@@ -531,36 +448,15 @@ func (e *engine) evalCell(ctx context.Context, c Cell) CellResult {
 		return res
 	}
 	fw := e.frameworkFor(c)
-	v, err := e.variant(ctx, c, app, fw)
+	v, err := e.variant(c, app, fw)
 	if err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	var r *core.Result
-	if e.st != nil {
-		rk := store.ResultKey(e.appKey(app), store.VariantKey(v.Name, e.registryKey(), fw), fw, e.grid.PnR, e.grid.Pipelined)
-		if payload, ok := e.st.Get(store.KindResult, rk); ok {
-			if cached, err := store.DecodeResult(payload); err == nil {
-				r = cached
-			}
-		}
-	}
-	if r == nil {
-		ectx := ctx
-		if e.opt.CellTimeout > 0 {
-			var cancel context.CancelFunc
-			ectx, cancel = context.WithTimeout(ctx, e.opt.CellTimeout)
-			defer cancel()
-		}
-		r, err = fw.Evaluate(ectx, app, v, core.EvalOptions{PnR: e.grid.PnR, Pipelined: e.grid.Pipelined, Memo: e})
-		if err != nil {
-			res.Err = err.Error()
-			return res
-		}
-		if e.st != nil {
-			rk := store.ResultKey(e.appKey(app), store.VariantKey(v.Name, e.registryKey(), fw), fw, e.grid.PnR, e.grid.Pipelined)
-			e.st.Put(store.KindResult, rk, store.EncodeResult(r))
-		}
+	r, err := e.h.EvaluateFor(ctx, fw, app, v, e.grid.PnR, e.grid.Pipelined)
+	if err != nil {
+		res.Err = err.Error()
+		return res
 	}
 	res.NumPEs = r.NumPEs
 	res.TotalArea = r.TotalArea

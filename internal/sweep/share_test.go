@@ -101,7 +101,7 @@ func TestSweepSharesLayouts(t *testing.T) {
 			t.Fatal(err)
 		}
 		fw := e.frameworkFor(r.Cell)
-		v, err := e.variant(ctx, r.Cell, app, fw)
+		v, err := e.variant(r.Cell, app, fw)
 		if err != nil {
 			t.Fatal(err)
 		}

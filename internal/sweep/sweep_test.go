@@ -5,6 +5,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // A small, fast grid: one cheap app, two PE sizes, post-mapping only.
@@ -177,6 +181,44 @@ func TestRunWarmCacheIsEquivalentAndAllHits(t *testing.T) {
 	}
 	if warm.Store.Misses != 0 || warm.Store.Hits == 0 || warm.Store.Puts != 0 {
 		t.Fatalf("warm run should be all hits, no writes: %+v", warm.Store)
+	}
+}
+
+// TestRunRecomputesUndecodablePayloads: an envelope-valid payload that
+// does not decode, stored under a cell's variant key and its result
+// key, is counted as corrupt and recomputed, so the report equals a
+// cold run's. The keys are built from the store package directly: a
+// sweep must keep reading the entries earlier runs wrote.
+func TestRunRecomputesUndecodablePayloads(t *testing.T) {
+	g := testGrid()
+	cold := mustRun(t, g, Options{Workers: 1})
+
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.Normalized().Cells()[0]
+	app, err := apps.ByName(c.App)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw := newEngine(g.Normalized(), Options{}).frameworkFor(c)
+	vk := store.VariantKey(c.VariantName(), store.RegistryHash(), fw)
+	junk := []byte("not a payload")
+	st.Put(store.KindVariant, vk, junk)
+	st.Put(store.KindResult, store.ResultKey(store.AppHash(app), vk, fw, g.PnR, g.Pipelined), junk)
+
+	reg := obs.NewRegistry()
+	rep := mustRun(t, g, Options{Workers: 1, CacheDir: dir, Obs: &obs.Obs{Metrics: reg}})
+	rep.Store = nil
+	if !reflect.DeepEqual(cold, rep) {
+		t.Fatalf("report over undecodable payloads differs from a cold run:\n%+v\nvs\n%+v", rep, cold)
+	}
+	for _, name := range []string{"cache.variant.corrupt", "cache.result.corrupt"} {
+		if got := reg.Counter(name).Value(); got != 1 {
+			t.Errorf("%s = %d; want 1", name, got)
+		}
 	}
 }
 

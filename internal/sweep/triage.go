@@ -373,7 +373,7 @@ func (e *engine) knobsFor(c Cell, fw *core.Framework) costmodel.Knobs {
 // no Mapped artifact, and feature extraction needs the graph.
 func (e *engine) postmap(ctx context.Context, c Cell, app *apps.App, v *core.PEVariant, fw *core.Framework) (*core.Result, error) {
 	return e.postmaps.Do(ctx, c.VariantName(), func() (*core.Result, error) {
-		return fw.Evaluate(ctx, app, v, core.EvalOptions{PnR: false, Pipelined: e.grid.Pipelined, Memo: e})
+		return fw.Evaluate(ctx, app, v, core.EvalOptions{PnR: false, Pipelined: e.grid.Pipelined, Memo: e.h.Memo()})
 	})
 }
 
@@ -385,7 +385,7 @@ func (e *engine) cellFeatures(ctx context.Context, c Cell) (*core.Result, []floa
 		return nil, nil, err
 	}
 	fw := e.frameworkFor(c)
-	v, err := e.variant(ctx, c, app, fw)
+	v, err := e.variant(c, app, fw)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -420,6 +420,7 @@ func sampleFor(features []float64, r *CellResult, post *core.Result) costmodel.S
 // nil (with info.Fallback set) when the model cannot be trusted.
 func (e *engine) triageModel(mctx context.Context, rep *Report, explore map[int]bool, info *TriageReport) *costmodel.Model {
 	t := e.opt.Triage
+	st := e.h.Store()
 
 	// In-run samples: every explore cell with an oracle result, in cell
 	// index order. These double as the validation set.
@@ -440,14 +441,13 @@ func (e *engine) triageModel(mctx context.Context, rep *Report, explore map[int]
 		}
 		s := sampleFor(features, r, post)
 		inRun = append(inRun, s)
-		if e.st != nil {
+		if st != nil {
 			app, err := apps.ByName(r.App)
 			if err != nil {
 				continue
 			}
-			fw := e.frameworkFor(r.Cell)
-			rk := store.ResultKey(e.appKey(app), store.VariantKey(r.Variant, e.registryKey(), fw), fw, true, e.grid.Pipelined)
-			e.st.Put(store.KindSample, store.SampleKey(rk, costmodel.FeatureSchemaVersion), s.Encode())
+			rk := e.h.ResultKey(e.frameworkFor(r.Cell), app, r.Variant, true, e.grid.Pipelined)
+			st.Put(store.KindSample, store.SampleKey(rk, costmodel.FeatureSchemaVersion), s.Encode())
 		}
 	}
 
@@ -457,8 +457,8 @@ func (e *engine) triageModel(mctx context.Context, rep *Report, explore map[int]
 	fp := store.Key(rep.Fingerprint)
 	mk := store.ModelKey(fp, costmodel.FeatureSchemaVersion, t.Train.Hyper())
 	var model *costmodel.Model
-	if e.st != nil {
-		if payload, ok := e.st.Get(store.KindModel, mk); ok {
+	if st != nil {
+		if payload, ok := st.Get(store.KindModel, mk); ok {
 			if m, err := costmodel.DecodeModel(payload); err == nil {
 				model = m
 				info.ModelCached = true
@@ -472,9 +472,9 @@ func (e *engine) triageModel(mctx context.Context, rep *Report, explore map[int]
 		// key — worker- and run-order-invariant); without one, this run's
 		// own explore samples.
 		corpus := inRun
-		if e.st != nil {
+		if st != nil {
 			corpus = nil
-			e.st.Scan(store.KindSample, func(_ store.Key, payload []byte) error {
+			st.Scan(store.KindSample, func(_ store.Key, payload []byte) error {
 				if s, err := costmodel.DecodeSample(payload); err == nil {
 					corpus = append(corpus, *s)
 				}
@@ -494,8 +494,8 @@ func (e *engine) triageModel(mctx context.Context, rep *Report, explore map[int]
 			return nil
 		}
 		model = m
-		if e.st != nil {
-			e.st.Put(store.KindModel, mk, model.Encode())
+		if st != nil {
+			st.Put(store.KindModel, mk, model.Encode())
 		}
 	}
 
