@@ -119,7 +119,11 @@ fuzz:
 # call order (under the race detector). The telemetry
 # additions (DESIGN.md §14):
 # steady-state time-series recording and the no-subscriber event guard
-# are allocation-free, and per-job trace capture stays O(spans).
+# are allocation-free, and per-job trace capture stays O(spans). The
+# daemon journal (DESIGN.md §13): steady-state saves from one handle
+# never re-parse the file, one foreign write costs exactly one re-parse,
+# and the cached writer's files are byte-identical to the whole-file
+# read-merge-rewrite it replaced.
 perfcheck:
 	$(GO) test ./internal/cgra -run 'TestAnnealAllocs|TestRouteAllocs|TestAnnealRandMatchesMathRand|TestDivisorRemainder' -count=1 -v
 	$(GO) test ./internal/eval/ -run 'TestPlacementDigestPinned|TestFullPnRObsDeterminism|TestLayoutMemo|TestDesignMemo' -count=1
@@ -132,7 +136,7 @@ perfcheck:
 	$(GO) test ./internal/core/ -run 'TestSelectPatternsMatchesLegacy|TestSelectPatternsPrefix' -count=1
 	$(GO) test -race ./internal/core/ -run TestGenerateTopPEMatchesGeneratePE -count=1
 	$(GO) test ./internal/obs/ -run TestTimeSeriesAllocs -count=1
-	$(GO) test ./internal/serve/ -run 'TestEventPublishInactiveAllocs|TestJobTraceCaptureAllocs' -count=1
+	$(GO) test ./internal/serve/ -run 'TestEventPublishInactiveAllocs|TestJobTraceCaptureAllocs|TestJournalReparses|TestJournalMatchesReference' -count=1
 
 # Regenerate the golden tables after an intentional change to the
 # evaluation numbers or table layout.

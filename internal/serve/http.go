@@ -130,7 +130,10 @@ func clientID(r *http.Request, override string) string {
 		return override
 	}
 	if c := r.Header.Get("X-Apex-Client"); c != "" {
-		return c
+		// Header values may carry any byte; the journal holds the ID
+		// as a JSON string, whose encoding rewrites invalid UTF-8, so
+		// it is made valid here, once.
+		return strings.ToValidUTF8(c, "\uFFFD")
 	}
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
 	if err != nil || host == "" {

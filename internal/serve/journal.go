@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
+	"sync"
+	"time"
 
 	"repro/internal/store"
 )
@@ -74,54 +77,188 @@ func parseJournal(data []byte) (map[string]*Job, error) {
 	return jobs, nil
 }
 
-// saveJournal merges jobs into the on-disk snapshot and rewrites it
+// journal is a Server's handle on its journal file. It keeps the
+// merged on-disk state in memory: each job's merge keys (ID, Seq, State,
+// Finished) and its compact JSON encoding. A save whose file is still
+// the generation this handle installed (store.Current.Is) skips the read
+// and the parse, re-encodes only the incoming jobs whose Seq wins, and
+// streams the snapshot out piece by piece. Any other file (another
+// daemon during a handover, a manual edit, a corrupt or missing file) is
+// read, parsed and merged in full, and the cache is rebuilt from it —
+// the same Seq-wins merge either way, and the same bytes on disk.
+type journal struct {
+	path string
+
+	mu        sync.Mutex
+	byID      map[string]*journalEntry
+	sorted    []*journalEntry   // by ID: the file's job order
+	terminal  int               // terminal entries, against journalKeepTerminal
+	installed *store.Generation // the file this handle wrote last; nil = unknown
+	reparses  int               // full reads of the file (the fallback path)
+}
+
+// journalEntry is one job as the journal file holds it.
+type journalEntry struct {
+	id       string
+	seq      int64
+	terminal bool
+	finished time.Time
+	enc      []byte // compact JSON of the job
+}
+
+func newJournal(path string) *journal {
+	return &journal{path: path, byID: map[string]*journalEntry{}}
+}
+
+// save merges jobs into the on-disk snapshot and rewrites it
 // atomically. Jobs with a higher Seq replace their on-disk generation;
 // unknown on-disk jobs are preserved.
-func saveJournal(path string, jobs map[string]*Job) error {
-	err := store.UpdateFile(path, func(cur []byte) ([]byte, error) {
-		merged, err := parseJournal(cur)
-		if err != nil {
-			// Absent or corrupt snapshot (machine died mid-write before
-			// the rename left an older generation, or manual damage):
-			// ours is the best state we have — start over from it.
-			merged = map[string]*Job{}
-		}
-		for id, j := range jobs {
-			if old, ok := merged[id]; ok && old.Seq >= j.Seq {
-				continue
-			}
-			merged[id] = j
-		}
-
-		jf := journalFile{Version: journalVersion}
-		var terminal []*Job
-		for _, j := range merged {
-			if j.State.terminal() {
-				terminal = append(terminal, j)
-			} else {
-				jf.Jobs = append(jf.Jobs, j)
+func (jl *journal) save(jobs ...*Job) error {
+	jl.mu.Lock()
+	defer jl.mu.Unlock()
+	gen, err := store.UpdateFileStream(jl.path, func(cur store.Current) (func(*bufio.Writer) error, error) {
+		if !cur.Is(jl.installed) {
+			if err := jl.reload(cur); err != nil {
+				return nil, err
 			}
 		}
-		sort.Slice(terminal, func(i, k int) bool {
-			if !terminal[i].Finished.Equal(terminal[k].Finished) {
-				return terminal[i].Finished.After(terminal[k].Finished)
+		for _, j := range jobs {
+			if err := jl.merge(j); err != nil {
+				return nil, err
 			}
-			return terminal[i].ID < terminal[k].ID
-		})
-		if len(terminal) > journalKeepTerminal {
-			terminal = terminal[:journalKeepTerminal]
 		}
-		jf.Jobs = append(jf.Jobs, terminal...)
-		sort.Slice(jf.Jobs, func(i, k int) bool { return jf.Jobs[i].ID < jf.Jobs[k].ID })
-
-		// Compact encoding, deliberately: MarshalIndent would re-indent
-		// the embedded Result RawMessage, and a result's bytes must
-		// survive the journal round trip untouched (the byte-identical
-		// resume guarantee).
-		return json.Marshal(&jf)
+		jl.retain()
+		return jl.write, nil
 	})
+	// A failed save may have left the cache ahead of the file; nil makes
+	// the next save rebuild it from disk.
+	jl.installed.Close()
+	jl.installed = gen
 	if err != nil {
 		return fmt.Errorf("serve: save journal: %w", err)
 	}
+	return nil
+}
+
+// release drops the installed generation; the next save reads the file
+// in full.
+func (jl *journal) release() {
+	jl.mu.Lock()
+	defer jl.mu.Unlock()
+	jl.installed.Close()
+	jl.installed = nil
+}
+
+// reload rebuilds the cache from the current file. An absent or corrupt
+// snapshot (the machine died mid-write before the rename left an older
+// generation, or manual damage) leaves it empty: the jobs being saved
+// are the best state there is.
+func (jl *journal) reload(cur store.Current) error {
+	clear(jl.byID)
+	jl.sorted, jl.terminal = jl.sorted[:0], 0
+	if cur.Info == nil {
+		return nil
+	}
+	data, err := cur.Read()
+	if err != nil {
+		return err
+	}
+	jl.reparses++
+	jobs, err := parseJournal(data)
+	if err != nil {
+		return nil
+	}
+	for _, j := range jobs {
+		if err := jl.merge(j); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// merge applies one job under the Seq-wins rule, re-encoding it only
+// when it wins.
+func (jl *journal) merge(j *Job) error {
+	old, ok := jl.byID[j.ID]
+	if ok && old.seq >= j.Seq {
+		return nil
+	}
+	enc, err := json.Marshal(j)
+	if err != nil {
+		return err
+	}
+	e := journalEntry{id: j.ID, seq: j.Seq, terminal: j.State.terminal(), finished: j.Finished, enc: enc}
+	if e.terminal {
+		jl.terminal++
+	}
+	if ok {
+		if old.terminal {
+			jl.terminal--
+		}
+		*old = e
+		return nil
+	}
+	i := jl.index(j.ID)
+	jl.sorted = append(jl.sorted, nil)
+	copy(jl.sorted[i+1:], jl.sorted[i:])
+	jl.sorted[i] = &e
+	jl.byID[j.ID] = &e
+	return nil
+}
+
+// index is the position of id in sorted, or where it would go.
+func (jl *journal) index(id string) int {
+	return sort.Search(len(jl.sorted), func(i int) bool { return jl.sorted[i].id >= id })
+}
+
+// evictsBefore is the retention order of terminal jobs: a job that
+// finished earlier leaves first, and of two that finished at the same
+// time, the one with the larger ID.
+func evictsBefore(aFinished time.Time, aID string, bFinished time.Time, bID string) bool {
+	if !aFinished.Equal(bFinished) {
+		return aFinished.Before(bFinished)
+	}
+	return aID > bID
+}
+
+// retain applies the terminal cap: past journalKeepTerminal terminal
+// jobs, the first by evictsBefore are dropped, one linear scan each — a
+// steady-state save overflows the cap by one job.
+func (jl *journal) retain() {
+	for jl.terminal > journalKeepTerminal {
+		var oldest *journalEntry
+		for _, e := range jl.sorted {
+			if e.terminal && (oldest == nil || evictsBefore(e.finished, e.id, oldest.finished, oldest.id)) {
+				oldest = e
+			}
+		}
+		i := jl.index(oldest.id)
+		jl.sorted = append(jl.sorted[:i], jl.sorted[i+1:]...)
+		delete(jl.byID, oldest.id)
+		jl.terminal--
+	}
+}
+
+// write streams the snapshot — {"version":1,"jobs":[…]}, jobs in ID
+// order — exactly as json.Marshal renders a journalFile. The writer's
+// errors are sticky and surface at its flush. Compact, deliberately: an
+// indenting encoder would re-indent the embedded Result RawMessage, and a
+// result's bytes must survive the journal round trip untouched (the
+// byte-identical resume guarantee).
+func (jl *journal) write(w *bufio.Writer) error {
+	fmt.Fprintf(w, `{"version":%d,"jobs":`, journalVersion)
+	if len(jl.sorted) == 0 {
+		w.WriteString("null}")
+		return nil
+	}
+	for i, e := range jl.sorted {
+		if i == 0 {
+			w.WriteByte('[')
+		} else {
+			w.WriteByte(',')
+		}
+		w.Write(e.enc)
+	}
+	w.WriteString("]}")
 	return nil
 }

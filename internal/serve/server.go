@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,9 +181,12 @@ type Server struct {
 	smp       *sampler
 	startedAt time.Time
 
+	jnl *journal // nil without a journal path
+
 	mu           sync.Mutex
 	jobs         map[string]*Job
 	order        []string // insertion order, for stable pagination
+	terminal     int      // terminal jobs in jobs, against journalKeepTerminal
 	cancels      map[string]context.CancelFunc
 	canceling    map[string]bool // cancellation requested via the API
 	clientSeries map[string]bool // clients with a queue-depth gauge
@@ -262,11 +266,13 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
+		s.jnl = newJournal(cfg.JournalPath)
 		resumed := 0
 		for _, j := range sortedByID(journaled) {
 			s.jobs[j.ID] = j
 			s.order = append(s.order, j.ID)
 			if j.State.terminal() {
+				s.terminal++
 				continue
 			}
 			// Running died with the previous process; it is pending again.
@@ -290,11 +296,7 @@ func sortedByID(m map[string]*Job) []*Job {
 	for _, j := range m {
 		out = append(out, j)
 	}
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k].ID < out[k-1].ID; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
+	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
 }
 
@@ -369,6 +371,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	err := s.journalAll()
 	if err != nil {
 		s.logger().Warn("final journal flush failed", "err", err.Error())
+	}
+	if s.jnl != nil {
+		s.jnl.release()
 	}
 
 	// Telemetry teardown after the workers are idle, so every terminal
@@ -641,10 +646,39 @@ func (s *Server) finish(j *Job, mutate func()) {
 		mutate()
 		j.Finished = s.now().UTC()
 		j.NotBefore = time.Time{}
+		s.terminal++
+		s.evictTerminal()
 	})
 	s.done.Add(1)
 	s.journal(j)
 	s.publishJob(j)
+}
+
+// evictTerminal bounds the job table to the journal's retention: past
+// journalKeepTerminal terminal jobs, the first by evictsBefore leave the
+// table, so memory holds what a restart would reload and a GET of an
+// evicted job is a 404. Pending jobs are never evicted. Called with s.mu
+// held.
+func (s *Server) evictTerminal() {
+	for s.terminal > journalKeepTerminal {
+		at := -1
+		for i, id := range s.order {
+			j := s.jobs[id]
+			if !j.State.terminal() {
+				continue
+			}
+			if at < 0 {
+				at = i
+				continue
+			}
+			if o := s.jobs[s.order[at]]; evictsBefore(j.Finished, j.ID, o.Finished, o.ID) {
+				at = i
+			}
+		}
+		delete(s.jobs, s.order[at])
+		s.order = append(s.order[:at], s.order[at+1:]...)
+		s.terminal--
+	}
 }
 
 // backoff computes the delay before a job's next attempt: exponential
@@ -720,13 +754,13 @@ func (s *Server) cancelJob(id string) bool {
 // journal.go). Journal failures are logged and counted, never fatal —
 // the daemon keeps serving from memory.
 func (s *Server) journal(j *Job) {
-	if s.cfg.JournalPath == "" {
+	if s.jnl == nil {
 		return
 	}
 	s.mu.Lock()
 	rec := j.clone()
 	s.mu.Unlock()
-	if err := saveJournal(s.cfg.JournalPath, map[string]*Job{rec.ID: rec}); err != nil {
+	if err := s.jnl.save(rec); err != nil {
 		s.count("serve.journal.errors", 1)
 		s.logger().Warn("journal write failed", "id", rec.ID, "err", err.Error())
 	}
@@ -734,16 +768,16 @@ func (s *Server) journal(j *Job) {
 
 // journalAll flushes every known job (the drain path).
 func (s *Server) journalAll() error {
-	if s.cfg.JournalPath == "" {
+	if s.jnl == nil {
 		return nil
 	}
 	s.mu.Lock()
-	all := make(map[string]*Job, len(s.jobs))
-	for id, j := range s.jobs {
-		all[id] = j.clone()
+	all := make([]*Job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		all = append(all, j.clone())
 	}
 	s.mu.Unlock()
-	return saveJournal(s.cfg.JournalPath, all)
+	return s.jnl.save(all...)
 }
 
 // JobSnapshot returns a copy of one job, for tests and the API layer.

@@ -26,6 +26,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -159,23 +160,27 @@ func (s *Store) Get(kind Kind, key Key) ([]byte, bool) {
 	return payload, true
 }
 
-// Put stores payload under (kind, key) atomically. Storage failures are
+// Put stores payload under (kind, key) atomically. An entry that
+// already holds exactly these bytes is left alone, since a rerun
+// re-derives the values an earlier run stored; any other entry,
+// including an undecodable one, is overwritten. Storage failures are
 // counted and swallowed: the cache is an accelerator, never a
 // correctness dependency, so a full disk degrades to recomputation.
 func (s *Store) Put(kind Kind, key Key, payload []byte) {
 	if s == nil {
 		return
 	}
-	if err := s.put(kind, key, payload); err != nil {
+	p := s.path(kind, key)
+	sealed := sealEnvelope(key, payload)
+	if cur, err := os.ReadFile(p); err == nil && bytes.Equal(cur, sealed) {
+		return
+	}
+	if err := writeAtomic(p, writeBytes(sealed)); err != nil {
 		s.putErrs.Add(1)
 		return
 	}
 	s.puts.Add(1)
 	s.notePut(len(payload))
-}
-
-func (s *Store) put(kind Kind, key Key, payload []byte) error {
-	return writeFileAtomic(s.path(kind, key), sealEnvelope(key, payload))
 }
 
 // sealEnvelope wraps payload in the versioned, checksummed envelope.

@@ -37,6 +37,36 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutSkipsIdenticalEntries: Put writes a new or differing entry,
+// skips one that holds the same bytes, and overwrites an entry that no
+// longer decodes.
+func TestPutSkipsIdenticalEntries(t *testing.T) {
+	s := openT(t)
+	key := NewHasher("test").Str("k1").Key()
+	s.Put(KindSample, key, []byte("v1"))
+	s.Put(KindSample, key, []byte("v1"))
+	if n := s.Stats().Puts; n != 1 {
+		t.Fatalf("identical Put wrote %d times, want 1", n)
+	}
+	s.Put(KindSample, key, []byte("v2"))
+	if got, ok := s.Get(KindSample, key); !ok || string(got) != "v2" || s.Stats().Puts != 2 {
+		t.Fatalf("changed Put: got %q ok=%v puts=%d, want v2 written", got, ok, s.Stats().Puts)
+	}
+	p := s.path(KindSample, key)
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(KindSample, key, []byte("v2"))
+	if got, ok := s.Get(KindSample, key); !ok || string(got) != "v2" || s.Stats().Puts != 3 {
+		t.Fatalf("Put over a damaged entry: got %q ok=%v puts=%d, want it rewritten", got, ok, s.Stats().Puts)
+	}
+}
+
 func TestGetMissing(t *testing.T) {
 	s := openT(t)
 	if _, ok := s.Get(KindAnalysis, NewHasher("test").Str("nope").Key()); ok {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -94,4 +95,59 @@ func TestUpdateFileErrorLeavesFileUntouched(t *testing.T) {
 			t.Fatalf("stray file %q left in the directory", n)
 		}
 	}
+}
+
+// TestUpdateFileStreamGeneration: the generation an update installs
+// matches the file until another writer replaces it or rewrites it in
+// place, and the streamed bytes are what lands on disk.
+func TestUpdateFileStreamGeneration(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.json")
+	stream := func(data string, check func(Current)) *Generation {
+		t.Helper()
+		gen, err := UpdateFileStream(path, func(cur Current) (func(*bufio.Writer) error, error) {
+			check(cur)
+			return func(w *bufio.Writer) error {
+				w.WriteString(data)
+				return nil
+			}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gen
+	}
+	first := stream("one", func(cur Current) {
+		if cur.Info != nil || cur.Is(nil) {
+			t.Errorf("missing file: Info %v, Is(nil) %v", cur.Info, cur.Is(nil))
+		}
+	})
+	defer first.Close()
+	second := stream("two", func(cur Current) {
+		if !cur.Is(first) {
+			t.Error("the file this writer installed does not match its generation")
+		}
+	})
+	defer second.Close()
+	if got, err := os.ReadFile(path); err != nil || string(got) != "two" {
+		t.Fatalf("file = %q, %v; want the streamed bytes", got, err)
+	}
+	if err := UpdateFile(path, func(cur []byte) ([]byte, error) { return []byte("three"), nil }); err != nil {
+		t.Fatal(err)
+	}
+	stream("four", func(cur Current) {
+		if cur.Is(second) {
+			t.Error("a file another writer installed matches an older generation")
+		}
+	}).Close()
+
+	third := stream("five", func(Current) {})
+	defer third.Close()
+	if err := os.WriteFile(path, []byte("rewritten in place"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stream("six", func(cur Current) {
+		if cur.Is(third) {
+			t.Error("an in-place rewrite matches the generation it overwrote")
+		}
+	}).Close()
 }

@@ -143,6 +143,25 @@ func TestTriagePrunesAndMarksPredicted(t *testing.T) {
 	}
 }
 
+// TestTriageRerunOverFullCacheWritesNothing: a triaged grid rerun over
+// the cache its first run filled re-derives the same training samples,
+// and the store already holds them, so the rerun puts nothing.
+func TestTriageRerunOverFullCacheWritesNothing(t *testing.T) {
+	g := triageGrid()
+	dir := t.TempDir()
+	cold := mustRun(t, g, Options{Workers: 2, Triage: triageOpts(), CacheDir: dir})
+	if cold.Triage == nil || cold.Triage.Fallback != "" || cold.Store.Puts == 0 {
+		t.Fatalf("cold triaged run: triage %+v, store %+v", cold.Triage, cold.Store)
+	}
+	warm := mustRun(t, g, Options{Workers: 2, Triage: triageOpts(), CacheDir: dir})
+	if !reflect.DeepEqual(cold.Results, warm.Results) {
+		t.Fatal("rerun results differ from the first run")
+	}
+	if warm.Store.Misses != 0 || warm.Store.Puts != 0 {
+		t.Fatalf("rerun over a full cache: %d misses, %d puts, want 0 and 0", warm.Store.Misses, warm.Store.Puts)
+	}
+}
+
 func TestTriageResumeRefusesChangedFlags(t *testing.T) {
 	g := triageGrid()
 	ck := filepath.Join(t.TempDir(), "ck.json")
