@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench bench-pnr bench-mine bench-sweep bench-triage perfcheck minecheck sweepcheck servecheck triagecheck fuzz golden faultcheck panic-lint diag-lint metrics-lint obscheck check
+.PHONY: build test race vet fmt-check bench gates perfcheck minecheck sweepcheck servecheck triagecheck fuzz golden faultcheck panic-lint diag-lint metrics-lint obscheck check
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,7 @@ race:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags gates ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -25,31 +26,14 @@ fmt-check:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Refresh the PnR hot-path trajectory (BENCH_pnr.json): ns/op and
-# allocs/op for placement, routing, and the 4-seed portfolio, plus the
-# camera design's router iteration count.
-bench-pnr:
-	$(GO) test . -run TestWriteBenchPnR -bench-pnr=BENCH_pnr.json -count=1 -v
-
-# Refresh the miner trajectory (BENCH_mine.json): ns/op and allocs/op
-# for the SoA miner (1 and 8 workers), the nine-app suite, and the
-# frozen pre-SoA reference miner, plus the speedup ratio the ≥4x
-# mining-rewrite gate checks.
-bench-mine:
-	$(GO) test . -run TestWriteBenchMine -bench-mine=BENCH_mine.json -count=1 -v
-
-# Refresh the persistent-cache trajectory (BENCH_sweep.json): the full
-# fast-mode suite cold vs warm from the content-addressed store, the
-# cache footprint, and the warm speedup the ≥5x gate checks.
-bench-sweep:
-	$(GO) test . -run TestWriteBenchSweep -bench-sweep=BENCH_sweep.json -count=1 -v
-
-# Refresh the sweep-triage trajectory (BENCH_triage.json): the same PnR
-# grid full-oracle vs predictor-triaged, the ≥3x speedup gate, the ≤2%
-# Pareto hypervolume-regret gate, and the predicted-vs-actual error of
-# the pruned cells.
-bench-triage:
-	$(GO) test . -run TestWriteBenchTriage -bench-triage=BENCH_triage.json -count=1 -v -timeout 20m
+# The timing-ratio gates, each next to the code it gates and built only
+# with the `gates` tag so no timing ratio runs in the tier-1 suite or
+# `make check`: the miner >=4x faster than the frozen reference miner
+# on camera (internal/mining), the fast suite >=5x faster over a warm
+# store than cold (internal/eval), and a triaged PnR sweep >=3x faster
+# than the full oracle at <=2% hypervolume regret (internal/sweep).
+gates:
+	$(GO) test -tags gates -run Gate -count=1 ./internal/mining ./internal/eval ./internal/sweep
 
 # The persistent-store and sweep-engine gates (DESIGN.md §12): the wire
 # framing primitives guard every count, codecs round-trip pipeline
@@ -68,8 +52,9 @@ sweepcheck:
 
 # The miner equivalence and performance gates (DESIGN.md §11): the
 # parallel SoA miner must stay byte-identical to the frozen serial
-# reference on the full app suite at 1 and 8 workers, and its two
-# zero-allocation hot paths (extension scan, MNI count) must not rot.
+# reference miner (test-only, internal/mining/reference_test.go) on the
+# full app suite at 1 and 8 workers, and its two zero-allocation hot
+# paths (extension scan, MNI count) must not rot.
 minecheck:
 	$(GO) test ./internal/mining/ -run 'TestMineMatchesReference|TestMineWorkersDeterministic|TestMineAllocGates|TestMNIBruteForce|TestMaxEmbeddingsCap' -count=1
 	$(GO) test ./internal/graph/ -run 'TestCanonicalCodeMatchesLegacy|TestMatcherMatchesFindEmbeddings' -count=1

@@ -1,19 +1,17 @@
 // Package repro's root benchmark harness regenerates every table and
 // figure of the APEX paper's evaluation (one benchmark per table/figure,
 // full place-and-route) and runs the ablation studies DESIGN.md calls
-// out. Custom metrics surface the headline numbers next to the timings:
+// out that the Ablations table of `apex-eval` does not (ranking and FIFO
+// cutoff are there). Custom metrics surface the headline numbers next
+// to the timings:
 //
 //	go test -bench=. -benchmem .
 package repro
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
-	"os"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/cgra"
@@ -27,8 +25,6 @@ import (
 	"repro/internal/pe"
 	"repro/internal/pipeline"
 	"repro/internal/rewrite"
-	"repro/internal/store"
-	"repro/internal/sweep"
 	"repro/internal/tech"
 )
 
@@ -251,58 +247,6 @@ func BenchmarkMemoContention(b *testing.B) {
 // Ablation studies (DESIGN.md Section 4)
 // ---------------------------------------------------------------------------
 
-// BenchmarkAblationMISvsFrequency compares MIS-guided subgraph ranking
-// against raw-frequency ranking (DESIGN.md ablation 1): merge the top
-// pattern under each ranking and measure mapped PE count on camera.
-func BenchmarkAblationMISvsFrequency(b *testing.B) {
-	fw := core.New()
-	app := apps.Camera()
-	an, err := fw.Analyze(context.Background(), app)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var misPEs, freqPEs int
-	for i := 0; i < b.N; i++ {
-		// MIS-guided (with absorbability-aware selection).
-		vMIS, err := fw.GeneratePE(context.Background(), "ab_mis", app.UsedOps(), core.SelectPatterns(an, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		rMIS, err := fw.Evaluate(context.Background(), app, vMIS, core.PostMapping)
-		if err != nil {
-			b.Fatal(err)
-		}
-		misPEs = rMIS.NumPEs
-		// Frequency-ranked.
-		view, _ := mining.ComputeView(app.Graph)
-		pats, err := mining.Mine(context.Background(), view, mining.Options{MinSupport: 4, MaxNodes: fw.MaxPatternNodes})
-		if err != nil {
-			b.Fatal(err)
-		}
-		byFreq := mis.RankByFrequency(context.Background(), pats)
-		// Take the most frequent single-rooted pattern (rules are
-		// single-output; a multi-rooted pattern cannot become a rule).
-		pick := 0
-		for pick < len(byFreq) {
-			if _, err := rewrite.PatternFromMined(byFreq[pick].Pattern.Graph, "probe"); err == nil {
-				break
-			}
-			pick++
-		}
-		vF, err := fw.GeneratePE(context.Background(), "ab_freq", app.UsedOps(), byFreq[pick:pick+1])
-		if err != nil {
-			b.Fatal(err)
-		}
-		rF, err := fw.Evaluate(context.Background(), app, vF, core.PostMapping)
-		if err != nil {
-			b.Fatal(err)
-		}
-		freqPEs = rF.NumPEs
-	}
-	b.ReportMetric(float64(misPEs), "PEs-mis-ranked")
-	b.ReportMetric(float64(freqPEs), "PEs-freq-ranked")
-}
-
 // BenchmarkAblationMergeVsUnion compares max-weight-clique merging with
 // naive disjoint union (DESIGN.md ablation 2) on the Fig. 5 subgraphs.
 func BenchmarkAblationMergeVsUnion(b *testing.B) {
@@ -331,31 +275,6 @@ func BenchmarkAblationMergeVsUnion(b *testing.B) {
 		union = merge.DisjointUnion(a, c).Area(m)
 	}
 	b.ReportMetric((1-merged/union)*100, "%area-saved-vs-union")
-}
-
-// BenchmarkAblationFIFOCutoff sweeps the register-chain cutoff for
-// register-file substitution (DESIGN.md ablation 3) on the ResNet layer.
-func BenchmarkAblationFIFOCutoff(b *testing.B) {
-	spec := pe.FromDatapath("base", merge.BaselinePE(ir.BaselineALUOps()))
-	rs, err := rewrite.SynthesizeRuleSet(spec, nil, ir.BaselineALUOps())
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := rewrite.MapApp(apps.ResNet().Graph, rs, "resnet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var regs1, regs8, fifos1, fifos8 int
-	for i := 0; i < b.N; i++ {
-		_, r1 := pipeline.BalanceApp(m, pipeline.AppOptions{PELatency: 2, FIFOCutoff: 1})
-		_, r8 := pipeline.BalanceApp(m, pipeline.AppOptions{PELatency: 2, FIFOCutoff: 8})
-		regs1, fifos1 = r1.RegsInserted, r1.FIFOsInserted
-		regs8, fifos8 = r8.RegsInserted, r8.FIFOsInserted
-	}
-	b.ReportMetric(float64(regs1), "regs-cutoff1")
-	b.ReportMetric(float64(fifos1), "fifos-cutoff1")
-	b.ReportMetric(float64(regs8), "regs-cutoff8")
-	b.ReportMetric(float64(fifos8), "fifos-cutoff8")
 }
 
 // BenchmarkAblationExactVsGreedyMIS compares the exact and greedy
@@ -467,448 +386,4 @@ func BenchmarkAblationPipelineStages(b *testing.B) {
 	b.ReportMetric(float64(loose.Stages), "stages-gain30")
 	b.ReportMetric(float64(tight.Stages), "stages-gain05")
 	b.ReportMetric(tight.PeriodPS, "ps-period-gain05")
-}
-
-// cameraPnRDesign builds the balanced camera mapping the PnR hot-path
-// benchmarks place and route — the same design the Table 2 column is
-// produced from.
-func cameraPnRDesign(tb testing.TB) *rewrite.Mapped {
-	tb.Helper()
-	fw := core.New()
-	base, err := fw.BaselinePE(context.Background())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	m, err := rewrite.MapApp(apps.Camera().Graph, base.Rules, "camera")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	bal, _ := pipeline.BalanceApp(m, pipeline.AppOptions{PELatency: 1})
-	return bal
-}
-
-// BenchmarkPlaceCamera measures one full simulated-annealing placement
-// of the camera pipeline (greedy seed + 400k-move anneal).
-func BenchmarkPlaceCamera(b *testing.B) {
-	bal := cameraPnRDesign(b)
-	fab := cgra.Default()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cgra.Place(context.Background(), bal, fab, cgra.PlaceOptions{Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRouteCamera measures one full negotiated-congestion routing
-// of the placed camera pipeline.
-func BenchmarkRouteCamera(b *testing.B) {
-	bal := cameraPnRDesign(b)
-	fab := cgra.Default()
-	p, err := cgra.Place(context.Background(), bal, fab, cgra.PlaceOptions{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cgra.RouteAll(context.Background(), p, cgra.RouteOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPlacePortfolio measures a 4-seed concurrent placement
-// portfolio (the retry-ladder and -seeds configuration).
-func BenchmarkPlacePortfolio(b *testing.B) {
-	bal := cameraPnRDesign(b)
-	fab := cgra.Default()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cgra.Place(context.Background(), bal, fab, cgra.PlaceOptions{Seed: 1, Seeds: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-var benchPnROut = flag.String("bench-pnr", "", "write the PnR benchmark trajectory JSON (BENCH_pnr.json) to this path")
-
-// TestWriteBenchPnR runs the PnR hot-path benchmarks programmatically
-// and writes the trajectory file `make bench-pnr` tracks across PRs.
-// Skipped unless -bench-pnr is set.
-func TestWriteBenchPnR(t *testing.T) {
-	if *benchPnROut == "" {
-		t.Skip("enable with -bench-pnr=<path>")
-	}
-	type entry struct {
-		NsPerOp     int64 `json:"ns_per_op"`
-		BytesPerOp  int64 `json:"bytes_per_op"`
-		AllocsPerOp int64 `json:"allocs_per_op"`
-	}
-	run := func(f func(*testing.B)) entry {
-		r := testing.Benchmark(f)
-		return entry{r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp()}
-	}
-	bal := cameraPnRDesign(t)
-	p, err := cgra.Place(context.Background(), bal, cgra.Default(), cgra.PlaceOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	routed, err := cgra.RouteAll(context.Background(), p, cgra.RouteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := struct {
-		PlaceCamera     entry `json:"place_camera"`
-		RouteCamera     entry `json:"route_camera"`
-		PlacePortfolio  entry `json:"place_portfolio"`
-		RouteIterations int   `json:"route_iterations"`
-		RouteNets       int   `json:"route_nets"`
-	}{
-		PlaceCamera:     run(BenchmarkPlaceCamera),
-		RouteCamera:     run(BenchmarkRouteCamera),
-		PlacePortfolio:  run(BenchmarkPlacePortfolio),
-		RouteIterations: routed.Iterations,
-		RouteNets:       len(routed.Routes),
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*benchPnROut, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", *benchPnROut)
-}
-
-var benchMineOut = flag.String("bench-mine", "", "write the miner benchmark trajectory JSON (BENCH_mine.json) to this path")
-
-// TestWriteBenchMine runs the frequent-subgraph miner benchmarks
-// programmatically and writes the trajectory file `make bench-mine`
-// tracks across PRs: the SoA miner on the camera workload at default and
-// 8 workers, the nine-app suite, and the frozen pre-SoA reference miner
-// on the same camera workload as the speedup denominator. The recorded
-// speedup (reference ns / miner ns) is the ≥4x gate for the parallel
-// struct-of-arrays mining rewrite. Skipped unless -bench-mine is set.
-func TestWriteBenchMine(t *testing.T) {
-	if *benchMineOut == "" {
-		t.Skip("enable with -bench-mine=<path>")
-	}
-	type entry struct {
-		NsPerOp     int64 `json:"ns_per_op"`
-		BytesPerOp  int64 `json:"bytes_per_op"`
-		AllocsPerOp int64 `json:"allocs_per_op"`
-	}
-	view, _ := mining.ComputeView(apps.Camera().Graph)
-	cameraOpt := mining.Options{MinSupport: 8, MaxNodes: 4}
-	run := func(f func(b *testing.B)) entry {
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			f(b)
-		})
-		return entry{r.NsPerOp(), r.AllocedBytesPerOp(), r.AllocsPerOp()}
-	}
-	mineCamera := func(workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			opt := cameraOpt
-			opt.Workers = workers
-			for i := 0; i < b.N; i++ {
-				if _, err := mining.Mine(context.Background(), view, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	out := struct {
-		MineCamera         entry   `json:"mine_camera"`
-		MineCameraWorkers8 entry   `json:"mine_camera_workers8"`
-		MineCameraRef      entry   `json:"mine_camera_reference"`
-		MineSuite          entry   `json:"mine_suite"`
-		SpeedupVsReference float64 `json:"speedup_vs_reference"`
-	}{
-		MineCamera:         run(mineCamera(1)),
-		MineCameraWorkers8: run(mineCamera(8)),
-		MineCameraRef: run(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				mining.MineReference(context.Background(), view, cameraOpt)
-			}
-		}),
-		MineSuite: run(func(b *testing.B) {
-			all := apps.All()
-			views := make([]*graph.Graph, len(all))
-			opts := make([]mining.Options, len(all))
-			for j, app := range all {
-				views[j], _ = mining.ComputeView(app.Graph)
-				minSupport := app.ComputeOps() / 40
-				if minSupport < 4 {
-					minSupport = 4
-				}
-				opts[j] = mining.Options{MinSupport: minSupport, MaxNodes: 4}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range views {
-					if _, err := mining.Mine(context.Background(), views[j], opts[j]); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}),
-	}
-	out.SpeedupVsReference = float64(out.MineCameraRef.NsPerOp) / float64(out.MineCamera.NsPerOp)
-	if out.SpeedupVsReference < 4 {
-		t.Errorf("miner speedup vs frozen reference = %.2fx, want >= 4x", out.SpeedupVsReference)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*benchMineOut, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (speedup %.2fx)", *benchMineOut, out.SpeedupVsReference)
-}
-
-var benchSweepOut = flag.String("bench-sweep", "", "write the persistent-cache benchmark trajectory JSON (BENCH_sweep.json) to this path")
-
-// TestWriteBenchSweep measures the persistent result cache end to end
-// and writes the trajectory file `make bench-sweep` tracks across PRs:
-// the full fast-mode evaluation suite cold (empty cache, everything
-// mined, merged, and evaluated from scratch) versus warm (every
-// analysis, variant, and result deserialized from disk), plus the cache
-// footprint. The recorded speedup (cold ns / warm ns) is the ≥5x gate
-// for the sharded-sweep/persistent-store work; the warm run must also
-// render byte-identical tables. Skipped unless -bench-sweep is set.
-func TestWriteBenchSweep(t *testing.T) {
-	if *benchSweepOut == "" {
-		t.Skip("enable with -bench-sweep=<path>")
-	}
-	dir := t.TempDir()
-	runSuite := func() (time.Duration, string) {
-		st, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := eval.NewHarness()
-		h.FastMode = true
-		h.SetStore(st)
-		start := time.Now()
-		tables, err := h.Suite(context.Background(), false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		var md string
-		for _, tb := range tables {
-			md += tb.Markdown() + "\n"
-		}
-		return elapsed, md
-	}
-	cold, coldMD := runSuite()
-	warm := time.Duration(1<<62 - 1)
-	for i := 0; i < 3; i++ {
-		d, md := runSuite()
-		if md != coldMD {
-			t.Fatal("warm suite is not byte-identical to the cold suite")
-		}
-		if d < warm {
-			warm = d
-		}
-	}
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bytes, entries := st.DiskBytes()
-	out := struct {
-		ColdNs      int64   `json:"cold_suite_ns"`
-		WarmNs      int64   `json:"warm_suite_ns"`
-		Speedup     float64 `json:"warm_speedup"`
-		DiskBytes   int64   `json:"cache_bytes_on_disk"`
-		DiskEntries int     `json:"cache_entries_on_disk"`
-	}{
-		ColdNs:      cold.Nanoseconds(),
-		WarmNs:      warm.Nanoseconds(),
-		Speedup:     float64(cold.Nanoseconds()) / float64(warm.Nanoseconds()),
-		DiskBytes:   bytes,
-		DiskEntries: entries,
-	}
-	if out.Speedup < 5 {
-		t.Errorf("warm-cache suite speedup = %.2fx, want >= 5x", out.Speedup)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*benchSweepOut, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (cold %v, warm %v, %.1fx)", *benchSweepOut, cold, warm, out.Speedup)
-}
-
-var benchTriageOut = flag.String("bench-triage", "", "write the sweep-triage benchmark trajectory JSON (BENCH_triage.json) to this path")
-
-// TestWriteBenchTriage measures predictor-guided sweep triage end to end
-// and writes the trajectory file `make bench-triage` tracks across PRs:
-// the same place-and-route grid swept with the full oracle versus with
-// -triage-top pruning, on caches pre-warmed with a post-mapping pass so
-// both timings measure the PnR work triage actually prunes rather than
-// the shared one-time mining cost. Two gates: the triaged sweep must be
-// >= 3x faster than the full oracle, and the hypervolume of the triaged
-// run's oracle-only frontier must be within 2% of the full frontier's
-// (the regret bound — the pruning may not cost real Pareto coverage).
-// The file also records predicted-vs-actual error over the pruned
-// cells, measured against the full run's oracle numbers for the exact
-// same cells. Skipped unless -bench-triage is set.
-func TestWriteBenchTriage(t *testing.T) {
-	if *benchTriageOut == "" {
-		t.Skip("enable with -bench-triage=<path>")
-	}
-	g := sweep.Grid{
-		Apps:      []string{"camera", "harris"},
-		Supports:  []int{0},
-		Fabrics:   [][2]int{{32, 16}},
-		Seeds:     []int64{1, 2, 3, 4, 5},
-		Ks:        []int{1, 2, 3, 4, 5, 6, 7, 8},
-		PnR:       true,
-		Pipelined: true,
-	}
-	run := func(tr sweep.TriageOptions) (time.Duration, *sweep.Report) {
-		dir := t.TempDir()
-		warm := g
-		warm.PnR = false
-		if _, err := sweep.Run(context.Background(), warm, sweep.Options{Workers: 4, CacheDir: dir}); err != nil {
-			t.Fatal(err)
-		}
-		// The timed runs are serial so the recorded speedup is the pure
-		// work ratio (cells pruned), not parallel scheduling noise.
-		start := time.Now()
-		rep, err := sweep.Run(context.Background(), g, sweep.Options{Workers: 1, Triage: tr, CacheDir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		if rep.Failed > 0 {
-			t.Fatalf("%d cells failed", rep.Failed)
-		}
-		return elapsed, rep
-	}
-	fullDur, fullRep := run(sweep.TriageOptions{})
-	triDur, triRep := run(sweep.TriageOptions{Enabled: true, Top: 0.1, Explore: 0.1, Seed: 1, MinTrain: 2})
-	if triRep.Triage == nil || triRep.Triage.Fallback != "" {
-		t.Fatalf("triaged run did not triage: %+v", triRep.Triage)
-	}
-
-	// Regret: how much of the full-oracle frontier's hypervolume the
-	// triaged run's oracle cells retain. Per app, the union-of-rectangles
-	// hypervolume (minimizing area and energy, reference point 1.1x the
-	// worst frontier corner); the gated regret is over the sweep's total
-	// hypervolume across apps, the per-app worst case is recorded
-	// alongside it.
-	var hvFullSum, hvTriSum, maxAppRegret float64
-	fullPts := sweep.FrontierPoints(fullRep.Results, fullRep.Frontier)
-	triPts := sweep.FrontierPoints(triRep.Results, triRep.FrontierOracle)
-	for app, fp := range fullPts {
-		var ref [2]float64
-		for _, p := range append(append([][2]float64{}, fp...), triPts[app]...) {
-			ref[0] = max(ref[0], p[0])
-			ref[1] = max(ref[1], p[1])
-		}
-		ref[0] *= 1.1
-		ref[1] *= 1.1
-		hvFull := sweep.Hypervolume2D(fp, ref)
-		if hvFull <= 0 {
-			continue
-		}
-		hvTri := sweep.Hypervolume2D(triPts[app], ref)
-		hvFullSum += hvFull
-		hvTriSum += hvTri
-		maxAppRegret = max(maxAppRegret, (hvFull-hvTri)/hvFull)
-	}
-	regret := 0.0
-	if hvFullSum > 0 {
-		regret = (hvFullSum - hvTriSum) / hvFullSum
-	}
-
-	// Predicted-vs-actual error on the pruned cells: the triaged run's
-	// model estimates against the full run's oracle numbers for the same
-	// cell indices (identical grids index identically).
-	type errStat struct {
-		MeanPct float64 `json:"mean_pct"`
-		MaxPct  float64 `json:"max_pct"`
-	}
-	measure := func(metric func(*sweep.CellResult) float64) errStat {
-		var s errStat
-		n := 0
-		for i := range triRep.Results {
-			if !triRep.Results[i].Predicted {
-				continue
-			}
-			actual := metric(&fullRep.Results[i])
-			if actual <= 0 {
-				continue
-			}
-			pct := 100 * abs(metric(&triRep.Results[i])-actual) / actual
-			s.MeanPct += pct
-			s.MaxPct = max(s.MaxPct, pct)
-			n++
-		}
-		if n > 0 {
-			s.MeanPct /= float64(n)
-		}
-		return s
-	}
-	out := struct {
-		FullNs         int64   `json:"full_oracle_sweep_ns"`
-		TriagedNs      int64   `json:"triaged_sweep_ns"`
-		Speedup        float64 `json:"triage_speedup"`
-		Cells          int     `json:"cells"`
-		OracleCells    int     `json:"oracle_cells"`
-		PredictedCells int     `json:"predicted_cells"`
-		ExploreCells   int     `json:"explore_cells"`
-		TrainSamples   int     `json:"train_samples"`
-		RegretPct      float64 `json:"hypervolume_regret_pct"`
-		MaxAppRegret   float64 `json:"max_app_regret_pct"`
-		AreaErr        errStat `json:"predicted_area_err"`
-		EnergyErr      errStat `json:"predicted_energy_err"`
-		RuntimeErr     errStat `json:"predicted_runtime_err"`
-	}{
-		FullNs:         fullDur.Nanoseconds(),
-		TriagedNs:      triDur.Nanoseconds(),
-		Speedup:        float64(fullDur.Nanoseconds()) / float64(triDur.Nanoseconds()),
-		Cells:          len(triRep.Results),
-		OracleCells:    triRep.Triage.OracleCells,
-		PredictedCells: triRep.Triage.PredictedCells,
-		ExploreCells:   triRep.Triage.ExploreCells,
-		TrainSamples:   triRep.Triage.TrainSamples,
-		RegretPct:      100 * regret,
-		MaxAppRegret:   100 * maxAppRegret,
-		AreaErr:        measure(func(r *sweep.CellResult) float64 { return r.TotalArea }),
-		EnergyErr:      measure(func(r *sweep.CellResult) float64 { return r.TotalEnergy }),
-		RuntimeErr:     measure(func(r *sweep.CellResult) float64 { return r.RuntimeMS }),
-	}
-	if out.Speedup < 3 {
-		t.Errorf("triaged sweep speedup = %.2fx, want >= 3x", out.Speedup)
-	}
-	if out.RegretPct > 2 {
-		t.Errorf("hypervolume regret = %.2f%%, want <= 2%%", out.RegretPct)
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(*benchTriageOut, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (full %v, triaged %v, %.1fx, regret %.2f%%)",
-		*benchTriageOut, fullDur, triDur, out.Speedup, out.RegretPct)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

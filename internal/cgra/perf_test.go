@@ -228,3 +228,47 @@ func TestPortfolioCapacityError(t *testing.T) {
 		t.Errorf("portfolio capacity error %q differs from single-seed %q", errWide, errSingle)
 	}
 }
+
+// BenchmarkPlaceCamera measures one full simulated-annealing placement
+// of the camera pipeline (greedy seed + 400k-move anneal).
+func BenchmarkPlaceCamera(b *testing.B) {
+	bal := cameraBalanced(b)
+	fab := Default()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Place(context.Background(), bal, fab, PlaceOptions{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRouteCamera measures one full negotiated-congestion routing
+// of the placed camera pipeline.
+func BenchmarkRouteCamera(b *testing.B) {
+	p, err := Place(context.Background(), cameraBalanced(b), Default(), PlaceOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RouteAll(context.Background(), p, RouteOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlacePortfolio measures a 4-seed concurrent placement
+// portfolio (the retry-ladder and -seeds configuration).
+func BenchmarkPlacePortfolio(b *testing.B) {
+	bal := cameraBalanced(b)
+	fab := Default()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Place(context.Background(), bal, fab, PlaceOptions{Seed: 1, Seeds: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

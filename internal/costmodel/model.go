@@ -32,9 +32,6 @@ const (
 // targetNames is the fixed target order.
 var targetNames = [NumTargets]string{"area_ratio", "energy_ratio", "runtime_ratio", "routability"}
 
-// TargetNames returns the prediction-target names in model order.
-func TargetNames() []string { return append([]string(nil), targetNames[:]...) }
-
 // Ratio clamps: predictions outside this band are wild extrapolations
 // (the PnR overhead over the analytical estimate is bounded in practice)
 // and are clipped before use.

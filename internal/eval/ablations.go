@@ -12,9 +12,9 @@ import (
 	"repro/internal/rewrite"
 )
 
-// Ablations runs the design-choice studies DESIGN.md Section 4 calls out
-// and reports them as one table (the benchmark harness runs the same
-// studies with timings).
+// Ablations runs two of the design-choice studies DESIGN.md Section 4
+// calls out, MIS vs frequency ranking and the FIFO cutoff, and reports
+// them as one table; the root benchmark harness computes the others.
 func (h *Harness) Ablations(ctx context.Context) (*Table, error) {
 	ctx, span := obs.StartSpan(ctx, "ablations")
 	defer span.End()

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,10 +14,10 @@ import (
 // obsSuiteRun executes the suite (fast, or with full place-and-route) on
 // a cold harness with the given worker count and full observability
 // enabled, returning the harness, the canonical span tree and the
-// registry dump with the scheduling-dependent sched.* instruments
+// registry snapshot with the scheduling-dependent sched.* instruments
 // filtered out (queue wait, run time, and peak concurrency legitimately
 // vary with the worker count; everything else must not).
-func obsSuiteRun(t *testing.T, workers int, pnr bool) (h *Harness, tree, metrics string) {
+func obsSuiteRun(t *testing.T, workers int, pnr bool) (h *Harness, tree string, metrics obs.RegistrySnap) {
 	t.Helper()
 	o := &obs.Obs{Tracer: obs.NewTracer(), Metrics: obs.NewRegistry()}
 	o.Tracer.LinkMetrics(o.Metrics)
@@ -27,22 +29,22 @@ func obsSuiteRun(t *testing.T, workers int, pnr bool) (h *Harness, tree, metrics
 	if _, err := h.Suite(ctx, pnr); err != nil {
 		t.Fatal(err)
 	}
-	var kept []string
-	skipping := false
-	for _, line := range strings.Split(o.Metrics.String(), "\n") {
-		if strings.HasPrefix(line, "  ") { // histogram bucket of the last header
-			if skipping {
-				continue
-			}
-		} else {
-			skipping = strings.Contains(line, " sched.")
-			if skipping {
-				continue
-			}
+	metrics = o.Metrics.Snapshot()
+	sched := func(name string) bool { return strings.HasPrefix(name, "sched.") }
+	metrics.Counters = slices.DeleteFunc(metrics.Counters, func(c obs.InstrumentSnap) bool { return sched(c.Name) })
+	metrics.Gauges = slices.DeleteFunc(metrics.Gauges, func(g obs.InstrumentSnap) bool { return sched(g.Name) })
+	metrics.Histograms = slices.DeleteFunc(metrics.Histograms, func(h obs.HistogramSnap) bool { return sched(h.Name) })
+	return h, o.Tracer.TreeString(false), metrics
+}
+
+// hasCounter reports whether the snapshot holds a counter named name.
+func hasCounter(snap obs.RegistrySnap, name string) bool {
+	for _, c := range snap.Counters {
+		if c.Name == name {
+			return true
 		}
-		kept = append(kept, line)
 	}
-	return h, o.Tracer.TreeString(false), strings.Join(kept, "\n")
+	return false
 }
 
 // TestObsDeterminismAcrossWorkers is the observability analogue of the
@@ -55,12 +57,12 @@ func TestObsDeterminismAcrossWorkers(t *testing.T) {
 	if tree1 != tree8 {
 		t.Errorf("span trees differ between workers=1 and workers=8:\n--- workers=1\n%s\n--- workers=8\n%s", tree1, tree8)
 	}
-	if metrics1 != metrics8 {
-		t.Errorf("metrics differ between workers=1 and workers=8:\n--- workers=1\n%s\n--- workers=8\n%s", metrics1, metrics8)
+	if !reflect.DeepEqual(metrics1, metrics8) {
+		t.Errorf("metrics differ between workers=1 and workers=8:\n--- workers=1\n%+v\n--- workers=8\n%+v", metrics1, metrics8)
 	}
-	for _, want := range []string{"counter memo.results.lookups", "counter span.evaluate", "counter span.mine.pass", "counter span.suite"} {
-		if !strings.Contains(metrics1, want) {
-			t.Errorf("metrics dump missing %q:\n%s", want, metrics1)
+	for _, want := range []string{"memo.results.lookups", "span.evaluate", "span.mine.pass", "span.suite"} {
+		if !hasCounter(metrics1, want) {
+			t.Errorf("metrics missing counter %q:\n%+v", want, metrics1)
 		}
 	}
 	for _, want := range []string{"suite", "evaluate{", "mine.seed", "mis.analyze"} {

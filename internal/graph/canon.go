@@ -56,9 +56,6 @@ type Canonizer struct {
 	enc      canonEncoder
 }
 
-// NewCanonizer returns a Canonizer ready for repeated Code calls.
-func NewCanonizer() *Canonizer { return &Canonizer{} }
-
 type canonCand struct {
 	v   NodeID
 	inv string

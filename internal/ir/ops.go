@@ -152,11 +152,6 @@ func (op Op) IsCompute() bool { return opTable[op].compute }
 // merger (e.g. add and sub share an adder/subtractor).
 func (op Op) HWClass() string { return opTable[op].hwClass }
 
-// IsStructural reports whether the op is a non-compute structural node.
-func (op Op) IsStructural() bool {
-	return op != OpInvalid && !opTable[op].compute
-}
-
 func (op Op) String() string { return op.Name() }
 
 var opByName = func() map[string]Op {

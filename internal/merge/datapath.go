@@ -131,17 +131,6 @@ func (d *Datapath) HasWire(w Wire) bool {
 	return false
 }
 
-// WiresInto returns the wires feeding (to, port), in insertion order.
-func (d *Datapath) WiresInto(to, port int) []Wire {
-	var ws []Wire
-	for _, w := range d.Wires {
-		if w.To == to && w.Port == port {
-			ws = append(ws, w)
-		}
-	}
-	return ws
-}
-
 // Counts summarizes the datapath composition.
 type Counts struct {
 	FUs      int // functional units

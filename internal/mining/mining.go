@@ -11,8 +11,8 @@
 //
 // Mine runs each gSpan round in two data-parallel phases with a serial
 // deterministic merge between them, so its output is byte-identical to
-// the frozen serial MineReference at every worker count (see DESIGN.md
-// §11 for the architecture and the argument).
+// the frozen serial reference miner (reference_test.go) at every worker
+// count (see DESIGN.md §11 for the architecture and the argument).
 package mining
 
 import (
@@ -71,7 +71,7 @@ type Options struct {
 	// Workers is the number of goroutines used for candidate generation
 	// and support counting. 0 and 1 both mean fully serial (no goroutines
 	// are spawned). The mined output is byte-identical at every worker
-	// count; see MineReference and the equivalence suite.
+	// count; see the equivalence suite.
 	Workers int
 }
 

@@ -246,7 +246,7 @@ func BenchmarkMineCamera(b *testing.B)         { benchmarkMineCamera(b, 0) }
 func BenchmarkMineCameraWorkers8(b *testing.B) { benchmarkMineCamera(b, 8) }
 
 // BenchmarkMineCameraReference is the frozen pre-SoA miner on the same
-// workload: the denominator for the speedup gate in BENCH_mine.json.
+// workload: the denominator of TestGateMineSpeedup (gate_test.go).
 func BenchmarkMineCameraReference(b *testing.B) {
 	view, _ := ComputeView(apps.Camera().Graph)
 	b.ReportAllocs()

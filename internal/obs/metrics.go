@@ -2,12 +2,9 @@ package obs
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -287,7 +284,8 @@ type HistogramSnap struct {
 }
 
 // RegistrySnap is a point-in-time copy of a registry, with every
-// section sorted by name (the JSON export and the text dump share it).
+// section sorted by name (the JSON export and the Prometheus text
+// share it).
 type RegistrySnap struct {
 	Counters   []InstrumentSnap `json:"counters"`
 	Gauges     []InstrumentSnap `json:"gauges"`
@@ -388,34 +386,6 @@ func histQuantile(counts []int64, total, min, max int64, q float64) int64 {
 		return est
 	}
 	return max
-}
-
-// DumpText renders the registry as the deterministic sorted text form:
-// one "counter <name> <value>" / "gauge <name> <value>" line per
-// instrument and a header plus indented non-empty buckets per
-// histogram.
-func (r *Registry) DumpText(w io.Writer) {
-	snap := r.Snapshot()
-	for _, c := range snap.Counters {
-		fmt.Fprintf(w, "counter %s %d\n", c.Name, c.Value)
-	}
-	for _, g := range snap.Gauges {
-		fmt.Fprintf(w, "gauge %s %d\n", g.Name, g.Value)
-	}
-	for _, h := range snap.Histograms {
-		fmt.Fprintf(w, "histogram %s count=%d sum=%d min=%d max=%d p50=%d p95=%d p99=%d\n",
-			h.Name, h.Count, h.Sum, h.Min, h.Max, h.P50, h.P95, h.P99)
-		for _, b := range h.Buckets {
-			fmt.Fprintf(w, "  le=%s %d\n", b.LE, b.Count)
-		}
-	}
-}
-
-// String returns DumpText as a string.
-func (r *Registry) String() string {
-	var b strings.Builder
-	r.DumpText(&b)
-	return b.String()
 }
 
 // Metrics returns the registry carried by ctx, or nil when metrics are

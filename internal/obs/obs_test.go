@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -145,40 +143,6 @@ func TestDisabledPathAllocs(t *testing.T) {
 		ObserveSince(ctx, "since", time.Time{})
 	}); n != 0 {
 		t.Errorf("disabled metric helpers allocate %.1f times per call, want 0", n)
-	}
-}
-
-// TestMetricsDumpGolden locks the deterministic text dump format.
-func TestMetricsDumpGolden(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("memo.results.lookups").Add(42)
-	r.Counter("memo.results.miss").Add(17)
-	r.Counter("pnr.attempts").Add(5)
-	r.Counter("pnr.degraded.capacity").Add(1)
-	r.Gauge("sched.workers").Set(8)
-	r.Gauge("sched.peak_goroutines").Max(6)
-	for _, v := range []int64{1, 3, 3, 40, 100000} {
-		r.Histogram("route.iterations").Observe(v)
-	}
-	var b strings.Builder
-	r.DumpText(&b)
-	got := b.String()
-
-	path := filepath.Join("testdata", "metrics_dump.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if got != string(want) {
-		t.Errorf("metrics dump changed:\n--- got\n%s--- want\n%s", got, want)
 	}
 }
 
