@@ -42,9 +42,11 @@ gates:
 # checkpointed sweep resumes without recomputing finished cells, and a
 # sweep's cells share designs and layouts (TestSweepSharesLayouts) while
 # its report keeps its pinned bytes at any worker count
-# (TestSweepReportPinned, testdata/report.sha256), and an undecodable
+# (TestSweepReportPinned, testdata/report.sha256), an undecodable
 # stored variant or result under a sweep cell's key is counted as corrupt
-# and recomputed (TestRunRecomputesUndecodablePayloads).
+# and recomputed (TestRunRecomputesUndecodablePayloads), and each
+# distinct PE, merge prefix and synthesized rule of a sweep is generated
+# once whatever the variant names (TestSweepGeneratesEachDistinctPEOnce).
 sweepcheck:
 	$(GO) test ./internal/wire/ ./internal/store/ -count=1
 	$(GO) test ./internal/eval/ -run TestPersist -count=1
@@ -159,9 +161,10 @@ diag-lint:
 # The daemon gate (DESIGN.md §13): the full internal/serve suite under
 # the race detector — bounded-queue backpressure with Retry-After,
 # client-fair round-robin scheduling, the retry/backoff fault ladder,
-# and the churn-drain-restart byte-identical resume scenario — plus the
-# apex sweep exit-status subprocess contract the daemon's journal
-# semantics are modeled on.
+# the churn-drain-restart byte-identical resume scenario, and compile
+# jobs leaving the harness's generated table untouched
+# (TestCompileJobsBypassGenerated) — plus the apex sweep exit-status
+# subprocess contract the daemon's journal semantics are modeled on.
 servecheck:
 	$(GO) test -race ./internal/serve/ -count=1
 	$(GO) test ./cmd/apex/ -count=1

@@ -226,7 +226,7 @@ func run(ctx context.Context) (int, error) {
 			o.Tracer.WriteStageSummary(os.Stderr)
 		}
 		fmt.Fprintln(os.Stderr, "memo caches:")
-		for _, name := range []string{"analyses", "variants", "results", "designs", "layouts"} {
+		for _, name := range []string{"analyses", "variants", "results", "designs", "layouts", "generated"} {
 			s := h.Report.MemoStats()[name]
 			fmt.Fprintf(os.Stderr, "  %-9s %d lookups: %d hits, %d coalesced, %d misses, %d panics\n",
 				name, s.Lookups(), s.Hits, s.Coalesced, s.Misses, s.Panics)

@@ -19,9 +19,11 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"runtime"
-	"slices"
+	"strconv"
 	"sync"
 
 	"repro/internal/apps"
@@ -36,6 +38,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/rewrite"
 	"repro/internal/tech"
+	"repro/internal/wire"
 )
 
 // Framework bundles the models shared across the flow. It is treated as
@@ -85,16 +88,17 @@ func New() *Framework {
 // patterns embed into, and the MIS-ranked pattern list.
 //
 // An Analysis is read-only once built and may be shared between
-// goroutines. Its two pieces of mutable state, the greedy selection
-// order SelectPatterns extends on demand and the merged datapaths along
-// it that GenerateTopPE extends, are derived from View and Ranked, each
-// guarded by its own lock, and never encoded.
+// goroutines. Its one piece of mutable state, the greedy selection order
+// SelectPatterns extends on demand, is derived from View and Ranked,
+// guarded by its own lock, and never encoded. The merged datapaths along
+// that order are not the analysis's: they are keyed by content in the
+// GenMemo a GenerateTopPE call shares, so analyses that pick the same
+// patterns merge them once.
 type Analysis struct {
 	View   *graph.Graph
 	Ranked []mis.Ranked
 
 	order selectOrder
-	chain mergeChain
 }
 
 // Analyze mines an application's compute view and ranks the frequent
@@ -193,23 +197,23 @@ var ControlOps = []ir.Op{ir.OpSel, ir.OpLUT}
 // (PE 2 merges one, PE 3 two, and so on), plus the synthesized compiler
 // and automatic pipelining.
 func (f *Framework) GeneratePE(ctx context.Context, name string, baseOps []ir.Op, patterns []mis.Ranked) (*PEVariant, error) {
-	return f.generateRanked(ctx, name, baseOps, patterns, new(mergeChain))
+	return f.generateRanked(ctx, nil, name, baseOps, patterns)
 }
 
-// GenerateTopPE is GeneratePE over SelectPatterns(a, k). PE k+1 is PE k's
-// datapath merged with one more subgraph (paper Fig. 11), so the analysis
-// keeps the merged datapaths along its selection order and a call merges
-// only the picks no earlier call has merged. The chain is built for the
-// tech model and base op set of its first call; a call with another model
-// or op set merges privately, from scratch. Either way the variant is
-// identical to GeneratePE's.
-func (f *Framework) GenerateTopPE(ctx context.Context, name string, baseOps []ir.Op, a *Analysis, k int) (*PEVariant, error) {
-	return f.generateRanked(ctx, name, baseOps, SelectPatterns(a, k), &a.chain)
+// GenerateTopPE is GeneratePE over SelectPatterns(a, k), sharing
+// generation work with every other call through m (nil shares nothing).
+// PE k+1 is PE k's datapath merged with one more subgraph (paper
+// Fig. 11), and analyses at other supports often pick the same
+// subgraphs, so a call merges only the pattern prefixes no call sharing
+// m has merged, and a PE another call has built is renamed rather than
+// built again. Either way the variant is identical to GeneratePE's.
+func (f *Framework) GenerateTopPE(ctx context.Context, m GenMemo, name string, baseOps []ir.Op, a *Analysis, k int) (*PEVariant, error) {
+	return f.generateRanked(ctx, m, name, baseOps, SelectPatterns(a, k))
 }
 
 // generateRanked names the ranked patterns "<name>_sg<i>" and generates
-// the PE along chain.
-func (f *Framework) generateRanked(ctx context.Context, name string, baseOps []ir.Op, patterns []mis.Ranked, chain *mergeChain) (*PEVariant, error) {
+// the PE through m.
+func (f *Framework) generateRanked(ctx context.Context, m GenMemo, name string, baseOps []ir.Op, patterns []mis.Ranked) (*PEVariant, error) {
 	ctx, span := obs.StartSpan(ctx, "generate_pe",
 		obs.String("variant", name), obs.Int("patterns", len(patterns)))
 	defer span.End()
@@ -221,7 +225,7 @@ func (f *Framework) generateRanked(ctx context.Context, name string, baseOps []i
 		}
 		named = append(named, np)
 	}
-	v, err := f.generate(ctx, name, baseOps, named, chain)
+	v, err := f.generate(ctx, m, name, baseOps, named)
 	if err != nil {
 		return nil, err
 	}
@@ -230,93 +234,247 @@ func (f *Framework) generateRanked(ctx context.Context, name string, baseOps []i
 	return v, nil
 }
 
-// generate merges the named patterns into the baseline over baseOps
-// along chain, then synthesizes the compiler and pipelines the PE.
-func (f *Framework) generate(ctx context.Context, name string, baseOps []ir.Op, named []rewrite.NamedPattern, chain *mergeChain) (*PEVariant, error) {
-	ops := withControlOps(baseOps)
-	dp, err := chain.fitting(f.Tech, ops).datapath(ctx, named)
-	if err != nil {
-		return nil, err
-	}
-	spec := pe.FromDatapath(name, dp)
-	rules, err := synthesizeRules(ctx, spec, named, ops)
-	if err != nil {
-		return nil, err
-	}
-	pp := pipelinePE(ctx, spec, f.Tech)
-	return &PEVariant{Name: name, Spec: spec, Pipelined: pp, Rules: rules}, nil
+// GenMemo shares PE generation between calls (GenerateTopPE). Generated
+// returns the step memoized under key, calling build at most once per
+// key among concurrent callers. Generation builds are never canceled.
+type GenMemo interface {
+	Generated(key string, build func() (*Generated, error)) (*Generated, error)
 }
 
-// mergeChain holds merged datapaths along a pattern order: dps[i] is the
-// baseline over ops merged with patterns 0..i-1, every merge weighted by
-// tech. An analysis keeps one along its selection order; GeneratePE
-// merges along a throwaway one, so there is one merge loop. A chain is
-// fixed to the tech model and op set that first claimed it, guarded by
-// its own lock, and never encoded.
-type mergeChain struct {
-	mu   sync.Mutex
+// Generated is one memoized step of PE generation, keyed by content:
+// the baseline merged with a prefix of the patterns (genKey.merged), a
+// PE built under the names of the call that built it (genKey.pe), or
+// the rule, nil if none, that one pattern graph has on one datapath
+// (ruleSet). It is read-only once built.
+type Generated struct {
+	// tech is the model a merged or PE key names by address; holding it
+	// keeps that address from being reused while the entry lives.
 	tech *tech.Model
-	ops  []ir.Op
-	dps  []*merge.Datapath
+	dp   *merge.Datapath
+	v    *PEVariant
+	rule *rewrite.Rule
 }
 
-// fitting returns c if its datapaths are built for m and ops, claiming
-// an unclaimed c for them, and otherwise a fresh private chain.
-func (c *mergeChain) fitting(m *tech.Model, ops []ir.Op) *mergeChain {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dps == nil {
-		c.tech, c.ops, c.dps = m, ops, []*merge.Datapath{merge.BaselinePE(ops)}
-	}
-	if c.tech == m && slices.Equal(c.ops, ops) {
-		return c
-	}
-	return new(mergeChain).fitting(m, ops)
+// unshared is the GenMemo of a call that shares nothing: it builds every
+// step it is asked for.
+type unshared struct{}
+
+func (unshared) Generated(_ string, build func() (*Generated, error)) (*Generated, error) {
+	return build()
 }
 
-// datapath returns a copy of the baseline merged with the named patterns
-// in order, extending the chain by the merges no earlier call has run.
-// Each pattern gets one merge span, run or reused, so the span tree does
-// not depend on call order. A pattern's name enters its merge only as
-// provenance (Sources[1+i]), which the copy takes from named.
-func (c *mergeChain) datapath(ctx context.Context, named []rewrite.NamedPattern) (*merge.Datapath, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i, np := range named {
-		_, span := obs.StartSpan(ctx, "merge", obs.String("pattern", np.Name))
-		if i+1 == len(c.dps) {
-			pdp, err := merge.FromPattern(np.Graph, np.Name)
-			if err != nil {
-				span.End()
-				return nil, err
-			}
-			c.dps = append(c.dps, merge.Merge(c.dps[i], pdp, merge.Options{Tech: c.tech}))
+// generate merges the named patterns into the baseline over baseOps,
+// then synthesizes the compiler and pipelines the PE, each step through
+// m. A generated PE is a pure function of the tech model, the op set and
+// the pattern graphs; names only label it. So a call whose PE another
+// call has built takes that PE under its own names, and records the
+// span subtree a build records: one merge span per pattern,
+// synthesize_rules and pipeline_pe.
+func (f *Framework) generate(ctx context.Context, m GenMemo, name string, baseOps []ir.Op, named []rewrite.NamedPattern) (*PEVariant, error) {
+	if m == nil {
+		m = unshared{}
+	}
+	ops := withControlOps(baseOps)
+	pats := rewrite.RulePatterns(named, ops)
+	key := newGenKey(f.Tech, ops, named)
+	built := false
+	g, err := m.Generated(key.pe(), func() (*Generated, error) {
+		built = true
+		dp, err := f.datapath(ctx, m, key, ops, named)
+		if err != nil {
+			return nil, err
 		}
+		v, err := f.finish(ctx, m, pe.FromDatapath(name, dp), pats, nil)
+		return &Generated{tech: f.Tech, v: v}, err
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case built:
+		return g.v, nil
+	}
+	for _, np := range named {
+		_, span := obs.StartSpan(ctx, "merge", obs.String("pattern", np.Name))
 		span.End()
 	}
-	dp := c.dps[len(named)].Clone()
+	b := g.v.Spec
+	dp := *b.DP
+	dp.Sources = []string{b.DP.Sources[0]}
+	for _, np := range named {
+		dp.Sources = append(dp.Sources, np.Name)
+	}
+	spec := *b
+	spec.Name, spec.DP = name, &dp
+	return f.finish(ctx, m, &spec, pats, g.v.Pipelined)
+}
+
+// finish synthesizes spec's rules for pats through m and pipelines spec,
+// or, when built is a pipelining of spec's datapath, takes that one: a
+// pipelining depends only on the datapath and the tech model.
+func (f *Framework) finish(ctx context.Context, m GenMemo, spec *pe.Spec, pats []rewrite.NamedPattern, built *pipeline.PipelinedPE) (*PEVariant, error) {
+	rules, err := synthesizeRules(ctx, spec, func() (*rewrite.RuleSet, error) {
+		return ruleSet(m, spec, pats)
+	})
+	if err != nil {
+		return nil, err
+	}
+	pp := pipelinePE(ctx, spec, func() *pipeline.PipelinedPE {
+		if built == nil {
+			return pipeline.PipelinePE(spec, f.Tech, pipeline.Options{})
+		}
+		c := *built
+		c.Spec = spec
+		return &c
+	})
+	return &PEVariant{Name: spec.Name, Spec: spec, Pipelined: pp, Rules: rules}, nil
+}
+
+// datapath returns a copy of the baseline over ops merged with the named
+// patterns in order, each prefix's merge run through m and recorded in
+// one merge span per pattern. A pattern's name enters its merge only as
+// provenance (Sources[1+i]), which the copy takes from named.
+func (f *Framework) datapath(ctx context.Context, m GenMemo, key genKey, ops []ir.Op, named []rewrite.NamedPattern) (*merge.Datapath, error) {
+	g, err := m.Generated(key.merged(0), func() (*Generated, error) {
+		return &Generated{tech: f.Tech, dp: merge.BaselinePE(ops)}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, np := range named {
+		_, span := obs.StartSpan(ctx, "merge", obs.String("pattern", np.Name))
+		prev := g.dp
+		g, err = m.Generated(key.merged(i+1), func() (*Generated, error) {
+			pdp, err := merge.FromPattern(np.Graph, np.Name)
+			if err != nil {
+				return nil, err
+			}
+			return &Generated{tech: f.Tech, dp: merge.Merge(prev, pdp, merge.Options{Tech: f.Tech})}, nil
+		})
+		span.End()
+		if err != nil {
+			return nil, err
+		}
+	}
+	dp := g.dp.Clone()
 	for i, np := range named {
 		dp.Sources[1+i] = np.Name
 	}
 	return dp, nil
 }
 
-// synthesizeRules wraps compiler generation in its span.
-func synthesizeRules(ctx context.Context, spec *pe.Spec, named []rewrite.NamedPattern, ops []ir.Op) (*rewrite.RuleSet, error) {
+// ruleSet synthesizes spec's rules for pats, each through m under its
+// (datapath, pattern graph) key: PEs whose patterns differ can still
+// share a datapath, such as one whose last pattern merged into units the
+// datapath already had, and a rule depends only on the pair. Synthesis
+// reads a name only to label the rule, so the rule is named for the call
+// that found it, and every other call takes a copy with its own name,
+// pattern graph and spec that shares the configuration and port maps.
+func ruleSet(m GenMemo, spec *pe.Spec, pats []rewrite.NamedPattern) (*rewrite.RuleSet, error) {
+	prefix := "rule|" + datapathDigest(spec.DP)
+	var key []byte
+	return rewrite.BuildRuleSet(spec, pats, func(np rewrite.NamedPattern) (*rewrite.Rule, error) {
+		key = appendGraph(append(key[:0], prefix...), np.Graph)
+		g, err := m.Generated(string(key), func() (*Generated, error) {
+			r, err := rewrite.SynthesizeRule(spec, np.Graph, np.Name)
+			return &Generated{rule: r}, err
+		})
+		switch {
+		case err != nil || g.rule == nil:
+			return nil, err
+		case g.rule.Spec == spec && g.rule.Name == np.Name && g.rule.Pattern == np.Graph:
+			return g.rule, nil
+		}
+		r := *g.rule
+		r.Name, r.Pattern, r.Spec = np.Name, np.Graph, spec
+		return &r, nil
+	})
+}
+
+// datapathDigest digests what rule synthesis reads of a datapath: its
+// units and wires, but not its Sources.
+func datapathDigest(dp *merge.Datapath) string {
+	var e wire.Enc
+	e.Int(len(dp.Units))
+	for _, u := range dp.Units {
+		e.Int(int(u.Kind))
+		e.Int(len(u.Ops))
+		for _, op := range u.Ops {
+			e.Int(int(op))
+		}
+		e.Str(u.Class)
+		e.Bool(u.Bit)
+	}
+	e.Int(len(dp.Wires))
+	for _, w := range dp.Wires {
+		e.Int(w.From)
+		e.Int(w.To)
+		e.Int(w.Port)
+	}
+	sum := sha256.Sum256(e.Buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// appendGraph renders a pattern graph's nodes: op, arguments, value and
+// name.
+func appendGraph(b []byte, g *ir.Graph) []byte {
+	b = append(b, '|')
+	for _, n := range g.Nodes {
+		b = strconv.AppendInt(b, int64(n.Op), 10)
+		for _, a := range n.Args {
+			b = append(b, ',')
+			b = strconv.AppendInt(b, int64(a), 10)
+		}
+		b = append(b, ';')
+		b = strconv.AppendUint(b, uint64(n.Val), 10)
+		b = strconv.AppendQuote(b, n.Name)
+	}
+	return b
+}
+
+// genKey renders what a generated PE depends on: the tech model's
+// address, the op set, and each pattern graph's nodes (op, arguments,
+// value and name), but not the patterns' names. ends[i] is where the
+// rendering of patterns 0..i-1 ends.
+type genKey struct {
+	s    string
+	ends []int
+}
+
+func newGenKey(m *tech.Model, ops []ir.Op, named []rewrite.NamedPattern) genKey {
+	b := fmt.Appendf(nil, "%p|%v", m, ops)
+	ends := []int{len(b)}
+	for _, np := range named {
+		b = appendGraph(b, np.Graph)
+		ends = append(ends, len(b))
+	}
+	return genKey{string(b), ends}
+}
+
+// merged keys the baseline merged with the first i patterns.
+func (k genKey) merged(i int) string { return "merge|" + k.s[:k.ends[i]] }
+
+// pe keys the PE generated from all the patterns. The names
+// generateRanked gives patterns never repeat each other or a single-op
+// pattern's name, so synthesis skips none and the key need not say
+// where names repeat.
+func (k genKey) pe() string { return "pe|" + k.s }
+
+// synthesizeRules runs compiler generation in its span.
+func synthesizeRules(ctx context.Context, spec *pe.Spec, synth func() (*rewrite.RuleSet, error)) (*rewrite.RuleSet, error) {
 	_, span := obs.StartSpan(ctx, "synthesize_rules", obs.String("variant", spec.Name))
 	defer span.End()
-	rules, err := rewrite.SynthesizeRuleSet(spec, named, ops)
+	rules, err := synth()
 	if err == nil {
 		span.SetAttrs(obs.Int("rules", len(rules.Rules)))
 	}
 	return rules, err
 }
 
-// pipelinePE wraps PE pipelining in its span.
-func pipelinePE(ctx context.Context, spec *pe.Spec, m *tech.Model) *pipeline.PipelinedPE {
+// pipelinePE runs PE pipelining in its span.
+func pipelinePE(ctx context.Context, spec *pe.Spec, pipe func() *pipeline.PipelinedPE) *pipeline.PipelinedPE {
 	_, span := obs.StartSpan(ctx, "pipeline_pe", obs.String("variant", spec.Name))
 	defer span.End()
-	pp := pipeline.PipelinePE(spec, m, pipeline.Options{})
+	pp := pipe()
 	span.SetAttrs(obs.Int("stages", pp.Stages))
 	return pp
 }
@@ -327,7 +485,7 @@ func (f *Framework) GeneratePEFromPatterns(ctx context.Context, name string, bas
 	ctx, span := obs.StartSpan(ctx, "generate_pe",
 		obs.String("variant", name), obs.Int("patterns", len(named)))
 	defer span.End()
-	return f.generate(ctx, name, baseOps, named, new(mergeChain))
+	return f.generate(ctx, nil, name, baseOps, named)
 }
 
 // BaselinePE returns the paper's general-purpose baseline PE variant.
@@ -336,11 +494,15 @@ func (f *Framework) BaselinePE(ctx context.Context) (*PEVariant, error) {
 	defer span.End()
 	ops := ir.BaselineALUOps()
 	spec := pe.FromDatapath("baseline", merge.BaselinePE(ops))
-	rules, err := synthesizeRules(ctx, spec, nil, ops)
+	rules, err := synthesizeRules(ctx, spec, func() (*rewrite.RuleSet, error) {
+		return rewrite.SynthesizeRuleSet(spec, nil, ops)
+	})
 	if err != nil {
 		return nil, err
 	}
-	pp := pipelinePE(ctx, spec, f.Tech)
+	pp := pipelinePE(ctx, spec, func() *pipeline.PipelinedPE {
+		return pipeline.PipelinePE(spec, f.Tech, pipeline.Options{})
+	})
 	return &PEVariant{Name: "baseline", Spec: spec, Pipelined: pp, Rules: rules, Baseline: true}, nil
 }
 

@@ -10,17 +10,27 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/memo"
 	"repro/internal/store"
 	"repro/internal/tech"
 )
 
+// tableMemo is a core.GenMemo over one memo table, as eval.Harness
+// serves it.
+type tableMemo struct{ t memo.Table[*core.Generated] }
+
+func (m *tableMemo) Generated(key string, build func() (*core.Generated, error)) (*core.Generated, error) {
+	return m.t.Do(context.Background(), key, build)
+}
+
 // TestGenerateTopPEMatchesGeneratePE: on every suite app and for
-// k = 0..6, the variant GenerateTopPE builds along the analysis's merge
-// chain encodes to the same bytes as GeneratePE's from-scratch build of
-// the same picks, whether one analysis is asked for increasing k,
-// decreasing k, or every k at once from several goroutines. A call with
-// another op set or another tech model than the chain was built for
-// falls back to a correct private build and leaves the chain intact.
+// k = 0..6, a variant GenerateTopPE builds through a shared GenMemo, or
+// serves from another name's build, encodes to the same bytes as
+// GeneratePE's unshared build of the same picks under its own name —
+// whether the memo is asked for increasing k, decreasing k, or every k
+// at once from several goroutines. A second name's variants build
+// nothing, and a call with another op set or another tech model builds
+// its own PE instead of serving another's.
 func TestGenerateTopPEMatchesGeneratePE(t *testing.T) {
 	const maxK = 6
 	ctx := context.Background()
@@ -30,11 +40,13 @@ func TestGenerateTopPEMatchesGeneratePE(t *testing.T) {
 		t.Fatalf("suite has %d apps, want 9", len(all))
 	}
 	wider := core.UnionOps(all)
+	names := []string{"first", "second"}
 	for _, app := range all {
 		an, err := fw.Analyze(ctx, app)
 		if err != nil {
 			t.Fatal(err)
 		}
+		name := func(prefix string, k int) string { return fmt.Sprintf("%s_%s%d", app.Name, prefix, k) }
 		scratch := func(fw *core.Framework, ops []ir.Op, name string, k int) []byte {
 			v, err := fw.GeneratePE(ctx, name, ops, core.SelectPatterns(an, k))
 			if err != nil {
@@ -42,52 +54,88 @@ func TestGenerateTopPEMatchesGeneratePE(t *testing.T) {
 			}
 			return store.EncodeVariant(v)
 		}
-		name := func(k int) string { return fmt.Sprintf("%s_top%d", app.Name, k) }
-		want := make([][]byte, maxK+1)
-		for k := range want {
-			want[k] = scratch(fw, app.UsedOps(), name(k), k)
+		want := map[string][]byte{}
+		for _, prefix := range names {
+			for k := 0; k <= maxK; k++ {
+				want[name(prefix, k)] = scratch(fw, app.UsedOps(), name(prefix, k), k)
+			}
 		}
-		fresh := func() *core.Analysis { return &core.Analysis{View: an.View, Ranked: an.Ranked} }
-		check := func(order string, fw *core.Framework, a *core.Analysis, ops []ir.Op, k int, want []byte) {
-			v, err := fw.GenerateTopPE(ctx, name(k), ops, a, k)
+		check := func(order string, fw *core.Framework, m core.GenMemo, ops []ir.Op, name string, k int, want []byte) {
+			v, err := fw.GenerateTopPE(ctx, m, name, ops, an, k)
 			if err != nil {
-				t.Errorf("%s, %s order, k=%d: %v", app.Name, order, k, err)
+				t.Errorf("%s order, %s: %v", order, name, err)
 				return
 			}
 			if !bytes.Equal(store.EncodeVariant(v), want) {
-				t.Errorf("%s, %s order, k=%d: variant differs from GeneratePE's", app.Name, order, k)
+				t.Errorf("%s order, %s: variant differs from GeneratePE's", order, name)
 			}
 		}
-
-		inc := fresh()
+		// pass generates every k under one name prefix in the given
+		// order and returns the misses it added to m.
+		pass := func(order string, m *tableMemo, prefix string, ks []int) int64 {
+			before := m.t.Stats().Misses
+			for _, k := range ks {
+				check(order, fw, m, app.UsedOps(), name(prefix, k), k, want[name(prefix, k)])
+			}
+			return m.t.Stats().Misses - before
+		}
+		var inc, dec []int
 		for k := 0; k <= maxK; k++ {
-			check("increasing", fw, inc, app.UsedOps(), k, want[k])
+			inc = append(inc, k)
+			dec = append(dec, maxK-k)
 		}
-		dec := fresh()
-		for k := maxK; k >= 0; k-- {
-			check("decreasing", fw, dec, app.UsedOps(), k, want[k])
+
+		serial := &tableMemo{}
+		builds := pass("increasing", serial, names[0], inc)
+		if got := pass("increasing", serial, names[1], inc); got != 0 {
+			t.Errorf("%s: a second name's variants ran %d builds; want every one served from the first name's", app.Name, got)
 		}
-		conc := fresh()
+		down := &tableMemo{}
+		if got := pass("decreasing", down, names[0], dec); got != builds {
+			t.Errorf("%s: decreasing k ran %d builds, increasing %d", app.Name, got, builds)
+		}
+		if got := pass("decreasing", down, names[1], dec); got != 0 {
+			t.Errorf("%s: a second name's variants ran %d builds in decreasing order", app.Name, got)
+		}
+
+		conc := &tableMemo{}
 		var wg sync.WaitGroup
 		for rep := 0; rep < 3; rep++ {
-			for k := 0; k <= maxK; k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					check("concurrent", fw, conc, app.UsedOps(), k, want[k])
-				}(k)
+			for _, prefix := range names {
+				for k := 0; k <= maxK; k++ {
+					wg.Add(1)
+					go func(prefix string, k int) {
+						defer wg.Done()
+						check("concurrent", fw, conc, app.UsedOps(), name(prefix, k), k, want[name(prefix, k)])
+					}(prefix, k)
+				}
 			}
 		}
 		wg.Wait()
+		if got := conc.t.Stats().Misses; got != builds {
+			t.Errorf("%s: concurrent calls ran %d builds; want %d, one per distinct key", app.Name, got, builds)
+		}
 
-		// The chain of mixed belongs to the first call's op set and tech
-		// model; the other two build privately.
-		mixed := fresh()
+		// Another op set or another tech model is another PE: each
+		// builds its own, correctly, and leaves the others served.
 		other := core.New()
 		other.Tech = tech.Default()
-		check("mixed", fw, mixed, app.UsedOps(), 2, want[2])
-		check("mixed, other ops", fw, mixed, wider, maxK, scratch(fw, wider, name(maxK), maxK))
-		check("mixed, other tech", other, mixed, app.UsedOps(), maxK, scratch(other, app.UsedOps(), name(maxK), maxK))
-		check("mixed", fw, mixed, app.UsedOps(), maxK, want[maxK])
+		for _, c := range []struct {
+			order string
+			fw    *core.Framework
+			ops   []ir.Op
+		}{
+			{"other ops", fw, wider},
+			{"other tech", other, app.UsedOps()},
+		} {
+			before := serial.t.Stats().Misses
+			check(c.order, c.fw, serial, c.ops, name(c.order, maxK), maxK, scratch(c.fw, c.ops, name(c.order, maxK), maxK))
+			if serial.t.Stats().Misses == before {
+				t.Errorf("%s, %s: served another PE's build", app.Name, c.order)
+			}
+		}
+		if got := pass("after mismatches", serial, names[1], inc); got != 0 {
+			t.Errorf("%s: a mismatched call disturbed the shared builds (%d new builds)", app.Name, got)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func (h *Harness) Ablations(ctx context.Context) (*Table, error) {
 	// below and the serial assembly share one build each.
 	misVariant := func() (*core.PEVariant, error) {
 		return h.Variant("abl_mis", func(ctx context.Context) (*core.PEVariant, error) {
-			return h.FW.GenerateTopPE(ctx, "abl_mis", app.UsedOps(), h.Analysis(app), 1)
+			return h.FW.GenerateTopPE(ctx, h.GenMemo(), "abl_mis", app.UsedOps(), h.Analysis(app), 1)
 		})
 	}
 	freqVariant := func() (*core.PEVariant, error) {

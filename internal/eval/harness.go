@@ -29,10 +29,11 @@ import (
 	"repro/internal/store"
 )
 
-// Harness caches analyses, PE variants, evaluation results, mapped and
-// balanced designs, and place-and-route layouts across experiments, so
-// the full suite runs each expensive step once. All methods are safe
-// for concurrent use: the caches are singleflight memo tables (duplicate keys compute
+// Harness caches analyses, PE variants and the merges and rules they are
+// generated from, evaluation results, mapped and balanced designs, and
+// place-and-route layouts across experiments, so the full suite runs
+// each expensive step once. All methods are safe for concurrent use:
+// the caches are singleflight memo tables (duplicate keys compute
 // exactly once even under contention), and the figure drivers fan their
 // independent (app, variant, pnr, pipelined) cells out over a bounded
 // worker pool before assembling the tables in a fixed serial order — so
@@ -82,16 +83,23 @@ type Harness struct {
 	// both serve core.Memo (evalMemo).
 	designs memo.Table[*core.Design]
 	layouts memo.Table[*core.Layout]
+	// generated holds the merged datapath prefixes, built PEs and
+	// synthesized rules of the variants generated from analyses, under
+	// content keys (core.GenMemo): variants that differ only in name,
+	// such as one app's at two supports that pick the same patterns, are
+	// merged and synthesized once. Compile jobs (internal/serve) bypass
+	// it: user source is unbounded input.
+	generated memo.Table[*core.Generated]
 
 	// store is the optional persistent content-addressed cache layered
 	// under the memo tables (SetStore); nil keeps the harness in-memory.
-	// The key fields memoize the app/registry fingerprints so hashing an
-	// app graph happens once per process, not once per lookup.
-	store        *store.Store
-	keyMu        sync.Mutex
-	appKeys      map[string]store.Key
-	registryOnce sync.Once
-	registry     store.Key
+	// The key fields, guarded by keyMu, memoize the app/registry
+	// fingerprints so hashing an app graph happens once per process, not
+	// once per lookup.
+	store    *store.Store
+	keyMu    sync.Mutex
+	appKeys  map[string]store.Key
+	registry store.Key
 }
 
 // NewHarness returns a harness with the paper's defaults.
@@ -115,13 +123,15 @@ func (h *Harness) SetObs(o *obs.Obs) {
 	h.results.Instrument("results", reg)
 	h.designs.Instrument("designs", reg)
 	h.layouts.Instrument("layouts", reg)
+	h.generated.Instrument("generated", reg)
 }
 
 // ResetMemos drops every in-memory memoized analysis, variant, result,
-// design, and layout. A long-running process (the apexd daemon) calls it
-// periodically so the in-process tables cannot grow without bound; with
-// a persistent store attached the next lookups reload from disk, so the
-// cost is deserialization, not recomputation. Safe to call concurrently
+// design, layout, and generated datapath, PE and rule. A long-running
+// process (the apexd daemon) calls it periodically so the in-process
+// tables cannot grow without bound; with a persistent store attached the
+// next lookups reload from disk, so the cost is deserialization, not
+// recomputation. Safe to call concurrently
 // with evaluations: in-flight builds complete against their detached
 // entries and their callers observe them normally.
 func (h *Harness) ResetMemos() {
@@ -130,6 +140,7 @@ func (h *Harness) ResetMemos() {
 	h.results.Reset()
 	h.designs.Reset()
 	h.layouts.Reset()
+	h.generated.Reset()
 }
 
 // ForgetResult drops one evaluation cell from the results memo, and the
@@ -152,11 +163,12 @@ func (h *Harness) ForgetResult(appName, variantName string, pnr, pipelined bool)
 // tables, keyed by table name.
 func (h *Harness) MemoStats() map[string]memo.Stats {
 	return map[string]memo.Stats{
-		"analyses": h.analyses.Stats(),
-		"variants": h.variants.Stats(),
-		"results":  h.results.Stats(),
-		"designs":  h.designs.Stats(),
-		"layouts":  h.layouts.Stats(),
+		"analyses":  h.analyses.Stats(),
+		"variants":  h.variants.Stats(),
+		"results":   h.results.Stats(),
+		"designs":   h.designs.Stats(),
+		"layouts":   h.layouts.Stats(),
+		"generated": h.generated.Stats(),
 	}
 }
 
@@ -242,7 +254,7 @@ func (h *Harness) Baseline() (*core.PEVariant, error) {
 // three subgraphs.
 func (h *Harness) SpecializedPE(app *apps.App) (*core.PEVariant, error) {
 	return h.Variant("spec_"+app.Name, func(ctx context.Context) (*core.PEVariant, error) {
-		return h.FW.GenerateTopPE(ctx, "spec_"+app.Name, app.UsedOps(), h.Analysis(app), 3)
+		return h.FW.GenerateTopPE(ctx, h.GenMemo(), "spec_"+app.Name, app.UsedOps(), h.Analysis(app), 3)
 	})
 }
 
@@ -251,7 +263,7 @@ func (h *Harness) SpecializedPE(app *apps.App) (*core.PEVariant, error) {
 func (h *Harness) LadderPE(app *apps.App, k int) (*core.PEVariant, error) {
 	name := fmt.Sprintf("%s_pe%d", app.Name, k)
 	return h.Variant(name, func(ctx context.Context) (*core.PEVariant, error) {
-		return h.FW.GenerateTopPE(ctx, name, app.UsedOps(), h.Analysis(app), k-1)
+		return h.FW.GenerateTopPE(ctx, h.GenMemo(), name, app.UsedOps(), h.Analysis(app), k-1)
 	})
 }
 
@@ -380,11 +392,18 @@ func (h *Harness) EvaluateFor(ctx context.Context, fw *core.Framework, app *apps
 // and layouts tables.
 func (h *Harness) Memo() core.Memo { return evalMemo{h} }
 
+// GenMemo returns the core.GenMemo every harness variant generated from
+// an analysis uses: the generated table. Its keys name the tech model by
+// address, so frameworks sharing the harness share exactly the
+// generation work their models and op sets agree on.
+func (h *Harness) GenMemo() core.GenMemo { return evalMemo{h} }
+
 // evalMemo serves core.Memo from the harness's designs and layouts
-// tables. A layout build runs under the evaluating cell's context, so
-// its deadline and cancellation apply, re-rooted like the cell's own
-// evaluate span: the span tree and the invariant metrics do not depend
-// on which cell built the layout first. The layouts table drops
+// tables, and core.GenMemo from its generated table. A layout build runs
+// under the evaluating cell's context, so its deadline and cancellation
+// apply, re-rooted like the cell's own evaluate span: the span tree and
+// the invariant metrics do not depend on which cell built the layout
+// first. The layouts table drops
 // canceled builds, so one cell's timeout never reaches a sibling
 // waiting on the same netlist. Design keys name the (app, variant)
 // pair and layout keys digest the fabric and placement seed, so cells
@@ -400,6 +419,10 @@ func (m evalMemo) Layout(ctx context.Context, key string, build func(context.Con
 	return m.h.layouts.Do(ctx, key, func() (*core.Layout, error) {
 		return build(m.h.obs.Reattach(ctx))
 	})
+}
+
+func (m evalMemo) Generated(key string, build func() (*core.Generated, error)) (*core.Generated, error) {
+	return m.h.generated.Do(context.Background(), key, build)
 }
 
 // logger returns the harness's structured logger (never nil).

@@ -57,7 +57,11 @@ func (h *Harness) appKey(app *apps.App) store.Key {
 
 // registryKey returns (caching) the application-registry fingerprint.
 func (h *Harness) registryKey() store.Key {
-	h.registryOnce.Do(func() { h.registry = store.RegistryHash() })
+	h.keyMu.Lock()
+	defer h.keyMu.Unlock()
+	if h.registry == "" {
+		h.registry = store.RegistryHash()
+	}
 	return h.registry
 }
 

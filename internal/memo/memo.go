@@ -1,9 +1,10 @@
 // Package memo is the pipeline's one in-process memo mechanism: a
 // concurrency-safe, singleflight-style table that builds each key at
 // most once. The evaluation harness (internal/eval) keeps its analyses,
-// variants, results, designs and layouts in Tables, for the paper suite
-// and for every sweep cell; the sweep engine (internal/sweep) keeps only
-// its triage's post-mapping results in one.
+// variants, results, designs, layouts and generated datapaths, PEs and
+// rules in Tables, for the paper suite and for every sweep cell; the
+// sweep engine (internal/sweep) keeps only its triage's post-mapping
+// results in one.
 package memo
 
 import (
@@ -49,18 +50,20 @@ type Table[V any] struct {
 
 	// inst names the table and holds the registry its invariant
 	// counters go to; nil when uninstrumented. One pointer keeps the
-	// table small: a harness holds five of them by value, and building
-	// a harness is a benchmarked set-up cost.
+	// table small: a harness holds six of them by value, and building
+	// a harness is a benchmarked set-up cost. For the same reason the
+	// panic count is 32 bits and shares a word with ForgetCanceled, so
+	// a table is seven words.
 	inst *instrument
-
-	// ForgetCanceled keeps canceled builds out of the table (see Do).
-	// Set it before the first Do.
-	ForgetCanceled bool
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	coalesced atomic.Int64
-	panics    atomic.Int64
+	panics    atomic.Int32
+
+	// ForgetCanceled keeps canceled builds out of the table (see Do).
+	// Set it before the first Do.
+	ForgetCanceled bool
 }
 
 type entry[V any] struct {
@@ -103,7 +106,7 @@ func (t *Table[V]) Stats() Stats {
 		Hits:      t.hits.Load(),
 		Misses:    t.misses.Load(),
 		Coalesced: t.coalesced.Load(),
-		Panics:    t.panics.Load(),
+		Panics:    int64(t.panics.Load()),
 	}
 }
 

@@ -125,6 +125,18 @@ func ConstVariants(np NamedPattern) []NamedPattern {
 	return out
 }
 
+// RulePatterns lists the patterns SynthesizeRuleSet synthesizes rules
+// for, in order: each complex mined pattern followed by its
+// constant-operand variants, then the single-op patterns for ops. A name
+// that repeats an earlier one is listed but not synthesized.
+func RulePatterns(complex []NamedPattern, ops []ir.Op) []NamedPattern {
+	var all []NamedPattern
+	for _, np := range complex {
+		all = append(all, ConstVariants(np)...)
+	}
+	return append(all, SingleOpPatterns(ops)...)
+}
+
 // SynthesizeRuleSet synthesizes rules for every given pattern (complex
 // mined patterns and their constant-operand variants first, then the
 // single-op patterns for ops). Patterns the PE cannot implement are
@@ -132,19 +144,23 @@ func ConstVariants(np NamedPattern) []NamedPattern {
 // legitimately lacks rules for operations its applications do not use,
 // and a merged PE may lack the constant registers some variants need.
 func SynthesizeRuleSet(spec *pe.Spec, complex []NamedPattern, ops []ir.Op) (*RuleSet, error) {
+	return BuildRuleSet(spec, RulePatterns(complex, ops), func(np NamedPattern) (*Rule, error) {
+		return SynthesizeRule(spec, np.Graph, np.Name)
+	})
+}
+
+// BuildRuleSet is SynthesizeRuleSet over a RulePatterns list, with
+// synth standing in for SynthesizeRule on spec: it returns the rule for
+// a pattern, or nil when spec cannot implement it.
+func BuildRuleSet(spec *pe.Spec, pats []NamedPattern, synth func(NamedPattern) (*Rule, error)) (*RuleSet, error) {
 	rs := &RuleSet{Spec: spec}
-	var expanded []NamedPattern
-	for _, np := range complex {
-		expanded = append(expanded, ConstVariants(np)...)
-	}
-	all := append(expanded, SingleOpPatterns(ops)...)
 	seen := map[string]bool{}
-	for _, np := range all {
+	for _, np := range pats {
 		if seen[np.Name] {
 			continue
 		}
 		seen[np.Name] = true
-		rule, err := SynthesizeRule(spec, np.Graph, np.Name)
+		rule, err := synth(np)
 		if err != nil {
 			return nil, fmt.Errorf("rewrite: pattern %s: %w", np.Name, err)
 		}
@@ -154,8 +170,13 @@ func SynthesizeRuleSet(spec *pe.Spec, complex []NamedPattern, ops []ir.Op) (*Rul
 		}
 		rs.Rules = append(rs.Rules, rule)
 	}
-	// Complex rules first; among equals, fewer PE inputs first (cheaper
-	// interconnect), then name for determinism.
+	rs.sort()
+	return rs, nil
+}
+
+// sort orders the rules complex-first; among equals, fewer PE inputs
+// first (cheaper interconnect), then by name for determinism.
+func (rs *RuleSet) sort() {
 	sort.SliceStable(rs.Rules, func(i, j int) bool {
 		a, b := rs.Rules[i], rs.Rules[j]
 		if a.Size != b.Size {
@@ -167,7 +188,6 @@ func SynthesizeRuleSet(spec *pe.Spec, complex []NamedPattern, ops []ir.Op) (*Rul
 		}
 		return a.Name < b.Name
 	})
-	return rs, nil
 }
 
 // SupportsOp reports whether the rule set has a plain rule for op.

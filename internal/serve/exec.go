@@ -201,7 +201,7 @@ func (s *Server) variantFor(p Params) (*core.PEVariant, error) {
 	}
 	name := s.variantName(p)
 	return s.h.Variant(name, func(ctx context.Context) (*core.PEVariant, error) {
-		return s.h.FW.GenerateTopPE(ctx, name, app.UsedOps(), s.h.Analysis(app), p.K)
+		return s.h.FW.GenerateTopPE(ctx, s.h.GenMemo(), name, app.UsedOps(), s.h.Analysis(app), p.K)
 	})
 }
 

@@ -601,3 +601,36 @@ func TestChurnDrainRestartByteIdentical(t *testing.T) {
 	t.Logf("churn: %d accepted, %d rejected, %d resumed-pending, %d distinct result groups",
 		len(accepted), rejected, pending, len(sigs))
 }
+
+// TestCompileJobsBypassGenerated: compile jobs generate their PEs
+// outside the harness, so the harness's generated table neither grows
+// nor is consulted however many kernels the daemon compiles. User
+// source is unbounded input; a table keyed by its patterns would grow
+// with every distinct kernel for the daemon's lifetime.
+func TestCompileJobsBypassGenerated(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	srv.Start()
+	run := func(kind Kind, p Params) {
+		t.Helper()
+		resp := submitJob(t, ts, "c", kind, p)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %s = %d, want 202", kind, resp.StatusCode)
+		}
+		if j := waitTerminal(t, srv, decodeJob(t, resp).ID, 30*time.Second); j.State != StateDone {
+			t.Fatalf("%s job state = %s (%s), want done", kind, j.State, j.Error)
+		}
+	}
+	run(KindEvaluate, Params{App: "gaussian", K: 2})
+	before := srv.h.MemoStats()["generated"]
+	if before.Misses == 0 {
+		t.Fatal("an evaluate job built nothing through the generated table")
+	}
+	for i := 0; i < 8; i++ {
+		src := fmt.Sprintf("input p0, p1, p2, p3, p4, p5, p6, p7\n"+
+			"out y = (p0*%[1]d + p1) + (p2*%[1]d + p3) + (p4*%[1]d + p5) + (p6*%[1]d + p7) + %[2]d\n", i+2, i)
+		run(KindCompile, Params{Source: src, K: 2})
+	}
+	if after := srv.h.MemoStats()["generated"]; after != before {
+		t.Errorf("compile jobs changed the generated table's stats: %+v, was %+v", after, before)
+	}
+}

@@ -156,8 +156,9 @@ func (s *shard) size() int {
 // once, shares each mapped and balanced design and each physical
 // netlist's place-and-route between cells, and layers the persistent
 // store under all of it. Every cell's framework uses the harness's one
-// tech model, so the variants of an analysis extend the analysis's one
-// merge chain (core.GenerateTopPE). The postmaps table holds the
+// tech model, so variants with the same op set and picks, at any
+// support, are merged and synthesized once through the harness's
+// generated table (core.GenerateTopPE). The postmaps table holds the
 // triage's artifact-bearing post-mapping results, which bypass the
 // store.
 type engine struct {
@@ -422,7 +423,7 @@ func (e *engine) frameworkFor(c Cell) *core.Framework {
 func (e *engine) variant(c Cell, app *apps.App, fw *core.Framework) (*core.PEVariant, error) {
 	name := c.VariantName()
 	return e.h.VariantFor(fw, name, func(ctx context.Context) (*core.PEVariant, error) {
-		return fw.GenerateTopPE(ctx, name, app.UsedOps(), e.h.AnalysisFor(fw, app), c.K)
+		return fw.GenerateTopPE(ctx, e.h.GenMemo(), name, app.UsedOps(), e.h.AnalysisFor(fw, app), c.K)
 	})
 }
 

@@ -13,7 +13,9 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/rewrite"
 )
 
 // reportDigestFile pins the bytes of one small triaged PnR sweep report
@@ -144,5 +146,97 @@ func TestGuardCellRecoversPanic(t *testing.T) {
 	want := CellResult{Cell: c, Variant: "v", NumPEs: 3}
 	if got := guardCell(c, func() CellResult { return want }); got != want {
 		t.Fatalf("guardCell changed a clean result: %+v", got)
+	}
+}
+
+// TestSweepGeneratesEachDistinctPEOnce: a sweep generates each distinct
+// PE once, merges each distinct pattern prefix once, and synthesizes
+// each distinct (datapath, rule pattern) pair once, whatever the variant
+// names. Supports 0 and 8 pick the same patterns for most of the grid's
+// (app, k) points, so most variant names are served from another name's
+// build: the generated table misses once per distinct PE, merge prefix
+// and synthesis pair. It is looked up once per variant name and rule
+// pattern, since a served variant takes its rules under its own names
+// from the synthesized pairs, and once per merge step of each PE it
+// builds.
+func TestSweepGeneratesEachDistinctPEOnce(t *testing.T) {
+	g := Grid{
+		Apps:      []string{"camera", "harris", "unsharp", "resnet"},
+		Supports:  []int{0, 8},
+		Fabrics:   [][2]int{{32, 16}},
+		Seeds:     []int64{1},
+		Ks:        []int{1, 2, 3, 4, 5, 6},
+		Pipelined: true,
+	}
+	reg := obs.NewRegistry()
+	rep := mustRun(t, g, Options{Workers: 4, Obs: &obs.Obs{Metrics: reg}})
+
+	// A PE is its app's op set and its picks in order; a merge prefix is
+	// the op set and the first i picks, i = 0..k; a synthesis pair is a
+	// PE's datapath (without its Sources) and one of its rule patterns.
+	ctx := context.Background()
+	e := newEngine(g.Normalized(), Options{})
+	names := map[string]bool{}
+	pes := map[string]bool{}
+	prefixes := map[string]bool{}
+	pairs := map[string]bool{}
+	lookups := int64(0)
+	for _, r := range rep.Results {
+		if names[r.Variant] {
+			continue
+		}
+		names[r.Variant] = true
+		lookups++
+		app, err := apps.ByName(r.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw := e.frameworkFor(r.Cell)
+		picks := core.SelectPatterns(e.h.AnalysisFor(fw, app), r.K)
+		key := fmt.Sprint(app.UsedOps())
+		prefixes[key] = true
+		for _, p := range picks {
+			key += "|" + p.Pattern.Code
+			prefixes[key] = true
+		}
+		var named []rewrite.NamedPattern
+		for i, p := range picks {
+			np, err := rewrite.PatternFromMined(p.Pattern.Graph, fmt.Sprintf("%s_sg%d", r.Variant, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			named = append(named, np)
+		}
+		var pats []rewrite.NamedPattern
+		seen := map[string]bool{}
+		for _, np := range rewrite.RulePatterns(named, append(append([]ir.Op(nil), app.UsedOps()...), core.ControlOps...)) {
+			if !seen[np.Name] {
+				seen[np.Name] = true
+				pats = append(pats, np)
+			}
+		}
+		lookups += int64(len(pats))
+		if pes[key] {
+			continue
+		}
+		pes[key] = true
+		lookups += int64(len(picks) + 1)
+		v, err := fw.GeneratePE(ctx, r.Variant, app.UsedOps(), picks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, np := range pats {
+			pairs[fmt.Sprint(v.Spec.DP.Units, v.Spec.DP.Wires, np.Graph.Nodes)] = true
+		}
+	}
+	t.Logf("%d variant names, %d distinct PEs, %d merge prefixes, %d synthesis pairs", len(names), len(pes), len(prefixes), len(pairs))
+	if len(pes) >= len(names) {
+		t.Fatalf("%d variant names have %d distinct PEs; the grid shares none", len(names), len(pes))
+	}
+	if got, want := reg.Counter("memo.generated.miss").Value(), int64(len(pes)+len(prefixes)+len(pairs)); got != want {
+		t.Errorf("generated table missed %d times; want %d, one per distinct PE (%d), merge prefix (%d) and synthesis pair (%d)", got, want, len(pes), len(prefixes), len(pairs))
+	}
+	if got := reg.Counter("memo.generated.lookups").Value(); got != lookups {
+		t.Errorf("generated table was looked up %d times; want %d, one per variant name, one per rule pattern of each variant and one per merge step of each built PE", got, lookups)
 	}
 }
