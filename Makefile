@@ -38,7 +38,10 @@ gates:
 # The persistent-store and sweep-engine gates (DESIGN.md §12): the wire
 # framing primitives guard every count, codecs round-trip pipeline
 # artifacts exactly and keep their pinned bytes, poisoned cache entries are
-# detected and recomputed, a warm suite is byte-identical to cold, a
+# detected and recomputed (a stored variant whose rule tail is cut short
+# among them, at load: TestPersistCorruptEntriesRecomputed), a warm
+# suite is byte-identical to cold and builds only the one rule set its
+# tables read (TestPersistWarmPassDecodesOnlyReadRules), a
 # checkpointed sweep resumes without recomputing finished cells, and a
 # sweep's cells share designs and layouts (TestSweepSharesLayouts) while
 # its report keeps its pinned bytes at any worker count
@@ -161,9 +164,11 @@ diag-lint:
 # The daemon gate (DESIGN.md §13): the full internal/serve suite under
 # the race detector — bounded-queue backpressure with Retry-After,
 # client-fair round-robin scheduling, the retry/backoff fault ladder,
-# the churn-drain-restart byte-identical resume scenario, and compile
+# the churn-drain-restart byte-identical resume scenario, compile
 # jobs leaving the harness's generated table untouched
-# (TestCompileJobsBypassGenerated) — plus the apex sweep exit-status
+# (TestCompileJobsBypassGenerated), and a generate job served a
+# store-loaded variant reporting the cold job's rule counts
+# (TestGenerateFromStoredVariant) — plus the apex sweep exit-status
 # subprocess contract the daemon's journal semantics are modeled on.
 servecheck:
 	$(GO) test -race ./internal/serve/ -count=1

@@ -97,10 +97,11 @@ func run() error {
 	if *tb {
 		// The rule set is sorted complex-first; emit a testbench for the
 		// most interesting rule.
-		if len(v.Rules.Rules) == 0 {
+		rules := v.RuleSet().Rules
+		if len(rules) == 0 {
 			return errors.New("no rules to test")
 		}
-		bench, err := rtl.EmitTestbench(v.Name, v.Rules.Rules[0], 32, 1)
+		bench, err := rtl.EmitTestbench(v.Name, rules[0], 32, 1)
 		if err != nil {
 			return err
 		}

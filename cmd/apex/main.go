@@ -382,8 +382,9 @@ func generate(ctx context.Context, args []string) error {
 	fmt.Printf("  core area    %.1f um^2 (baseline: %.1f)\n", v.CoreArea(m), m.BaselinePECore().Area)
 	fmt.Printf("  pipeline     %d stages, %.0f ps period\n", v.Pipelined.Stages, v.Pipelined.PeriodPS)
 	fmt.Printf("  config word  %d bits\n", v.Spec.ConfigBits())
-	fmt.Printf("  rewrite rules %d (%d patterns unimplementable)\n", len(v.Rules.Rules), len(v.Rules.Failed))
-	for _, r := range v.Rules.Rules {
+	rules := v.RuleSet()
+	fmt.Printf("  rewrite rules %d (%d patterns unimplementable)\n", len(rules.Rules), len(rules.Failed))
+	for _, r := range rules.Rules {
 		if r.Size > 1 {
 			fmt.Printf("    complex rule %-24s covers %d ops, %d inputs\n",
 				r.Name, r.Size, len(r.InputPorts)+len(r.BitPorts))

@@ -159,6 +159,8 @@ func (f *Framework) mineWorkers() int {
 }
 
 // PEVariant is one generated PE design together with its compiler.
+// Read its rule set through RuleSet: a variant loaded from the store
+// leaves Rules nil until then.
 type PEVariant struct {
 	Name      string
 	Spec      *pe.Spec
@@ -168,6 +170,27 @@ type PEVariant struct {
 	// area/energy come from the calibrated baseline model rather than
 	// the generated-datapath roll-up.
 	Baseline bool
+
+	// lazyRules, when set, builds the rule set at most once (see
+	// NewLazyVariant).
+	lazyRules func() *rewrite.RuleSet
+}
+
+// NewLazyVariant returns a variant whose rule set is built by rules on
+// the first RuleSet call, once for every caller; its Rules field stays
+// nil. The store loads variants this way, since most warm reads need
+// only a variant's name, spec and pipelining.
+func NewLazyVariant(name string, spec *pe.Spec, pp *pipeline.PipelinedPE, baseline bool, rules func() *rewrite.RuleSet) *PEVariant {
+	return &PEVariant{Name: name, Spec: spec, Pipelined: pp, Baseline: baseline, lazyRules: sync.OnceValue(rules)}
+}
+
+// RuleSet returns the variant's synthesized rule set: Rules for a
+// variant built with it, the once-built rule set for a lazy variant.
+func (v *PEVariant) RuleSet() *rewrite.RuleSet {
+	if v.lazyRules != nil {
+		return v.lazyRules()
+	}
+	return v.Rules
 }
 
 // CoreArea returns the PE core area in um^2.
@@ -230,7 +253,7 @@ func (f *Framework) generateRanked(ctx context.Context, m GenMemo, name string, 
 		return nil, err
 	}
 	obs.Logger(ctx).Info("generated PE",
-		"variant", name, "merged_patterns", len(named), "rules", len(v.Rules.Rules), "stages", v.Pipelined.Stages)
+		"variant", name, "merged_patterns", len(named), "rules", len(v.RuleSet().Rules), "stages", v.Pipelined.Stages)
 	return v, nil
 }
 

@@ -184,7 +184,7 @@ func (f *Framework) Evaluate(ctx context.Context, app *apps.App, v *PEVariant, o
 	prefix := DesignKeyPrefix(app.Name, v.Name)
 	_, mapSpan := obs.StartSpan(ctx, "map")
 	md, err := opt.design(ctx, prefix+"map", func() (*Design, error) {
-		m, err := rewrite.MapApp(app.Graph, v.Rules, app.Name+"@"+v.Name)
+		m, err := rewrite.MapApp(app.Graph, v.RuleSet(), app.Name+"@"+v.Name)
 		if err != nil {
 			return nil, err
 		}

@@ -90,7 +90,7 @@ func (h *Harness) Ablations(ctx context.Context) (*Table, error) {
 		// A persistent-cache hit carries only the Result scalars, not the
 		// mapping artifact. Remapping is deterministic and cheap next to
 		// the mining/merging the cache saved.
-		mapped, err = rewrite.MapApp(apps.ResNet().Graph, base.Rules, apps.ResNet().Name+"@"+base.Name)
+		mapped, err = rewrite.MapApp(apps.ResNet().Graph, base.RuleSet(), apps.ResNet().Name+"@"+base.Name)
 		if err != nil {
 			return nil, err
 		}

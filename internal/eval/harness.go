@@ -93,13 +93,7 @@ type Harness struct {
 
 	// store is the optional persistent content-addressed cache layered
 	// under the memo tables (SetStore); nil keeps the harness in-memory.
-	// The key fields, guarded by keyMu, memoize the app/registry
-	// fingerprints so hashing an app graph happens once per process, not
-	// once per lookup.
-	store    *store.Store
-	keyMu    sync.Mutex
-	appKeys  map[string]store.Key
-	registry store.Key
+	store *store.Store
 }
 
 // NewHarness returns a harness with the paper's defaults.

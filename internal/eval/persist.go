@@ -40,38 +40,13 @@ func (h *Harness) cacheCount(name string) {
 	}
 }
 
-// appKey returns (caching per app name) the application fingerprint.
-func (h *Harness) appKey(app *apps.App) store.Key {
-	h.keyMu.Lock()
-	defer h.keyMu.Unlock()
-	if h.appKeys == nil {
-		h.appKeys = map[string]store.Key{}
-	}
-	if k, ok := h.appKeys[app.Name]; ok {
-		return k
-	}
-	k := store.AppHash(app)
-	h.appKeys[app.Name] = k
-	return k
-}
-
-// registryKey returns (caching) the application-registry fingerprint.
-func (h *Harness) registryKey() store.Key {
-	h.keyMu.Lock()
-	defer h.keyMu.Unlock()
-	if h.registry == "" {
-		h.registry = store.RegistryHash()
-	}
-	return h.registry
-}
-
 // The load/save helpers key every entry by the framework the caller
 // built it with: the harness's own FW for the paper suite, a cell's
 // framework for a sweep.
 
 // loadAnalysis consults the store for a mined analysis.
 func (h *Harness) loadAnalysis(fw *core.Framework, app *apps.App) (*core.Analysis, bool) {
-	key := store.AnalysisKey(h.appKey(app), fw)
+	key := store.AnalysisKey(store.AppHash(app), fw)
 	payload, ok := h.store.Get(store.KindAnalysis, key)
 	if !ok {
 		h.cacheCount("cache.analysis.miss")
@@ -90,20 +65,23 @@ func (h *Harness) loadAnalysis(fw *core.Framework, app *apps.App) (*core.Analysi
 }
 
 func (h *Harness) saveAnalysis(fw *core.Framework, app *apps.App, a *core.Analysis) {
-	key := store.AnalysisKey(h.appKey(app), fw)
+	key := store.AnalysisKey(store.AppHash(app), fw)
 	h.store.Put(store.KindAnalysis, key, store.EncodeAnalysis(a))
 	h.cacheCount("cache.analysis.put")
 }
 
-// loadVariant consults the store for a generated PE variant.
+// loadVariant consults the store for a generated PE variant. The
+// variant's rule set is built only when something reads it, counted as
+// cache.variant.rules_decoded: a warm pass serves most cells from
+// stored results and never maps on most variants it loads.
 func (h *Harness) loadVariant(fw *core.Framework, name string) (*core.PEVariant, bool) {
-	key := store.VariantKey(name, h.registryKey(), fw)
+	key := store.VariantKey(name, store.RegistryHash(), fw)
 	payload, ok := h.store.Get(store.KindVariant, key)
 	if !ok {
 		h.cacheCount("cache.variant.miss")
 		return nil, false
 	}
-	v, err := store.DecodeVariant(payload, fw.Tech)
+	v, err := store.DecodeVariantLazy(payload, fw.Tech, func() { h.cacheCount("cache.variant.rules_decoded") })
 	if err != nil {
 		h.cacheCount("cache.variant.corrupt")
 		h.logger().Warn("cached variant undecodable, recomputing", "variant", name, "err", err.Error())
@@ -114,7 +92,7 @@ func (h *Harness) loadVariant(fw *core.Framework, name string) (*core.PEVariant,
 }
 
 func (h *Harness) saveVariant(fw *core.Framework, v *core.PEVariant) {
-	key := store.VariantKey(v.Name, h.registryKey(), fw)
+	key := store.VariantKey(v.Name, store.RegistryHash(), fw)
 	h.store.Put(store.KindVariant, key, store.EncodeVariant(v))
 	h.cacheCount("cache.variant.put")
 }
@@ -146,6 +124,6 @@ func (h *Harness) saveResult(fw *core.Framework, app *apps.App, v *core.PEVarian
 // ResultKey is the store key of the evaluation of app on the named
 // variant under fw: the key EvaluateFor reads and writes.
 func (h *Harness) ResultKey(fw *core.Framework, app *apps.App, variant string, pnr, pipelined bool) store.Key {
-	vk := store.VariantKey(variant, h.registryKey(), fw)
-	return store.ResultKey(h.appKey(app), vk, fw, pnr, pipelined)
+	vk := store.VariantKey(variant, store.RegistryHash(), fw)
+	return store.ResultKey(store.AppHash(app), vk, fw, pnr, pipelined)
 }

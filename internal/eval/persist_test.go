@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -122,6 +123,51 @@ func TestPersistCorruptEntriesRecomputed(t *testing.T) {
 	}
 	if s := warm.Store().Stats(); s.Misses != 0 || s.Corrupt != 0 {
 		t.Fatalf("cache not fully healed after recovery: %+v", s)
+	}
+
+	// A variant whose head decodes but whose rule tail is cut short, in
+	// a sound envelope, is corrupt at load: a warm pass never reads
+	// spec_camera's rules, so a check left to the rule build would
+	// never run.
+	key := store.VariantKey("spec_camera", store.RegistryHash(), warm.FW)
+	payload, ok := warm.Store().Get(store.KindVariant, key)
+	if !ok {
+		t.Fatal("no stored spec_camera variant")
+	}
+	warm.Store().Put(store.KindVariant, key, payload[:len(payload)-1])
+	h = storedHarness(t, dir)
+	reg := obs.NewRegistry()
+	h.SetObs(&obs.Obs{Metrics: reg})
+	if got := suiteMarkdown(t, h); got != plain {
+		t.Fatal("run over a truncated rule tail differs from the store-free run")
+	}
+	for _, name := range []string{"cache.variant.corrupt", "cache.variant.put"} {
+		if got := reg.Counter(name).Value(); got != 1 {
+			t.Errorf("%s = %d over one truncated rule tail; want 1", name, got)
+		}
+	}
+}
+
+// TestPersistWarmPassDecodesOnlyReadRules: a warm pass loads every
+// variant its tables name but builds the rule set of only the one whose
+// rules a table reads, baseline's, remapped for the FIFO-cutoff
+// ablation; every other cell is a stored result. Its tables are
+// byte-identical to the cold pass's.
+func TestPersistWarmPassDecodesOnlyReadRules(t *testing.T) {
+	dir := t.TempDir()
+	cold := suiteMarkdown(t, storedHarness(t, dir))
+	warm := storedHarness(t, dir)
+	reg := obs.NewRegistry()
+	warm.SetObs(&obs.Obs{Metrics: reg})
+	if got := suiteMarkdown(t, warm); got != cold {
+		t.Fatal("warm pass differs from the cold pass")
+	}
+	loaded := reg.Counter("cache.variant.hit").Value()
+	if loaded < 2 {
+		t.Fatalf("warm pass loaded %d variants; the suite uses many", loaded)
+	}
+	if got := reg.Counter("cache.variant.rules_decoded").Value(); got != 1 {
+		t.Fatalf("warm pass built %d of the %d loaded rule sets; want 1 (baseline)", got, loaded)
 	}
 }
 

@@ -227,9 +227,9 @@ func (s *Server) execGenerate(ctx context.Context, p Params) (json.RawMessage, e
 		out.PipelineStages = v.Pipelined.Stages
 		out.PeriodPS = v.Pipelined.PeriodPS
 	}
-	if v.Rules != nil {
-		out.Rules = len(v.Rules.Rules)
-		out.Unimplementable = len(v.Rules.Failed)
+	if rs := v.RuleSet(); rs != nil {
+		out.Rules = len(rs.Rules)
+		out.Unimplementable = len(rs.Failed)
 	}
 	return json.Marshal(&out)
 }

@@ -634,3 +634,41 @@ func TestCompileJobsBypassGenerated(t *testing.T) {
 		t.Errorf("compile jobs changed the generated table's stats: %+v, was %+v", after, before)
 	}
 }
+
+// TestGenerateFromStoredVariant: after ResetMemos a generate job is
+// served a variant loaded from the store, whose rule set is built only
+// when read. Its payload, rule counts included, must equal the cold
+// job's, which built the variant.
+func TestGenerateFromStoredVariant(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, CacheDir: t.TempDir()})
+	srv.Start()
+	generate := func() json.RawMessage {
+		t.Helper()
+		resp := submitJob(t, ts, "c", KindGenerate, Params{App: "gaussian", K: 2})
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit generate = %d, want 202", resp.StatusCode)
+		}
+		j := waitTerminal(t, srv, decodeJob(t, resp).ID, 30*time.Second)
+		if j.State != StateDone {
+			t.Fatalf("generate job state = %s (%s), want done", j.State, j.Error)
+		}
+		return j.Result
+	}
+	cold := generate()
+	srv.Harness().ResetMemos()
+	before := srv.Store().Stats()
+	warm := generate()
+	if after := srv.Store().Stats(); after.Hits == before.Hits || after.Puts != before.Puts {
+		t.Fatalf("the second job did not load its variant from the store: %+v, was %+v", after, before)
+	}
+	var got peResult
+	if err := json.Unmarshal(warm, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Rules == 0 {
+		t.Fatalf("the stored variant reports no rules: %s", warm)
+	}
+	if !bytes.Equal(warm, cold) {
+		t.Fatalf("generate from the stored variant = %s, cold job = %s", warm, cold)
+	}
+}

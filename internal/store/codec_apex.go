@@ -29,9 +29,13 @@ import (
 //     (the two expensive artifacts) and rebuilds the derived ones on
 //     load: the Spec via pe.FromDatapath and the pipelining via
 //     pipeline.PipelinePE, both cheap deterministic functions of what is
-//     stored. A decoded variant is fully functional — its rules drive
-//     instruction selection on cache-miss evaluations exactly like the
-//     originals.
+//     stored. DecodeVariant decodes the rule set too. DecodeVariantLazy,
+//     which the evaluation harness loads with, only checks the rule
+//     set's framing at load and builds the rules on first use, since a
+//     warm pass serves most cells from stored results and reads few
+//     variants' rules. Either way the
+//     rules drive instruction selection on cache-miss evaluations
+//     exactly like the originals.
 //   - Result stores every reported scalar plus the Routed/Degraded
 //     provenance. The heavyweight artifacts (Mapped, Balanced, Routing)
 //     are deliberately not stored: no table reads them, and consumers
@@ -53,29 +57,6 @@ func encodeIRGraph(e *wire.Enc, g *ir.Graph) {
 		e.Uvarint(uint64(n.Val))
 		e.Str(n.Name)
 	}
-}
-
-func decodeIRGraph(d *wire.Dec) *ir.Graph {
-	g := &ir.Graph{Name: d.Str()}
-	n, isNil := d.Len()
-	if d.Err() != nil || isNil {
-		return g
-	}
-	g.Nodes = make([]ir.Node, n)
-	for i := range g.Nodes {
-		node := ir.Node{Op: ir.Op(d.Byte())}
-		na, argsNil := d.Len()
-		if !argsNil {
-			node.Args = make([]ir.NodeRef, na)
-			for j := range node.Args {
-				node.Args[j] = ir.NodeRef(d.Int())
-			}
-		}
-		node.Val = uint16(d.Uvarint())
-		node.Name = d.Str()
-		g.Nodes[i] = node
-	}
-	return g
 }
 
 // --- core.Analysis ----------------------------------------------------
@@ -238,19 +219,6 @@ func encodeIntMap[K ~int, V any](e *wire.Enc, m map[K]V, val func(V)) {
 	}
 }
 
-func decodeIntMap[K ~int, V any](d *wire.Dec, val func() V) map[K]V {
-	n, isNil := d.Len()
-	if isNil {
-		return nil
-	}
-	m := make(map[K]V, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		k := K(d.Int())
-		m[k] = val()
-	}
-	return m
-}
-
 func encodeConfig(e *wire.Enc, c pe.Config) {
 	// PortSel keyed by [2]int{unit, port}.
 	pkeys := make([][2]int, 0, len(c.PortSel))
@@ -274,21 +242,6 @@ func encodeConfig(e *wire.Enc, c pe.Config) {
 	encodeIntMap(e, c.OutSel, e.Int)
 }
 
-func decodeConfig(d *wire.Dec) pe.Config {
-	c := pe.Config{}
-	if n, isNil := d.Len(); !isNil {
-		c.PortSel = make(map[[2]int]int, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			u, p := d.Int(), d.Int()
-			c.PortSel[[2]int{u, p}] = d.Int()
-		}
-	}
-	c.OpSel = decodeIntMap[int](d, func() ir.Op { return ir.Op(d.Byte()) })
-	c.ConstVals = decodeIntMap[int](d, func() uint16 { return uint16(d.Uvarint()) })
-	c.OutSel = decodeIntMap[int](d, d.Int)
-	return c
-}
-
 func encodeRule(e *wire.Enc, r *rewrite.Rule) {
 	e.Str(r.Name)
 	encodeIRGraph(e, r.Pattern)
@@ -306,25 +259,157 @@ func encodeRule(e *wire.Enc, r *rewrite.Rule) {
 	e.Int(r.Size)
 }
 
-func decodeRule(d *wire.Dec, spec *pe.Spec) *rewrite.Rule {
-	r := &rewrite.Rule{Name: d.Str(), Spec: spec}
-	r.Pattern = decodeIRGraph(d)
-	r.Root = ir.NodeRef(d.Int())
-	r.Config = decodeConfig(d)
-	r.InputPorts = decodeIntMap[ir.NodeRef](d, d.Int)
-	r.BitPorts = decodeIntMap[ir.NodeRef](d, d.Int)
-	r.ConstRegs = decodeIntMap[ir.NodeRef](d, d.Int)
-	r.LUTUnits = decodeIntMap[ir.NodeRef](d, d.Int)
-	r.OutUnit = d.Int()
-	nops, opsNil := d.Len()
-	if !opsNil {
-		r.Ops = make([]ir.Op, nops)
-		for i := range r.Ops {
-			r.Ops[i] = ir.Op(d.Byte())
+// ruleReader reads the rule-set tail of a stored variant. With build
+// set it returns what it reads; with build unset it makes exactly the
+// same reads, so it accepts and rejects exactly the same bytes, and
+// allocates nothing. DecodeVariantLazy walks a tail unbuilt at load to
+// check its framing and builds it on first use.
+type ruleReader struct {
+	d     *wire.Dec
+	build bool
+}
+
+func (r ruleReader) str() string {
+	if r.build {
+		return r.d.Str()
+	}
+	r.d.SkipStr()
+	return ""
+}
+
+func (r ruleReader) ops() []ir.Op {
+	n, isNil := r.d.Len()
+	var ops []ir.Op
+	if r.build && !isNil {
+		ops = make([]ir.Op, n)
+	}
+	for i := 0; i < n; i++ {
+		op := ir.Op(r.d.Byte())
+		if r.build {
+			ops[i] = op
 		}
 	}
-	r.Size = d.Int()
-	return r
+	return ops
+}
+
+func (r ruleReader) irGraph() *ir.Graph {
+	name := r.str()
+	n, isNil := r.d.Len()
+	var g *ir.Graph
+	if r.build {
+		g = &ir.Graph{Name: name}
+		if !isNil {
+			g.Nodes = make([]ir.Node, n)
+		}
+	}
+	for i := 0; i < n && r.d.Err() == nil; i++ {
+		op := ir.Op(r.d.Byte())
+		na, argsNil := r.d.Len()
+		var args []ir.NodeRef
+		if r.build && !argsNil {
+			args = make([]ir.NodeRef, na)
+		}
+		for j := 0; j < na; j++ {
+			a := ir.NodeRef(r.d.Int())
+			if r.build {
+				args[j] = a
+			}
+		}
+		val := uint16(r.d.Uvarint())
+		nodeName := r.str()
+		if r.build {
+			g.Nodes[i] = ir.Node{Op: op, Args: args, Val: val, Name: nodeName}
+		}
+	}
+	return g
+}
+
+// readIntMap is the inverse of encodeIntMap, reading each value with
+// val; unbuilt, it returns nil.
+func readIntMap[K ~int, V any](r ruleReader, val func() V) map[K]V {
+	n, isNil := r.d.Len()
+	var m map[K]V
+	if r.build && !isNil {
+		m = make(map[K]V, n)
+	}
+	for i := 0; i < n && r.d.Err() == nil; i++ {
+		k := K(r.d.Int())
+		v := val()
+		if r.build {
+			m[k] = v
+		}
+	}
+	return m
+}
+
+func (r ruleReader) config() pe.Config {
+	c := pe.Config{}
+	n, isNil := r.d.Len()
+	if r.build && !isNil {
+		c.PortSel = make(map[[2]int]int, n)
+	}
+	for i := 0; i < n && r.d.Err() == nil; i++ {
+		u, p, sel := r.d.Int(), r.d.Int(), r.d.Int()
+		if r.build {
+			c.PortSel[[2]int{u, p}] = sel
+		}
+	}
+	c.OpSel = readIntMap[int](r, func() ir.Op { return ir.Op(r.d.Byte()) })
+	c.ConstVals = readIntMap[int](r, func() uint16 { return uint16(r.d.Uvarint()) })
+	c.OutSel = readIntMap[int](r, r.d.Int)
+	return c
+}
+
+func (r ruleReader) rule(spec *pe.Spec) *rewrite.Rule {
+	name := r.str()
+	pattern := r.irGraph()
+	root := ir.NodeRef(r.d.Int())
+	config := r.config()
+	inputs := readIntMap[ir.NodeRef](r, r.d.Int)
+	bits := readIntMap[ir.NodeRef](r, r.d.Int)
+	consts := readIntMap[ir.NodeRef](r, r.d.Int)
+	luts := readIntMap[ir.NodeRef](r, r.d.Int)
+	out := r.d.Int()
+	ops := r.ops()
+	size := r.d.Int()
+	if !r.build {
+		return nil
+	}
+	return &rewrite.Rule{
+		Name: name, Spec: spec, Pattern: pattern, Root: root, Config: config,
+		InputPorts: inputs, BitPorts: bits, ConstRegs: consts, LUTUnits: luts,
+		OutUnit: out, Ops: ops, Size: size,
+	}
+}
+
+// ruleSet reads the tail EncodeVariant writes after the datapath: the
+// rules, then the names of the patterns the PE could not implement.
+func (r ruleReader) ruleSet(spec *pe.Spec) *rewrite.RuleSet {
+	nr, rulesNil := r.d.Len()
+	var rs *rewrite.RuleSet
+	if r.build {
+		rs = &rewrite.RuleSet{Spec: spec}
+		if !rulesNil {
+			rs.Rules = make([]*rewrite.Rule, 0, nr)
+		}
+	}
+	for i := 0; i < nr && r.d.Err() == nil; i++ {
+		rule := r.rule(spec)
+		if r.build {
+			rs.Rules = append(rs.Rules, rule)
+		}
+	}
+	nf, failedNil := r.d.Len()
+	if r.build && !failedNil {
+		rs.Failed = make([]string, 0, nf)
+	}
+	for i := 0; i < nf && r.d.Err() == nil; i++ {
+		f := r.str()
+		if r.build {
+			rs.Failed = append(rs.Failed, f)
+		}
+	}
+	return rs
 }
 
 // EncodeVariant serializes a PE variant: name, baseline flag, merged
@@ -334,15 +419,28 @@ func EncodeVariant(v *core.PEVariant) []byte {
 	e.Str(v.Name)
 	e.Bool(v.Baseline)
 	encodeDatapath(e, v.Spec.DP)
-	e.Len(len(v.Rules.Rules), v.Rules.Rules == nil)
-	for _, r := range v.Rules.Rules {
+	rules := v.RuleSet()
+	e.Len(len(rules.Rules), rules.Rules == nil)
+	for _, r := range rules.Rules {
 		encodeRule(e, r)
 	}
-	e.Len(len(v.Rules.Failed), v.Rules.Failed == nil)
-	for _, f := range v.Rules.Failed {
+	e.Len(len(rules.Failed), rules.Failed == nil)
+	for _, f := range rules.Failed {
 		e.Str(f)
 	}
 	return e.Buf
+}
+
+// decodeVariantHead reads a stored variant's name, baseline flag and
+// datapath, and rebuilds its spec from the datapath.
+func decodeVariantHead(d *wire.Dec) (name string, baseline bool, spec *pe.Spec, err error) {
+	name = d.Str()
+	baseline = d.Bool()
+	dp := decodeDatapath(d)
+	if err := d.Err(); err != nil {
+		return "", false, nil, fmt.Errorf("store: decode variant: %w", err)
+	}
+	return name, baseline, pe.FromDatapath(name, dp), nil
 }
 
 // DecodeVariant is the inverse of EncodeVariant. The Spec is rebuilt
@@ -351,28 +449,11 @@ func EncodeVariant(v *core.PEVariant) []byte {
 // variant is indistinguishable from a freshly generated one.
 func DecodeVariant(data []byte, m *tech.Model) (*core.PEVariant, error) {
 	d := wire.NewDec(data)
-	name := d.Str()
-	baseline := d.Bool()
-	dp := decodeDatapath(d)
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("store: decode variant: %w", err)
+	name, baseline, spec, err := decodeVariantHead(d)
+	if err != nil {
+		return nil, err
 	}
-	spec := pe.FromDatapath(name, dp)
-	rules := &rewrite.RuleSet{Spec: spec}
-	nr, rulesNil := d.Len()
-	if !rulesNil {
-		rules.Rules = make([]*rewrite.Rule, 0, nr)
-	}
-	for i := 0; i < nr && d.Err() == nil; i++ {
-		rules.Rules = append(rules.Rules, decodeRule(d, spec))
-	}
-	nf, failedNil := d.Len()
-	if !failedNil {
-		rules.Failed = make([]string, 0, nf)
-	}
-	for i := 0; i < nf && d.Err() == nil; i++ {
-		rules.Failed = append(rules.Failed, d.Str())
-	}
+	rules := ruleReader{d: d, build: true}.ruleSet(spec)
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("store: decode variant: %w", err)
 	}
@@ -383,6 +464,33 @@ func DecodeVariant(data []byte, m *tech.Model) (*core.PEVariant, error) {
 		Rules:     rules,
 		Baseline:  baseline,
 	}, nil
+}
+
+// DecodeVariantLazy accepts exactly the payloads DecodeVariant accepts
+// and returns the same variant, except that it only checks the framing
+// of the rule set at load and builds the rules on the variant's first
+// RuleSet call (core.NewLazyVariant), calling built, when not nil,
+// just before. A warm evaluation pass reads the rules of few of the
+// variants it loads: the rest are served results keyed by name.
+func DecodeVariantLazy(data []byte, m *tech.Model, built func()) (*core.PEVariant, error) {
+	d := wire.NewDec(data)
+	name, baseline, spec, err := decodeVariantHead(d)
+	if err != nil {
+		return nil, err
+	}
+	tail := d.Rest()
+	ruleReader{d: d}.ruleSet(spec)
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("store: decode variant: %w", err)
+	}
+	pp := pipeline.PipelinePE(spec, m, pipeline.Options{})
+	return core.NewLazyVariant(name, spec, pp, baseline, func() *rewrite.RuleSet {
+		if built != nil {
+			built()
+		}
+		// The walk accepted the tail, and a build makes the same reads.
+		return ruleReader{d: wire.NewDec(tail), build: true}.ruleSet(spec)
+	}), nil
 }
 
 // --- core.Result ------------------------------------------------------

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // The codecs must round-trip *exactly*: downstream algorithms (occurrence
@@ -71,6 +72,51 @@ func TestVariantRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVariantLazyDecode: the lazy load yields the rule set the full
+// decode does, builds it once however many callers ask, re-encodes to
+// the stored bytes, and checks the rule tail at load without a single
+// allocation.
+func TestVariantLazyDecode(t *testing.T) {
+	fw, _, _, v, _ := pipelineFixtures(t)
+	data := EncodeVariant(v)
+	builds := 0
+	lazy, err := DecodeVariantLazy(data, fw.Tech, func() { builds++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lazy.Rules != nil || builds != 0 {
+		t.Fatal("the lazy load built the rule set")
+	}
+	if !reflect.DeepEqual(lazy.Spec, v.Spec) || !reflect.DeepEqual(lazy.Pipelined, v.Pipelined) ||
+		lazy.Name != v.Name || lazy.Baseline != v.Baseline {
+		t.Fatal("the lazy load's head differs from the original")
+	}
+	if !reflect.DeepEqual(lazy.RuleSet(), v.Rules) {
+		t.Fatal("the lazily built rule set differs from the original")
+	}
+	if lazy.RuleSet() != lazy.RuleSet() || builds != 1 {
+		t.Fatalf("rule set built %d times; want once", builds)
+	}
+	if string(EncodeVariant(lazy)) != string(data) {
+		t.Fatal("the lazy variant re-encodes differently")
+	}
+
+	d := wire.NewDec(data)
+	if _, _, _, err := decodeVariantHead(d); err != nil {
+		t.Fatal(err)
+	}
+	tail := d.Rest()
+	if n := testing.AllocsPerRun(20, func() {
+		d := wire.NewDec(tail)
+		ruleReader{d: d}.ruleSet(v.Spec)
+		if d.Finish() != nil {
+			t.Fatal("the walk rejected a valid tail")
+		}
+	}); n != 0 {
+		t.Fatalf("the rule-tail walk allocates %.0f times", n)
+	}
+}
+
 func TestResultRoundTrip(t *testing.T) {
 	_, _, _, _, r := pipelineFixtures(t)
 	dec, err := DecodeResult(EncodeResult(r))
@@ -116,6 +162,15 @@ func TestKeySensitivity(t *testing.T) {
 	}
 	if AppHash(apps.Harris()) == ah {
 		t.Fatal("app hash ignores the app")
+	}
+	// Only the registry's own app is hashed once; a copy is hashed anew.
+	c := *app
+	if AppHash(&c) != ah {
+		t.Fatal("a copy of a registry app hashes differently")
+	}
+	c.Unroll++
+	if AppHash(&c) == ah {
+		t.Fatal("a changed copy of a registry app took the registry app's hash")
 	}
 
 	reg := RegistryHash()

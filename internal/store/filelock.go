@@ -2,7 +2,9 @@ package store
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -194,13 +196,17 @@ func writeBytes(data []byte) func(*bufio.Writer) error {
 // writeAtomic streams write's output into a temporary file in path's
 // directory and renames it over path. rename(2) is atomic on POSIX
 // filesystems, so concurrent writers and killed processes can never
-// leave a partially written file visible under path.
+// leave a partially written file visible under path. The directory is
+// made only when the temporary file cannot be created for want of it:
+// nearly every write goes to a directory an earlier write made.
 func writeAtomic(path string, write func(*bufio.Writer) error) error {
 	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	if errors.Is(err, fs.ErrNotExist) {
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			tmp, err = os.CreateTemp(dir, ".tmp-*")
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -12,8 +13,11 @@ import (
 // FuzzDecode feeds arbitrary payloads to every decoder of a persisted
 // value kind. Each call must return a value or an error: a corrupt
 // entry that slipped past the envelope checksum is a cache miss, never
-// a panic or an allocation sized by a garbage count. The corpus under
-// testdata/fuzz/FuzzDecode holds inputs that once crashed a decoder.
+// a panic or an allocation sized by a garbage count. The lazy variant
+// load must accept exactly what DecodeVariant accepts and build the
+// same rule set. The corpus under testdata/fuzz/FuzzDecode holds inputs
+// that once crashed a decoder, and a variant whose rule tail is cut
+// short (variant-truncated-rule-tail).
 func FuzzDecode(f *testing.F) {
 	fw, _, a, v, r := pipelineFixtures(f)
 	f.Add(EncodeAnalysis(a))
@@ -24,7 +28,14 @@ func FuzzDecode(f *testing.F) {
 	f.Add(embeddingsAnalysis(1<<32, 1<<32))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		DecodeAnalysis(data)
-		DecodeVariant(data, fw.Tech)
+		full, ferr := DecodeVariant(data, fw.Tech)
+		lazy, lerr := DecodeVariantLazy(data, fw.Tech, nil)
+		if (ferr == nil) != (lerr == nil) {
+			t.Fatalf("DecodeVariant error %v, lazy load error %v", ferr, lerr)
+		}
+		if ferr == nil && !reflect.DeepEqual(full.Rules, lazy.RuleSet()) {
+			t.Fatal("the lazily built rule set differs from DecodeVariant's")
+		}
 		DecodeResult(data)
 		costmodel.DecodeModel(data)
 		costmodel.DecodeSample(data)

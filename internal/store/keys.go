@@ -1,7 +1,7 @@
 package store
 
 import (
-	"sort"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/core"
@@ -27,8 +27,33 @@ import (
 // several apps) can never be served stale.
 
 // AppHash fingerprints one application: its IR graph encoding plus the
-// roll-up parameters that flow into results.
+// roll-up parameters that flow into results. A registry app is hashed
+// once per process: it is built once and read-only (package apps). Any
+// other app, such as one compiled from user source, is hashed on every
+// call and leaves nothing behind, however many are hashed.
 func AppHash(a *apps.App) Key {
+	if hash, ok := registryAppHashes[a.Name]; ok {
+		if r, _ := apps.ByName(a.Name); r == a {
+			return hash()
+		}
+	}
+	return appHash(a)
+}
+
+// registryAppHashes holds the once-computed AppHash of each registry
+// app, by name.
+var registryAppHashes = func() map[string]func() Key {
+	m := map[string]func() Key{}
+	for _, name := range apps.Names() {
+		m[name] = sync.OnceValue(func() Key {
+			a, _ := apps.ByName(name)
+			return appHash(a)
+		})
+	}
+	return m
+}()
+
+func appHash(a *apps.App) Key {
 	e := &wire.Enc{}
 	encodeIRGraph(e, a.Graph)
 	h := NewHasher("app")
@@ -41,15 +66,16 @@ func AppHash(a *apps.App) Key {
 
 // RegistryHash fingerprints the whole application registry in sorted
 // name order — the conservative dependency cone of variant generation.
-func RegistryHash() Key {
-	all := apps.All()
-	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
+// It is computed once per process.
+func RegistryHash() Key { return registryHash() }
+
+var registryHash = sync.OnceValue(func() Key {
 	h := NewHasher("registry")
-	for _, a := range all {
+	for _, a := range apps.All() {
 		h.Str(string(AppHash(a)))
 	}
 	return h.Key()
-}
+})
 
 // AnalysisKey keys a mined analysis: the app fingerprint plus the mining
 // options the framework would use for it.

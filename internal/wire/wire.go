@@ -143,19 +143,27 @@ func (d *Dec) Float64() float64 {
 	return v
 }
 
-func (d *Dec) Str() string {
+func (d *Dec) Str() string { return string(d.strBytes()) }
+
+// SkipStr reads past a string like Str without copying it out.
+func (d *Dec) SkipStr() { d.strBytes() }
+
+func (d *Dec) strBytes() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(len(d.data)) {
 		d.Fail("truncated string")
-		return ""
+		return nil
 	}
-	s := string(d.data[:n])
+	s := d.data[:n]
 	d.data = d.data[n:]
 	return s
 }
+
+// Rest returns the unread bytes, aliasing the payload.
+func (d *Dec) Rest() []byte { return d.data }
 
 // Count reads a plain collection length, guarded against the remaining
 // bytes.
