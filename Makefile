@@ -79,10 +79,16 @@ triagecheck:
 # invariance and collision soundness; the clique solver returns exactly
 # what its frozen predecessor does; every persisted-value decoder
 # returns a value or an error on arbitrary bytes); CI-sized budget.
+# The fuzzer minimizes each input that finds new coverage before it
+# goes on, by default for up to 60 s and reporting no execs meanwhile;
+# on inputs of a few KB whose decoders reject almost every cut it always
+# runs to that limit, so FuzzDecode and FuzzCanonicalCode stopped
+# fuzzing a few seconds into their 30 s. 1000 minimization execs cap it
+# at about a second.
 fuzz:
-	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzCanonicalCode -fuzztime 30s
-	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzMaxWeightClique -fuzztime 30s
-	$(GO) test ./internal/store/ -run xxx -fuzz FuzzDecode -fuzztime 30s
+	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzCanonicalCode -fuzztime 30s -fuzzminimizetime 1000x
+	$(GO) test ./internal/graph/ -run xxx -fuzz FuzzMaxWeightClique -fuzztime 30s -fuzzminimizetime 1000x
+	$(GO) test ./internal/store/ -run xxx -fuzz FuzzDecode -fuzztime 30s -fuzzminimizetime 1000x
 
 # The PnR performance gates (DESIGN.md §10): the annealer inner loop
 # must stay at zero allocations per move and the router within its
@@ -106,7 +112,11 @@ fuzz:
 # and balances each (app, variant, PE latency) once per pass with
 # results byte-identical to memo-less evaluations; PEs generated along an
 # analysis's merge chain encode exactly like from-scratch ones in any
-# call order (under the race detector). The telemetry
+# call order (under the race detector). The two stages feeding PnR: the
+# MIS analysis returns exactly what its frozen map-based predecessor
+# does on every registry app and on random embedding lists, within a
+# fixed allocation budget per pattern, and MapApp and BalanceApp on
+# camera stay within theirs (no per-port or per-constant maps). The telemetry
 # additions (DESIGN.md §14):
 # steady-state time-series recording and the no-subscriber event guard
 # are allocation-free, and per-job trace capture stays O(spans). The
@@ -123,7 +133,8 @@ perfcheck:
 	$(GO) test ./internal/rewrite/ -run 'TestMatchAllocs|TestRuleTrialAllocs' -count=1 -v
 	$(GO) test ./internal/pe/ -run TestActivationEnergyAllocs -count=1 -v
 	$(GO) test ./internal/eval/ -run 'TestCompileMatchesLegacyEvaluate|TestCrossCheckMatchesLegacy|TestProducersMatchLegacy' -count=1
-	$(GO) test ./internal/core/ -run 'TestSelectPatternsMatchesLegacy|TestSelectPatternsPrefix' -count=1
+	$(GO) test ./internal/core/ -run 'TestSelectPatternsMatchesLegacy|TestSelectPatternsPrefix|TestMapBalanceAllocs' -count=1 -v
+	$(GO) test ./internal/mis/ -run 'TestAnalyzeMatchesReference|TestAnalyzeAllocs' -count=1 -v
 	$(GO) test -race ./internal/core/ -run TestGenerateTopPEMatchesGeneratePE -count=1
 	$(GO) test ./internal/obs/ -run TestTimeSeriesAllocs -count=1
 	$(GO) test ./internal/serve/ -run 'TestEventPublishInactiveAllocs|TestJobTraceCaptureAllocs|TestJournalReparses|TestJournalMatchesReference' -count=1

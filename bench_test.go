@@ -296,27 +296,7 @@ func BenchmarkAblationExactVsGreedyMIS(b *testing.B) {
 			r := mis.Analyze(p)
 			exactSum += r.MISSize
 			// Greedy-only for comparison.
-			adj := make(graph.UndirectedAdj, len(r.Occurrences))
-			used := map[graph.NodeID][]int{}
-			for oi, occ := range r.Occurrences {
-				for _, v := range occ {
-					used[v] = append(used[v], oi)
-				}
-			}
-			seen := map[[2]int]bool{}
-			for _, os := range used {
-				for x := 0; x < len(os); x++ {
-					for y := x + 1; y < len(os); y++ {
-						a, c := os[x], os[y]
-						if a != c && !seen[[2]int{a, c}] {
-							seen[[2]int{a, c}] = true
-							adj[a] = append(adj[a], c)
-							adj[c] = append(adj[c], a)
-						}
-					}
-				}
-			}
-			greedySum += len(graph.GreedyMIS(adj))
+			greedySum += len(graph.GreedyMIS(mis.OverlapGraph(r.Occurrences)))
 		}
 	}
 	b.ReportMetric(float64(exactSum), "mis-exact-total")

@@ -92,23 +92,17 @@ func GenerateBitstream(r *Routing) (*Bitstream, error) {
 				}
 				bs.Words = append(bs.Words, Word{tileAddr(c, featPEMux, mi), uint32(sel)})
 			}
-			// Constant registers and LUT tables.
-			ci := 0
-			cks := make([]int, 0, len(n.ConstVals)+len(n.LUTTables))
-			for cu := range n.ConstVals {
-				cks = append(cks, cu)
-			}
-			for fu := range n.LUTTables {
-				cks = append(cks, fu)
-			}
-			sort.Ints(cks)
-			for _, cu := range cks {
-				v, ok := n.ConstVals[cu]
-				if !ok {
-					v = n.LUTTables[cu]
+			// Constant registers and LUT tables, in unit order (both
+			// lists are sorted by unit: merge them).
+			cv, lt := n.ConstVals, n.LUTTables
+			for ci := 0; len(cv)+len(lt) > 0; ci++ {
+				var v uint16
+				if len(lt) == 0 || len(cv) > 0 && cv[0].Unit <= lt[0].Unit {
+					v, cv = cv[0].Val, cv[1:]
+				} else {
+					v, lt = lt[0].Val, lt[1:]
 				}
 				bs.Words = append(bs.Words, Word{tileAddr(c, featPEConst, ci), uint32(v)})
-				ci++
 			}
 		case rewrite.KindMem, rewrite.KindRom:
 			bs.Words = append(bs.Words, Word{tileAddr(c, featMemMode, 0), uint32(n.Kind)})

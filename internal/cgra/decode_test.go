@@ -54,12 +54,12 @@ func TestDecodeConstValuesSurvive(t *testing.T) {
 		for _, want := range n.ConstVals {
 			found := false
 			for _, got := range dt.Consts {
-				if got == uint32(want) {
+				if got == uint32(want.Val) {
 					found = true
 				}
 			}
 			if !found {
-				t.Fatalf("PE node %d: constant %d missing from decoded tile", i, want)
+				t.Fatalf("PE node %d: constant %d missing from decoded tile", i, want.Val)
 			}
 		}
 	}

@@ -232,8 +232,10 @@ func placeOne(ctx context.Context, m *rewrite.Mapped, f *Fabric, seed int64, mov
 func (p *Placement) nets() [][2]int {
 	if p.netList == nil {
 		ns := make([][2]int, 0, len(p.Mapped.Nodes))
+		var prods []int
 		for i := range p.Mapped.Nodes {
-			for _, pr := range p.Mapped.Nodes[i].Producers() {
+			prods = p.Mapped.Nodes[i].AppendProducers(prods[:0])
+			for _, pr := range prods {
 				ns = append(ns, [2]int{pr, i})
 			}
 		}
@@ -538,46 +540,54 @@ func (p *Placement) freeSlotsByClass() [numClasses][]Coord {
 // Validate checks resource legality: kinds on compatible tiles and no
 // double occupancy within a resource class.
 func (p *Placement) Validate() error {
-	peAt := map[Coord]int{}
-	rfAt := map[Coord]int{}
-	memAt := map[Coord]int{}
-	ioAt := map[Coord]int{}
+	// One occupant per site for PEs, memories and I/O (their tile kinds
+	// differ, so they never meet on a site) and one for register files;
+	// entries hold node index + 1.
+	f := p.Fabric
+	sites := f.numSites()
+	owner := make([]int32, 2*sites)
+	claim := func(i int, c Coord, slot int, what, where string) error {
+		if c.X < -1 || c.X > f.W || c.Y < -1 || c.Y > f.H {
+			return fmt.Errorf("cgra: node %d off the fabric at %s", i, c)
+		}
+		o := &owner[slot*sites+int(f.siteIndex(c))]
+		if *o != 0 {
+			return fmt.Errorf("cgra: %s %d and %d share %s %s", what, *o-1, i, where, c)
+		}
+		*o = int32(i + 1)
+		return nil
+	}
 	for i := range p.Mapped.Nodes {
 		c := p.Loc[i]
 		kind := p.Mapped.Nodes[i].Kind
+		var err error
 		switch kind {
 		case rewrite.KindPE, rewrite.KindRegFile:
-			if p.Fabric.KindAt(c) != TilePE {
-				return fmt.Errorf("cgra: node %d (%s) on %s tile %s", i, kind, p.Fabric.KindAt(c), c)
+			if f.KindAt(c) != TilePE {
+				return fmt.Errorf("cgra: node %d (%s) on %s tile %s", i, kind, f.KindAt(c), c)
 			}
-			reg := peAt
+			slot := 0
 			if kind == rewrite.KindRegFile {
-				reg = rfAt
+				slot = 1
 			}
-			if prev, ok := reg[c]; ok {
-				return fmt.Errorf("cgra: nodes %d and %d share tile %s", prev, i, c)
-			}
-			reg[c] = i
+			err = claim(i, c, slot, "nodes", "tile")
 		case rewrite.KindMem, rewrite.KindRom:
-			if p.Fabric.KindAt(c) != TileMem {
-				return fmt.Errorf("cgra: mem node %d on %s tile %s", i, p.Fabric.KindAt(c), c)
+			if f.KindAt(c) != TileMem {
+				return fmt.Errorf("cgra: mem node %d on %s tile %s", i, f.KindAt(c), c)
 			}
-			if prev, ok := memAt[c]; ok {
-				return fmt.Errorf("cgra: mems %d and %d share tile %s", prev, i, c)
-			}
-			memAt[c] = i
+			err = claim(i, c, 0, "mems", "tile")
 		case rewrite.KindInput, rewrite.KindInputB, rewrite.KindOutput:
-			if p.Fabric.KindAt(c) != TileIO {
-				return fmt.Errorf("cgra: IO node %d on %s tile %s", i, p.Fabric.KindAt(c), c)
+			if f.KindAt(c) != TileIO {
+				return fmt.Errorf("cgra: IO node %d on %s tile %s", i, f.KindAt(c), c)
 			}
-			if prev, ok := ioAt[c]; ok {
-				return fmt.Errorf("cgra: IOs %d and %d share site %s", prev, i, c)
-			}
-			ioAt[c] = i
+			err = claim(i, c, 0, "IOs", "site")
 		case rewrite.KindReg:
-			if !p.Fabric.InGrid(c) {
+			if !f.InGrid(c) {
 				return fmt.Errorf("cgra: reg node %d off-grid at %s", i, c)
 			}
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -154,16 +154,6 @@ func RouteAll(ctx context.Context, p *Placement, opt RouteOptions) (*Routing, er
 	return nil, fault.NonConvergencef("cgra: routing did not converge in %d iterations", opt.MaxIterations)
 }
 
-// sortedKeys returns a position-indexed map's keys in ascending order.
-func sortedKeys(m map[int]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
 // collectNets derives the net list from the mapped graph, ordered by
 // source so fanout trees route consecutively.
 func collectNets(m *rewrite.Mapped) []Net {
@@ -172,14 +162,15 @@ func collectNets(m *rewrite.Mapped) []Net {
 		n := &m.Nodes[i]
 		switch n.Kind {
 		case rewrite.KindPE:
-			// Iterate input ports in sorted position order: the net
-			// list's order steers negotiated-congestion routing, so map
-			// iteration here would make routing vary run to run.
-			for _, pos := range sortedKeys(n.DataIn) {
-				nets = append(nets, Net{Src: n.DataIn[pos], Dst: i})
+			for _, p := range n.DataIn {
+				if p >= 0 {
+					nets = append(nets, Net{Src: p, Dst: i})
+				}
 			}
-			for _, pos := range sortedKeys(n.BitIn) {
-				nets = append(nets, Net{Src: n.BitIn[pos], Dst: i, Bit: true})
+			for _, p := range n.BitIn {
+				if p >= 0 {
+					nets = append(nets, Net{Src: p, Dst: i, Bit: true})
+				}
 			}
 		default:
 			if n.Arg >= 0 {
@@ -544,34 +535,41 @@ func (r *router) buildPath(src, dst int32) []Coord {
 // RoutingOnlyTiles counts grid tiles traversed by routes whose cores are
 // unused (Table 3's "routing tiles" column).
 func (r *Routing) RoutingOnlyTiles() int {
-	usedCore := map[Coord]bool{}
-	for i := range r.Placement.Mapped.Nodes {
-		switch r.Placement.Mapped.Nodes[i].Kind {
+	const usedCore, traversed = 1, 2
+	f := r.Placement.Fabric
+	site := make([]uint8, f.numSites())
+	m := r.Placement.Mapped
+	for i := range m.Nodes {
+		switch m.Nodes[i].Kind {
 		case rewrite.KindPE, rewrite.KindRegFile, rewrite.KindMem, rewrite.KindRom:
-			usedCore[r.Placement.Loc[i]] = true
+			site[f.siteIndex(r.Placement.Loc[i])] |= usedCore
+		case rewrite.KindReg:
+			// Tiles hosting interconnect registers also count as
+			// routing tiles.
+			site[f.siteIndex(r.Placement.Loc[i])] |= traversed
 		}
 	}
-	traversed := map[Coord]bool{}
-	for _, rt := range r.Routes {
-		for _, c := range rt.Path {
-			if r.Placement.Fabric.InGrid(c) {
-				traversed[c] = true
-			}
-		}
-	}
-	// Tiles hosting interconnect registers also count as routing tiles.
-	for i := range r.Placement.Mapped.Nodes {
-		if r.Placement.Mapped.Nodes[i].Kind == rewrite.KindReg {
-			traversed[r.Placement.Loc[i]] = true
-		}
-	}
+	r.markTraversed(site, traversed)
 	n := 0
-	for c := range traversed {
-		if !usedCore[c] {
+	for _, s := range site {
+		if s == traversed {
 			n++
 		}
 	}
 	return n
+}
+
+// markTraversed ors mark into the site entry of every grid tile a
+// route passes through.
+func (r *Routing) markTraversed(site []uint8, mark uint8) {
+	f := r.Placement.Fabric
+	for _, rt := range r.Routes {
+		for _, c := range rt.Path {
+			if f.InGrid(c) {
+				site[f.siteIndex(c)] |= mark
+			}
+		}
+	}
 }
 
 // TotalHops sums distinct (edge, source) track segments — the wire/SB
@@ -602,13 +600,11 @@ func (r *Routing) MaxRouteHops() int {
 // UsedSBTiles counts grid tiles whose switch box carries at least one
 // route (for SB energy/area roll-ups).
 func (r *Routing) UsedSBTiles() int {
-	tiles := map[Coord]bool{}
-	for _, rt := range r.Routes {
-		for _, c := range rt.Path {
-			if r.Placement.Fabric.InGrid(c) {
-				tiles[c] = true
-			}
-		}
+	site := make([]uint8, r.Placement.Fabric.numSites())
+	r.markTraversed(site, 1)
+	n := 0
+	for _, s := range site {
+		n += int(s)
 	}
-	return len(tiles)
+	return n
 }

@@ -46,6 +46,7 @@ func Simulate(ctx context.Context, m *rewrite.Mapped, peLatency int, inputs map[
 	}
 	order := m.TopoOrder()
 	vals := make([]uint16, len(m.Nodes))
+	progs := make([]*rewrite.PEProgram, len(m.Nodes))
 	outs := map[string][]uint16{}
 	for i := range m.Nodes {
 		if m.Nodes[i].Kind == rewrite.KindOutput {
@@ -87,26 +88,16 @@ func Simulate(ctx context.Context, m *rewrite.Mapped, peLatency int, inputs map[
 				}
 				continue
 			case rewrite.KindPE:
-				cfg := n.Rule.Config.Clone()
-				for cu, v := range n.ConstVals {
-					cfg.ConstVals[cu] = v
+				// Each PE compiles once, on its first evaluation, and
+				// runs allocation-free every cycle after.
+				if progs[i] == nil {
+					pp, err := n.CompilePE(m.Spec)
+					if err != nil {
+						return nil, fmt.Errorf("cgra: simulate PE %d: %w", i, err)
+					}
+					progs[i] = pp
 				}
-				for fu, tbl := range n.LUTTables {
-					cfg.ConstVals[fu] = tbl
-				}
-				inVals := map[int]uint16{}
-				for pos, p := range n.DataIn {
-					inVals[pos] = vals[p]
-				}
-				bitVals := map[int]uint16{}
-				for pos, p := range n.BitIn {
-					bitVals[pos] = vals[p]
-				}
-				res, err := m.Spec.Evaluate(cfg, inVals, bitVals)
-				if err != nil {
-					return nil, fmt.Errorf("cgra: simulate PE %d: %w", i, err)
-				}
-				comb = res[n.Rule.OutUnit]
+				comb = progs[i].Eval(vals)
 			}
 			if l := lines[i]; l != nil {
 				out := l.buf[0]

@@ -588,12 +588,11 @@ func (o *selectOrder) extend(a *Analysis) {
 	var bestOccs []graph.Embedding
 	for i := range o.remaining {
 		c := &o.remaining[i]
-		perOcc := c.r.Pattern.ComputeSize() - 1
-		if perOcc <= 0 {
+		if c.perOcc <= 0 {
 			continue
 		}
 		occs := o.sc.absorbableDisjoint(a.View, c)
-		if score := len(occs) * perOcc; score > bestScore {
+		if score := len(occs) * c.perOcc; score > bestScore {
 			bestIdx, bestScore, bestOccs = i, score, occs
 		}
 	}
@@ -611,20 +610,22 @@ func (o *selectOrder) extend(a *Analysis) {
 	}
 }
 
-// selectCand is a ranked pattern with what absorbableDisjoint needs of
-// its shape, derived once per analysis: the single sink (-1 when the
-// pattern has none or several) and, per pattern position, whether it is
-// an interior compute node whose users must all stay inside an
+// selectCand is a ranked pattern with what a selection round needs of
+// its shape, derived once per analysis: the compute nodes each absorbed
+// occurrence saves beyond its root (perOcc), the single sink (-1 when
+// the pattern has none or several) and, per pattern position, whether
+// it is an interior compute node whose users must all stay inside an
 // occurrence.
 type selectCand struct {
 	r        mis.Ranked
+	perOcc   int
 	sink     int
 	interior []bool
 }
 
 func newSelectCand(r mis.Ranked) selectCand {
 	p := r.Pattern.Graph
-	c := selectCand{r: r, sink: -1}
+	c := selectCand{r: r, perOcc: r.Pattern.ComputeSize() - 1, sink: -1}
 	for v := 0; v < p.NumNodes(); v++ {
 		if p.OutDegree(graph.NodeID(v)) == 0 {
 			if c.sink >= 0 {

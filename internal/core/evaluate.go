@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/apps"
 	"repro/internal/cgra"
@@ -450,26 +449,29 @@ func (f *Framework) layoutKey(m *rewrite.Mapped) string {
 	}
 	e.Uvarint(uint64(f.PlaceSeed))
 	e.Int(len(m.Nodes))
-	var pos []int
 	for i := range m.Nodes {
 		n := &m.Nodes[i]
 		e.Int(int(n.Kind))
 		e.Int(n.Arg)
-		for _, ports := range [2]map[int]int{n.DataIn, n.BitIn} {
-			pos = pos[:0]
-			for p := range ports {
-				pos = append(pos, p)
-			}
-			sort.Ints(pos)
-			e.Int(len(pos))
-			for _, p := range pos {
-				e.Int(p)
-				e.Int(ports[p])
-			}
-		}
+		data, bit := n.WiredInputs()
+		e.Int(data)
+		encodePorts(&e, n.DataIn)
+		e.Int(bit)
+		encodePorts(&e, n.BitIn)
 	}
 	sum := sha256.Sum256(e.Buf)
 	return hex.EncodeToString(sum[:])
+}
+
+// encodePorts writes a port slice's wired (position, producer) pairs
+// in position order.
+func encodePorts(e *wire.Enc, ports []int) {
+	for pos, p := range ports {
+		if p >= 0 {
+			e.Int(pos)
+			e.Int(p)
+		}
+	}
 }
 
 // fillMetrics computes the area/energy/performance roll-ups; usedSB is
@@ -505,8 +507,9 @@ func (f *Framework) fillMetrics(app *apps.App, v *PEVariant, r *Result, opt Eval
 			continue
 		}
 		peE += v.ActivationEnergy(n.Rule, m)
-		cbE += m.Unit("cb16").Energy * float64(len(n.DataIn))
-		cbE += m.Unit("cb1").Energy * float64(len(n.BitIn))
+		d, b := n.WiredInputs()
+		cbE += m.Unit("cb16").Energy * float64(d)
+		cbE += m.Unit("cb1").Energy * float64(b)
 	}
 	memE := m.MemTile().Energy * float64(r.NumMems)
 	cbE += m.Unit("cb16").Energy * float64(r.NumMems) // memory tile inputs
@@ -516,8 +519,10 @@ func (f *Framework) fillMetrics(app *apps.App, v *PEVariant, r *Result, opt Eval
 	} else {
 		// Post-mapping estimate: average 2 hops per net.
 		nets := 0
+		var prods []int
 		for i := range r.Mapped.Nodes {
-			nets += len(r.Mapped.Nodes[i].Producers())
+			prods = r.Mapped.Nodes[i].AppendProducers(prods[:0])
+			nets += len(prods)
 		}
 		sbE = float64(2*nets) * (m.Unit("sbtrack").Energy + m.Unit("wire").Energy)
 	}
@@ -561,15 +566,14 @@ func (f *Framework) criticalPathPS(v *PEVariant, r *Result, opt EvalOptions) flo
 	cb := m.Unit("cb16").Delay
 	peDelay := v.Pipelined.PeriodPS
 
-	routeHops := map[[2]int]int{}
-	if r.Routing != nil {
-		for _, rt := range r.Routing.Routes {
-			routeHops[[2]int{rt.Net.Src, rt.Net.Dst}] = rt.Hops()
-		}
+	mapped := r.Balanced
+	if mapped == nil {
+		mapped = r.Mapped
 	}
+	hops := routedHops(r.Routing, len(mapped.Nodes))
 	hopsOf := func(src, dst int) float64 {
 		h := 2.0 // post-mapping estimate
-		if rh, ok := routeHops[[2]int{src, dst}]; ok {
+		if rh := hops.of(src, dst); rh >= 0 {
 			h = float64(rh)
 		}
 		// With application pipelining on, the switch boxes' per-track
@@ -581,19 +585,17 @@ func (f *Framework) criticalPathPS(v *PEVariant, r *Result, opt EvalOptions) flo
 		return h
 	}
 
-	mapped := r.Balanced
-	if mapped == nil {
-		mapped = r.Mapped
-	}
 	// Longest register-to-register combinational path over the mapped
 	// graph: registers cut paths at PEs with stages>0, interconnect
 	// registers, FIFOs, and memories.
 	cp := make([]float64, len(mapped.Nodes))
 	worst := peDelay
+	var prods []int
 	for _, i := range mapped.TopoOrder() {
 		n := &mapped.Nodes[i]
 		in := 0.0
-		for _, p := range n.Producers() {
+		prods = n.AppendProducers(prods[:0])
+		for _, p := range prods {
 			d := cp[p] + hopsOf(p, i)*sbHop
 			if d > in {
 				in = d
@@ -625,4 +627,57 @@ func (f *Framework) criticalPathPS(v *PEVariant, r *Result, opt EvalOptions) flo
 		}
 	}
 	return worst
+}
+
+// netHops holds a routing's per-net hop counts grouped by destination
+// node: the nets into node d are nets[off[d]:off[d+1]], in route order.
+type netHops struct {
+	off  []int32
+	nets []srcHops
+}
+
+type srcHops struct{ src, hops int32 }
+
+// routedHops groups routing's hop counts by destination, for nodes
+// below n; a nil routing has none.
+func routedHops(routing *cgra.Routing, n int) netHops {
+	if routing == nil {
+		return netHops{}
+	}
+	h := netHops{off: make([]int32, n+1)}
+	for _, rt := range routing.Routes {
+		if d := rt.Net.Dst; d >= 0 && d < n {
+			h.off[d+1]++
+		}
+	}
+	for d := 0; d < n; d++ {
+		h.off[d+1] += h.off[d]
+	}
+	h.nets = make([]srcHops, h.off[n])
+	// Fill with off[d] as node d's cursor, then shift the cursors (now
+	// each node's end) back into starts.
+	for _, rt := range routing.Routes {
+		if d := rt.Net.Dst; d >= 0 && d < n {
+			h.nets[h.off[d]] = srcHops{int32(rt.Net.Src), int32(rt.Hops())}
+			h.off[d]++
+		}
+	}
+	copy(h.off[1:], h.off[:n])
+	h.off[0] = 0
+	return h
+}
+
+// of returns the hop count of the last routed net from src to dst (a
+// source feeding two ports of one node routes twice), or -1 when none
+// was routed.
+func (h netHops) of(src, dst int) int {
+	if h.off == nil {
+		return -1
+	}
+	for k := h.off[dst+1] - 1; k >= h.off[dst]; k-- {
+		if int(h.nets[k].src) == src {
+			return int(h.nets[k].hops)
+		}
+	}
+	return -1
 }

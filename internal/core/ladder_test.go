@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -261,14 +261,14 @@ func TestLayoutKeyCoversNetlist(t *testing.T) {
 		m.Nodes = append([]rewrite.MNode(nil), m.Nodes...)
 		for i := range m.Nodes {
 			n := &m.Nodes[i]
-			n.DataIn, n.BitIn = maps.Clone(n.DataIn), maps.Clone(n.BitIn)
-			n.ConstVals = maps.Clone(n.ConstVals)
+			n.DataIn, n.BitIn = slices.Clone(n.DataIn), slices.Clone(n.BitIn)
+			n.ConstVals = slices.Clone(n.ConstVals)
 		}
 		return &m
 	}
 	pe, reg := -1, -1
 	for i, n := range r.Balanced.Nodes {
-		if pe < 0 && n.Kind == rewrite.KindPE && len(n.DataIn) > 0 {
+		if d, _ := n.WiredInputs(); pe < 0 && n.Kind == rewrite.KindPE && d > 0 {
 			pe = i
 		}
 		if reg < 0 && n.Kind == rewrite.KindReg {
@@ -279,21 +279,26 @@ func TestLayoutKeyCoversNetlist(t *testing.T) {
 		t.Fatal("harris has no PE with data inputs or no interconnect register")
 	}
 	firstPort := func(m *rewrite.Mapped) int {
-		first := -1
-		for pos := range m.Nodes[pe].DataIn {
-			if first < 0 || pos < first {
-				first = pos
-			}
+		return slices.IndexFunc(m.Nodes[pe].DataIn, func(p int) bool { return p >= 0 })
+	}
+	// setPort wires ports[pos] to p, growing ports with unwired entries.
+	setPort := func(ports []int, pos, p int) []int {
+		for len(ports) <= pos {
+			ports = append(ports, -1)
 		}
-		return first
+		ports[pos] = p
+		return ports
 	}
 	base := fw.layoutKey(r.Balanced)
 	same := map[string]func(*rewrite.Mapped, *Framework){
 		"design name": func(m *rewrite.Mapped, _ *Framework) { m.Name = "other" },
 		"node name":   func(m *rewrite.Mapped, _ *Framework) { m.Nodes[reg].Name = "other" },
 		"rule":        func(m *rewrite.Mapped, _ *Framework) { m.Nodes[pe].Rule = nil },
-		"constants":   func(m *rewrite.Mapped, _ *Framework) { m.Nodes[pe].ConstVals = map[int]uint16{0: 7} },
-		"fifo depth":  func(m *rewrite.Mapped, _ *Framework) { m.Nodes[reg].Depth += 3 },
+		"constants":   func(m *rewrite.Mapped, _ *Framework) { m.Nodes[pe].ConstVals = []rewrite.UnitVal{{Unit: 0, Val: 7}} },
+		"unwired port": func(m *rewrite.Mapped, _ *Framework) {
+			m.Nodes[pe].DataIn = append(m.Nodes[pe].DataIn, -1)
+		},
+		"fifo depth": func(m *rewrite.Mapped, _ *Framework) { m.Nodes[reg].Depth += 3 },
 	}
 	differ := map[string]func(*rewrite.Mapped, *Framework){
 		"kind": func(m *rewrite.Mapped, _ *Framework) { m.Nodes[reg].Kind = rewrite.KindRegFile },
@@ -303,19 +308,16 @@ func TestLayoutKeyCoversNetlist(t *testing.T) {
 		},
 		"port position": func(m *rewrite.Mapped, _ *Framework) {
 			p := firstPort(m)
-			m.Nodes[pe].DataIn[p+100] = m.Nodes[pe].DataIn[p]
-			delete(m.Nodes[pe].DataIn, p)
+			m.Nodes[pe].DataIn = setPort(m.Nodes[pe].DataIn, p+100, m.Nodes[pe].DataIn[p])
+			m.Nodes[pe].DataIn[p] = -1
 		},
 		"bit port added": func(m *rewrite.Mapped, _ *Framework) {
-			m.Nodes[pe].BitIn = map[int]int{0: reg}
+			m.Nodes[pe].BitIn = []int{reg}
 		},
 		"data to bit port": func(m *rewrite.Mapped, _ *Framework) {
 			p := firstPort(m)
-			if m.Nodes[pe].BitIn == nil {
-				m.Nodes[pe].BitIn = map[int]int{}
-			}
-			m.Nodes[pe].BitIn[p] = m.Nodes[pe].DataIn[p]
-			delete(m.Nodes[pe].DataIn, p)
+			m.Nodes[pe].BitIn = setPort(m.Nodes[pe].BitIn, p, m.Nodes[pe].DataIn[p])
+			m.Nodes[pe].DataIn[p] = -1
 		},
 		"fabric tracks": func(_ *rewrite.Mapped, f *Framework) {
 			fab := *f.Fabric

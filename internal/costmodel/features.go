@@ -134,8 +134,10 @@ func graphShape(m *rewrite.Mapped) (nets, depth, maxFan int, meanFan float64, fa
 		return 0, 0, 0, 0, 0, 0
 	}
 	out := make([]int, len(m.Nodes))
+	var prods []int
 	for i := range m.Nodes {
-		for _, p := range m.Nodes[i].Producers() {
+		prods = m.Nodes[i].AppendProducers(prods[:0])
+		for _, p := range prods {
 			nets++
 			out[p]++
 		}
@@ -166,7 +168,8 @@ func graphShape(m *rewrite.Mapped) (nets, depth, maxFan int, meanFan float64, fa
 	dist := make([]int, len(m.Nodes))
 	for _, i := range m.TopoOrder() {
 		d := 0
-		for _, p := range m.Nodes[i].Producers() {
+		prods = m.Nodes[i].AppendProducers(prods[:0])
+		for _, p := range prods {
 			if dist[p] > d {
 				d = dist[p]
 			}

@@ -460,17 +460,18 @@ func TestProducersMatchLegacy(t *testing.T) {
 	t.Logf("%d designs, %d nodes", designs, nodes)
 }
 
-// legacyProducers is MNode.Producers before it walked positions: the
-// sorted keys of each port map.
+// legacyProducers is MNode.Producers from before it walked positions:
+// the sorted keys of each port map.
 func legacyProducers(n *rewrite.MNode) []int {
 	switch n.Kind {
 	case rewrite.KindPE:
-		ps := make([]int, 0, len(n.DataIn)+len(n.BitIn))
-		for _, pos := range sortedKeys(n.DataIn) {
-			ps = append(ps, n.DataIn[pos])
+		dataIn, bitIn := legacyPortMap(n.DataIn), legacyPortMap(n.BitIn)
+		ps := make([]int, 0, len(dataIn)+len(bitIn))
+		for _, pos := range sortedKeys(dataIn) {
+			ps = append(ps, dataIn[pos])
 		}
-		for _, pos := range sortedKeys(n.BitIn) {
-			ps = append(ps, n.BitIn[pos])
+		for _, pos := range sortedKeys(bitIn) {
+			ps = append(ps, bitIn[pos])
 		}
 		return ps
 	case rewrite.KindInput, rewrite.KindInputB:
@@ -481,4 +482,16 @@ func legacyProducers(n *rewrite.MNode) []int {
 		}
 		return []int{n.Arg}
 	}
+}
+
+// legacyPortMap is a port slice in the position-keyed map form
+// legacyProducers walked: wired positions only.
+func legacyPortMap(ports []int) map[int]int {
+	m := map[int]int{}
+	for pos, p := range ports {
+		if p >= 0 {
+			m[pos] = p
+		}
+	}
+	return m
 }

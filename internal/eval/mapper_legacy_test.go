@@ -152,6 +152,10 @@ func randomMapPattern(rng *rand.Rand, ops []ir.Op) *ir.Graph {
 // legacyMatch, legacyMapApp, legacyTryMatch and legacyBuildMapped are
 // the pre-optimization instruction selector, kept verbatim (modulo
 // names and the unused isRoot bookkeeping) as a differential oracle.
+// The builder fills a PE's ports and words into maps as it always did
+// and lays them out in MNode's slice form only when the node is
+// complete (legacyPortSlice, legacyUnitVals), so the comparison also
+// pins that form.
 type legacyMatch struct {
 	rule     *rewrite.Rule
 	root     ir.NodeRef
@@ -392,24 +396,17 @@ func legacyBuildMapped(app *ir.Graph, covered []*legacyMatch, spec *pe.Spec, nam
 			if cm == nil || cm.root != av {
 				continue
 			}
-			pn := rewrite.MNode{
-				Kind:      rewrite.KindPE,
-				Rule:      cm.rule,
-				DataIn:    map[int]int{},
-				BitIn:     map[int]int{},
-				ConstVals: map[int]uint16{},
-				LUTTables: map[int]uint16{},
-				Arg:       -1,
-			}
+			dataIn, bitIn := map[int]int{}, map[int]int{}
+			constVals, lutTables := map[int]uint16{}, map[int]uint16{}
 			for pv, anode := range cm.inputMap {
 				p, err := producerIdx(anode)
 				if err != nil {
 					return nil, err
 				}
 				if pos, ok := cm.rule.InputPorts[pv]; ok {
-					pn.DataIn[pos] = p
+					dataIn[pos] = p
 				} else if pos, ok := cm.rule.BitPorts[pv]; ok {
-					pn.BitIn[pos] = p
+					bitIn[pos] = p
 				} else {
 					return nil, fmt.Errorf("rewrite: pattern input %d has no PE port", pv)
 				}
@@ -417,10 +414,19 @@ func legacyBuildMapped(app *ir.Graph, covered []*legacyMatch, spec *pe.Spec, nam
 			for pv, anode := range cm.nodeMap {
 				switch cm.rule.Pattern.Nodes[pv].Op {
 				case ir.OpConst, ir.OpConstB:
-					pn.ConstVals[cm.rule.ConstRegs[pv]] = app.Nodes[anode].Val
+					constVals[cm.rule.ConstRegs[pv]] = app.Nodes[anode].Val
 				case ir.OpLUT:
-					pn.LUTTables[cm.rule.LUTUnits[pv]] = app.Nodes[anode].Val
+					lutTables[cm.rule.LUTUnits[pv]] = app.Nodes[anode].Val
 				}
+			}
+			pn := rewrite.MNode{
+				Kind:      rewrite.KindPE,
+				Rule:      cm.rule,
+				DataIn:    legacyPortSlice(dataIn),
+				BitIn:     legacyPortSlice(bitIn),
+				ConstVals: legacyUnitVals(constVals),
+				LUTTables: legacyUnitVals(lutTables),
+				Arg:       -1,
 			}
 			mappedIdx[av] = add(pn)
 		}
@@ -429,6 +435,37 @@ func legacyBuildMapped(app *ir.Graph, covered []*legacyMatch, spec *pe.Spec, nam
 		return nil, err
 	}
 	return m, nil
+}
+
+// legacyPortSlice lays a position-keyed port map out in MNode's
+// port-slice form: indexed by position up to the highest wired one,
+// -1 where unwired, nil when empty.
+func legacyPortSlice(m map[int]int) []int {
+	if len(m) == 0 {
+		return nil
+	}
+	n := 0
+	for pos := range m {
+		n = max(n, pos+1)
+	}
+	ports := make([]int, n)
+	for pos := range ports {
+		ports[pos] = -1
+	}
+	for pos, p := range m {
+		ports[pos] = p
+	}
+	return ports
+}
+
+// legacyUnitVals lays a unit-keyed word map out as MNode's unit-sorted
+// pair list, nil when empty.
+func legacyUnitVals(m map[int]uint16) []rewrite.UnitVal {
+	var uvs []rewrite.UnitVal
+	for _, u := range sortedKeys(m) {
+		uvs = append(uvs, rewrite.UnitVal{Unit: u, Val: m[u]})
+	}
+	return uvs
 }
 
 func legacyTopo(app *ir.Graph) []ir.NodeRef {

@@ -72,15 +72,10 @@ func MaxWeightClique(adj UndirectedAdj, weights []float64, maxSteps int) ([]int,
 		w[i] = weights[v]
 	}
 
-	s := &cliqueSolver{nb: nb, w: w, budget: maxSteps, words: words}
-	all := s.frame(0, n).p
-	for i := 0; i < n; i++ {
-		all.set(i)
-	}
-	s.expand(0, 0)
-
-	out := make([]int, len(s.best))
-	for i, v := range s.best {
+	s := newCliqueSolver(nb, w, words, maxSteps)
+	best := s.solve(n)
+	out := make([]int, len(best))
+	for i, v := range best {
 		out[i] = order[v]
 	}
 	sort.Ints(out)
@@ -101,6 +96,16 @@ type cliqueSolver struct {
 	frames []*cliqueFrame
 }
 
+// newCliqueSolver returns a solver over the n = len(nb) adjacency rows
+// of words words each; the current and best cliques share one
+// n-per-clique backing array, so growing them never reallocates.
+func newCliqueSolver(nb []bitset, w []float64, words, budget int) *cliqueSolver {
+	n := len(nb)
+	cliques := make([]int, 2*n)
+	return &cliqueSolver{nb: nb, w: w, words: words, budget: budget,
+		cur: cliques[:0:n], best: cliques[n : n : 2*n]}
+}
+
 // cliqueFrame is the scratch of one search depth: its candidate set p
 // (filled by the parent), the coloring's working sets, and the colored
 // candidates with their cumulative bounds.
@@ -110,20 +115,42 @@ type cliqueFrame struct {
 	bound               []float64
 }
 
-// frame returns the scratch frame for depth d, allocating it on first use
-// with room for size candidates (the caller passes its own candidate
-// count, which bounds the first child's; a later, wider use grows it).
+// solve searches from the full candidate set of n vertices and returns
+// the best clique found, in the solver's index space, in search order.
+func (s *cliqueSolver) solve(n int) []int {
+	all := s.frame(0, n).p
+	for i := 0; i < n; i++ {
+		all.set(i)
+	}
+	s.expand(0, 0)
+	return s.best
+}
+
+// frame returns the scratch frame for depth d, allocating frames on
+// first use in batches — as many as exist, at least four — that share
+// backing arrays, so a search of depth D allocates frames O(log D)
+// times. A new batch gets room for size candidates per frame (the
+// caller passes its own candidate count, which bounds its children's; a
+// later, wider use grows a frame's lists).
 func (s *cliqueSolver) frame(d, size int) *cliqueFrame {
 	for len(s.frames) <= d {
-		w := s.words
-		sets := make(bitset, 3*w)
-		s.frames = append(s.frames, &cliqueFrame{
-			p:         sets[:w:w],
-			remaining: sets[w : 2*w : 2*w],
-			avail:     sets[2*w:],
-			verts:     make([]int, 0, size),
-			bound:     make([]float64, 0, size),
-		})
+		k, w := max(len(s.frames), 4), s.words
+		fs := make([]cliqueFrame, k)
+		sets := make(bitset, 3*w*k)
+		verts := make([]int, k*size)
+		bound := make([]float64, k*size)
+		s.frames = append(make([]*cliqueFrame, 0, len(s.frames)+k), s.frames...)
+		for i := range fs {
+			set, lo, hi := sets[3*w*i:3*w*(i+1):3*w*(i+1)], i*size, (i+1)*size
+			fs[i] = cliqueFrame{
+				p:         set[:w:w],
+				remaining: set[w : 2*w : 2*w],
+				avail:     set[2*w:],
+				verts:     verts[lo:lo:hi],
+				bound:     bound[lo:lo:hi],
+			}
+			s.frames = append(s.frames, &fs[i])
+		}
 	}
 	return s.frames[d]
 }

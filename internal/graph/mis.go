@@ -1,117 +1,134 @@
 package graph
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
-// GreedyMIS returns a maximal independent set of the undirected graph,
-// built greedily by repeatedly taking a minimum-degree vertex and removing
-// its neighborhood. The result is always maximal (no vertex can be added)
-// but not necessarily maximum.
-func GreedyMIS(adj UndirectedAdj) []int {
-	n := len(adj)
+// CSR is an undirected graph in compressed sparse row form: the
+// neighbors of vertex v are Adj[Off[v]:Off[v+1]], so len(Off) is one
+// more than the vertex count. It must be symmetric (u lists v iff v
+// lists u); self-loops are ignored.
+type CSR struct {
+	Off []int32
+	Adj []int32
+}
+
+// Len returns the vertex count.
+func (g CSR) Len() int { return max(len(g.Off)-1, 0) }
+
+// Neighbors returns the neighbor list of v; callers must not modify it.
+func (g CSR) Neighbors(v int) []int32 { return g.Adj[g.Off[v]:g.Off[v+1]] }
+
+// GreedyMIS returns a maximal independent set of g, built greedily by
+// repeatedly taking a minimum-degree vertex (ties: lowest index) and
+// removing its neighborhood. The result is always maximal (no vertex
+// can be added) but not necessarily maximum. It keeps two slices of
+// per-vertex state and touches no map, so it scales to the unbounded
+// occurrence counts of user kernels.
+func GreedyMIS(g CSR) []int {
+	n := g.Len()
 	alive := make([]bool, n)
-	deg := make([]int, n)
-	for v := range adj {
+	deg := make([]int32, n)
+	for v := range alive {
 		alive[v] = true
-		deg[v] = len(adj[v])
+		deg[v] = g.Off[v+1] - g.Off[v]
 	}
 	var mis []int
-	remaining := n
-	for remaining > 0 {
-		// Pick the minimum-degree alive vertex (ties: lowest index) — the
-		// classic greedy that tends to find large independent sets.
-		best, bestDeg := -1, int(^uint(0)>>1)
-		for v := 0; v < n; v++ {
-			if alive[v] && deg[v] < bestDeg {
+	for remaining := n; remaining > 0; {
+		best, bestDeg := -1, int32(math.MaxInt32)
+		for v, a := range alive {
+			if a && deg[v] < bestDeg {
 				best, bestDeg = v, deg[v]
 			}
 		}
 		mis = append(mis, best)
-		// Remove best and its neighborhood.
-		kill := append([]int{best}, adj[best]...)
-		for _, v := range kill {
-			if !alive[v] {
-				continue
-			}
-			alive[v] = false
-			remaining--
-			for _, u := range adj[v] {
-				if alive[u] {
-					deg[u]--
-				}
-			}
+		remaining -= g.kill(best, alive, deg)
+		for _, u := range g.Neighbors(best) {
+			remaining -= g.kill(int(u), alive, deg)
 		}
 	}
 	sort.Ints(mis)
 	return mis
 }
 
+// kill removes v from the greedy's live graph, returning 1 if it was
+// alive and 0 otherwise.
+func (g CSR) kill(v int, alive []bool, deg []int32) int {
+	if !alive[v] {
+		return 0
+	}
+	alive[v] = false
+	for _, u := range g.Neighbors(v) {
+		if alive[u] {
+			deg[u]--
+		}
+	}
+	return 1
+}
+
 // MaximumIndependentSet returns a maximum (largest possible) independent
-// set, found exactly via branch and bound when the graph is small enough
-// to solve within maxSteps branch steps, falling back to the greedy result
-// otherwise. The second return value reports whether the answer is proven
-// optimal.
-func MaximumIndependentSet(adj UndirectedAdj, maxSteps int) ([]int, bool) {
-	n := len(adj)
+// set of g, sorted, found exactly by branch and bound unless maxSteps
+// branch steps (0: a default of 2,000,000) run out; the greedy set then
+// stands in when it is larger. The second return value reports whether
+// the answer is proven optimal.
+//
+// A maximum independent set of g is a maximum clique of its complement,
+// so this runs the clique solver's search with unit weights on
+// complement rows built straight from g: one word per row up to 64
+// vertices. Unit weights keep vertex index order, so the set is the one
+// MaxWeightClique returns on the complement's adjacency lists.
+func MaximumIndependentSet(g CSR, maxSteps int) ([]int, bool) {
+	n := g.Len()
 	if n == 0 {
 		return nil, true
 	}
 	if maxSteps <= 0 {
 		maxSteps = 2_000_000
 	}
-	// A maximum independent set of G is a maximum clique of the complement
-	// of G; reusing the weighted clique solver with unit weights keeps a
-	// single exact search implementation.
-	comp := make(UndirectedAdj, n)
-	isAdj := make([]bitset, n)
-	for v := range adj {
-		isAdj[v] = newBitset(n)
-		for _, u := range adj[v] {
-			if u != v {
-				isAdj[v].set(u)
-			}
+	words := (n + 63) / 64
+	rows := make(bitset, n*words)
+	comp := make([]bitset, n)
+	for v := range comp {
+		row := rows[v*words : (v+1)*words : (v+1)*words]
+		for i := range row {
+			row[i] = ^uint64(0)
+		}
+		if tail := n % 64; tail != 0 {
+			row[words-1] = 1<<uint(tail) - 1
+		}
+		row.clear(v)
+		for _, u := range g.Neighbors(v) {
+			row.clear(int(u))
+		}
+		comp[v] = row
+	}
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1
+	}
+	s := newCliqueSolver(comp, w, words, maxSteps)
+	best := s.solve(n)
+	if s.budget <= 0 {
+		// The search may have stopped short of the maximum; only then
+		// can the greedy set be larger.
+		if greedy := GreedyMIS(g); len(greedy) > len(best) {
+			best = greedy
 		}
 	}
-	for v := 0; v < n; v++ {
-		for u := 0; u < n; u++ {
-			if u != v && !isAdj[v].has(u) {
-				comp[v] = append(comp[v], u)
-			}
-		}
-	}
-	weights := make([]float64, n)
-	for i := range weights {
-		weights[i] = 1
-	}
-	// The weights are unit and sized to comp right here, so the solver
-	// cannot reject them; if it ever did, the greedy set below still
-	// yields a valid (if unproven) answer.
-	clique, _, err := MaxWeightClique(comp, weights, maxSteps)
-	greedy := GreedyMIS(adj)
-	// The clique solver may return a suboptimal set if the budget ran out;
-	// take the better of the two. Optimality is certain only when the
-	// graph is small enough that the default budget could not have been
-	// exhausted — approximate that with a conservative size check.
-	best := clique
-	if err != nil {
-		best = nil
-	}
-	if len(greedy) > len(best) {
-		best = greedy
-	}
-	proven := n <= 48 || len(best) == n
 	sort.Ints(best)
-	return best, proven
+	return best, n <= 48 || len(best) == n
 }
 
-// IsIndependentSet reports whether vs is an independent set in adj.
-func IsIndependentSet(adj UndirectedAdj, vs []int) bool {
-	in := make(map[int]bool, len(vs))
+// IsIndependentSet reports whether vs is an independent set in g.
+func IsIndependentSet(g CSR, vs []int) bool {
+	in := make([]bool, g.Len())
 	for _, v := range vs {
 		in[v] = true
 	}
 	for _, v := range vs {
-		for _, u := range adj[v] {
-			if in[u] && u != v {
+		for _, u := range g.Neighbors(v) {
+			if in[u] && int(u) != v {
 				return false
 			}
 		}
@@ -121,20 +138,20 @@ func IsIndependentSet(adj UndirectedAdj, vs []int) bool {
 
 // IsMaximalIndependentSet reports whether vs is independent and no further
 // vertex can be added while staying independent.
-func IsMaximalIndependentSet(adj UndirectedAdj, vs []int) bool {
-	if !IsIndependentSet(adj, vs) {
+func IsMaximalIndependentSet(g CSR, vs []int) bool {
+	if !IsIndependentSet(g, vs) {
 		return false
 	}
-	in := make(map[int]bool, len(vs))
+	in := make([]bool, g.Len())
 	for _, v := range vs {
 		in[v] = true
 	}
-	for v := range adj {
+	for v := range in {
 		if in[v] {
 			continue
 		}
 		conflict := false
-		for _, u := range adj[v] {
+		for _, u := range g.Neighbors(v) {
 			if in[u] {
 				conflict = true
 				break

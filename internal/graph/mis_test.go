@@ -8,9 +8,9 @@ import (
 
 func TestGreedyMISPath(t *testing.T) {
 	// Path 0-1-2-3-4: maximum independent set is {0,2,4}.
-	adj := UndirectedAdj{{1}, {0, 2}, {1, 3}, {2, 4}, {3}}
-	mis := GreedyMIS(adj)
-	if !IsMaximalIndependentSet(adj, mis) {
+	g := CSRFromAdj(UndirectedAdj{{1}, {0, 2}, {1, 3}, {2, 4}, {3}})
+	mis := GreedyMIS(g)
+	if !IsMaximalIndependentSet(g, mis) {
 		t.Fatalf("greedy result %v not maximal independent", mis)
 	}
 	if len(mis) != 3 {
@@ -19,25 +19,28 @@ func TestGreedyMISPath(t *testing.T) {
 }
 
 func TestGreedyMISEmptyAndSingleton(t *testing.T) {
-	if got := GreedyMIS(nil); len(got) != 0 {
+	if got := GreedyMIS(CSR{}); len(got) != 0 {
 		t.Errorf("empty graph MIS = %v", got)
 	}
-	if got := GreedyMIS(UndirectedAdj{{}}); len(got) != 1 {
+	if got := GreedyMIS(CSRFromAdj(nil)); len(got) != 0 {
+		t.Errorf("empty graph MIS = %v", got)
+	}
+	if got := GreedyMIS(CSRFromAdj(UndirectedAdj{{}})); len(got) != 1 {
 		t.Errorf("singleton MIS = %v, want one vertex", got)
 	}
 }
 
 func TestMaximumIndependentSetExactSmall(t *testing.T) {
 	// 5-cycle: maximum independent set size 2.
-	adj := UndirectedAdj{{1, 4}, {0, 2}, {1, 3}, {2, 4}, {3, 0}}
-	mis, proven := MaximumIndependentSet(adj, 0)
+	g := CSRFromAdj(UndirectedAdj{{1, 4}, {0, 2}, {1, 3}, {2, 4}, {3, 0}})
+	mis, proven := MaximumIndependentSet(g, 0)
 	if len(mis) != 2 {
 		t.Fatalf("C5 maximum IS size = %d, want 2 (%v)", len(mis), mis)
 	}
 	if !proven {
 		t.Error("C5 should be proven optimal")
 	}
-	if !IsIndependentSet(adj, mis) {
+	if !IsIndependentSet(g, mis) {
 		t.Fatalf("%v not independent", mis)
 	}
 }
@@ -61,7 +64,7 @@ func TestMaximumMatchesBruteForce(t *testing.T) {
 			}
 		}
 		want := bruteForceMIS(adjm)
-		got, _ := MaximumIndependentSet(adj, 0)
+		got, _ := MaximumIndependentSet(CSRFromAdj(adj), 0)
 		if len(got) != want {
 			t.Fatalf("trial %d: exact MIS size %d != brute force %d", trial, len(got), want)
 		}
@@ -109,7 +112,8 @@ func TestGreedyMISAlwaysMaximalProperty(t *testing.T) {
 				}
 			}
 		}
-		return IsMaximalIndependentSet(adj, GreedyMIS(adj))
+		g := CSRFromAdj(adj)
+		return IsMaximalIndependentSet(g, GreedyMIS(g))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -130,9 +134,10 @@ func TestExactAtLeastGreedyProperty(t *testing.T) {
 				}
 			}
 		}
-		exact, _ := MaximumIndependentSet(adj, 0)
-		greedy := GreedyMIS(adj)
-		return len(exact) >= len(greedy) && IsIndependentSet(adj, exact)
+		g := CSRFromAdj(adj)
+		exact, _ := MaximumIndependentSet(g, 0)
+		greedy := GreedyMIS(g)
+		return len(exact) >= len(greedy) && IsIndependentSet(g, exact)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -140,11 +145,24 @@ func TestExactAtLeastGreedyProperty(t *testing.T) {
 }
 
 func TestIsIndependentSetRejects(t *testing.T) {
-	adj := UndirectedAdj{{1}, {0}}
-	if IsIndependentSet(adj, []int{0, 1}) {
+	g := CSRFromAdj(UndirectedAdj{{1}, {0}})
+	if IsIndependentSet(g, []int{0, 1}) {
 		t.Fatal("adjacent pair accepted as independent")
 	}
-	if !IsIndependentSet(adj, []int{0}) {
+	if !IsIndependentSet(g, []int{0}) {
 		t.Fatal("singleton rejected")
 	}
+}
+
+// CSRFromAdj packs adjacency lists into CSR form, keeping each list's
+// order.
+func CSRFromAdj(adj UndirectedAdj) CSR {
+	g := CSR{Off: make([]int32, len(adj)+1)}
+	for v, ns := range adj {
+		for _, u := range ns {
+			g.Adj = append(g.Adj, int32(u))
+		}
+		g.Off[v+1] = int32(len(g.Adj))
+	}
+	return g
 }

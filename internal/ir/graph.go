@@ -181,12 +181,11 @@ func (g *Graph) Validate() error {
 		return g.err
 	}
 	for i, n := range g.Nodes {
-		info, ok := opTable[n.Op]
-		if !ok || n.Op == OpInvalid {
+		if n.Op == OpInvalid || n.Op >= opMax {
 			return fmt.Errorf("ir: node %d has invalid op %d", i, n.Op)
 		}
-		if info.arity >= 0 && len(n.Args) != info.arity {
-			return fmt.Errorf("ir: node %d (%s) has %d args, want %d", i, n.Op, len(n.Args), info.arity)
+		if arity := n.Op.Arity(); arity >= 0 && len(n.Args) != arity {
+			return fmt.Errorf("ir: node %d (%s) has %d args, want %d", i, n.Op, len(n.Args), arity)
 		}
 		for _, a := range n.Args {
 			if a < 0 || int(a) >= len(g.Nodes) {

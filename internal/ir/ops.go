@@ -85,7 +85,9 @@ type opInfo struct {
 	hwClass     string
 }
 
-var opTable = map[Op]opInfo{
+// opTable is indexed by Op: the getters below run in the miner, the
+// mapper and every roll-up, so they are array loads, not map lookups.
+var opTable = [opMax]opInfo{
 	OpInvalid:     {name: "invalid"},
 	OpInput:       {name: "input", arity: 0},
 	OpInputB:      {name: "inputb", arity: 0, bitResult: true},
@@ -132,32 +134,42 @@ var opTable = map[Op]opInfo{
 	OpLUT: {name: "lut", arity: 3, bitResult: true, compute: true, hwClass: "lut"},
 }
 
+// info returns the op's metadata; an op past the table has none.
+func (op Op) info() *opInfo {
+	if op < opMax {
+		return &opTable[op]
+	}
+	return &noInfo
+}
+
+var noInfo opInfo
+
 // Name returns the mining label of the op (stable, lowercase).
-func (op Op) Name() string { return opTable[op].name }
+func (op Op) Name() string { return op.info().name }
 
 // Arity returns the operand count of the op.
-func (op Op) Arity() int { return opTable[op].arity }
+func (op Op) Arity() int { return op.info().arity }
 
 // Commutative reports whether the op's first two data operands commute.
-func (op Op) Commutative() bool { return opTable[op].commutative }
+func (op Op) Commutative() bool { return op.info().commutative }
 
 // BitResult reports whether the op produces a 1-bit value.
-func (op Op) BitResult() bool { return opTable[op].bitResult }
+func (op Op) BitResult() bool { return op.info().bitResult }
 
 // IsCompute reports whether the op is a minable compute operation.
-func (op Op) IsCompute() bool { return opTable[op].compute }
+func (op Op) IsCompute() bool { return op.info().compute }
 
 // HWClass names the hardware block family that implements the op. Two ops
 // in the same class can be merged onto one functional unit by the datapath
 // merger (e.g. add and sub share an adder/subtractor).
-func (op Op) HWClass() string { return opTable[op].hwClass }
+func (op Op) HWClass() string { return op.info().hwClass }
 
 func (op Op) String() string { return op.Name() }
 
 var opByName = func() map[string]Op {
 	m := make(map[string]Op, len(opTable))
-	for op, info := range opTable {
-		m[info.name] = op
+	for op := range opTable {
+		m[opTable[op].name] = Op(op)
 	}
 	return m
 }()
@@ -171,7 +183,7 @@ func OpByName(name string) Op {
 func AllComputeOps() []Op {
 	var ops []Op
 	for op := Op(1); op < opMax; op++ {
-		if info, ok := opTable[op]; ok && info.compute {
+		if opTable[op].compute {
 			ops = append(ops, op)
 		}
 	}

@@ -9,6 +9,7 @@ package mis
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -52,15 +53,15 @@ func analyzeTraced(ctx context.Context, p mining.Pattern) Ranked {
 // Analyze computes the occurrence-overlap MIS for one pattern.
 func Analyze(p mining.Pattern) Ranked {
 	occ := dedupeBySet(p.Embeddings)
-	adj := overlapGraph(occ)
+	g := OverlapGraph(occ)
 	var (
 		set   []int
 		exact bool
 	)
 	if len(occ) <= ExactThreshold {
-		set, exact = graph.MaximumIndependentSet(adj, 0)
+		set, exact = graph.MaximumIndependentSet(g, 0)
 	} else {
-		set = graph.GreedyMIS(adj)
+		set = graph.GreedyMIS(g)
 	}
 	return Ranked{
 		Pattern:     p,
@@ -130,56 +131,104 @@ func SortByFrequency(ranked []Ranked) {
 
 // dedupeBySet collapses embeddings that cover the same target-node set
 // (automorphic images of one occurrence). First occurrence wins, in
-// list order — downstream pattern selection is order-sensitive.
+// list order — downstream pattern selection is order-sensitive. Each
+// embedding's sorted node set is hashed into an open-addressed table of
+// earlier first occurrences; the kept rows share one backing array.
 func dedupeBySet(l *graph.EmbeddingList) []graph.Embedding {
-	seen := make(map[string]bool, l.Len())
-	var out []graph.Embedding
-	for ei := 0; ei < l.Len(); ei++ {
-		e := l.Embedding(ei)
-		ids := make([]int, len(e))
-		for i, v := range e {
-			ids[i] = int(v)
+	n, k := l.Len(), l.Positions()
+	if n == 0 {
+		return nil
+	}
+	sets := append([]int32(nil), l.Raw()...)
+	for e := 0; e < n; e++ {
+		slices.Sort(sets[e*k : (e+1)*k])
+	}
+	set := func(e int32) []int32 { return sets[int(e)*k : int(e+1)*k] }
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	table := make([]int32, size) // 1 + first occurrence, 0 = empty
+	keep := make([]bool, n)
+	kept := 0
+	for e := int32(0); int(e) < n; e++ {
+		h := uint64(14695981039346656037)
+		for _, v := range set(e) {
+			h = (h ^ uint64(uint32(v))) * 1099511628211
 		}
-		sort.Ints(ids)
-		key := make([]byte, 0, len(ids)*3)
-		for _, id := range ids {
-			key = append(key, byte(id), byte(id>>8), byte(id>>16))
+		for i := h & uint64(size-1); ; i = (i + 1) & uint64(size-1) {
+			if table[i] == 0 {
+				table[i], keep[e] = e+1, true
+				kept++
+				break
+			}
+			if slices.Equal(set(table[i]-1), set(e)) {
+				break
+			}
 		}
-		k := string(key)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, e)
+	}
+	out := make([]graph.Embedding, 0, kept)
+	rows := make([]graph.NodeID, kept*k)
+	for e := range keep {
+		if keep[e] {
+			row := rows[len(out)*k : (len(out)+1)*k : (len(out)+1)*k]
+			out = append(out, l.Row(e, row))
 		}
 	}
 	return out
 }
 
-// overlapGraph connects occurrences that share at least one target node.
-func overlapGraph(occ []graph.Embedding) graph.UndirectedAdj {
-	adj := make(graph.UndirectedAdj, len(occ))
-	// Index: target node -> occurrences using it.
-	users := make(map[graph.NodeID][]int)
+// OverlapGraph connects occurrences that share at least one target
+// node. It indexes each target node's users in CSR form (occurrences
+// in ascending order), then emits each occurrence's neighbor row,
+// deduplicated with a per-row stamp.
+func OverlapGraph(occ []graph.Embedding) graph.CSR {
+	nodes := 0
+	for _, e := range occ {
+		for _, v := range e {
+			nodes = max(nodes, int(v)+1)
+		}
+	}
+	userOff := make([]int32, nodes+1)
+	for _, e := range occ {
+		for _, v := range e {
+			userOff[v+1]++
+		}
+	}
+	for v := 0; v < nodes; v++ {
+		userOff[v+1] += userOff[v]
+	}
+	// Fill with userOff[v] as node v's cursor, then shift the cursors
+	// (now each node's end) back into starts.
+	users := make([]int32, userOff[nodes])
 	for i, e := range occ {
 		for _, v := range e {
-			users[v] = append(users[v], i)
+			users[userOff[v]] = int32(i)
+			userOff[v]++
 		}
 	}
-	edge := make(map[[2]int]bool)
-	for _, us := range users {
-		for i := 0; i < len(us); i++ {
-			for j := i + 1; j < len(us); j++ {
-				a, b := us[i], us[j]
-				if a > b {
-					a, b = b, a
+	copy(userOff[1:], userOff[:nodes])
+	userOff[0] = 0
+
+	// A row holds at most its nodes' user counts summed, so the squared
+	// user counts bound the whole adjacency array.
+	bound := 0
+	for v := 0; v < nodes; v++ {
+		u := int(userOff[v+1] - userOff[v])
+		bound += u * u
+	}
+	g := graph.CSR{Off: make([]int32, len(occ)+1), Adj: make([]int32, 0, bound)}
+	stamp := make([]int32, len(occ)) // stamp[b] == a+1: b already in row a
+	for a, e := range occ {
+		for _, v := range e {
+			for _, b := range users[userOff[v]:userOff[v+1]] {
+				if int(b) != a && stamp[b] != int32(a+1) {
+					stamp[b] = int32(a + 1)
+					g.Adj = append(g.Adj, b)
 				}
-				if a == b || edge[[2]int{a, b}] {
-					continue
-				}
-				edge[[2]int{a, b}] = true
-				adj[a] = append(adj[a], b)
-				adj[b] = append(adj[b], a)
 			}
 		}
+		g.Off[a+1] = int32(len(g.Adj))
 	}
-	return adj
+	return g
 }

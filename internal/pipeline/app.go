@@ -1,21 +1,6 @@
 package pipeline
 
-import (
-	"sort"
-
-	"repro/internal/rewrite"
-)
-
-// sortedPositions returns a position-indexed map's keys in ascending
-// order, for deterministic traversal.
-func sortedPositions(m map[int]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
+import "repro/internal/rewrite"
 
 // AppOptions tunes application pipelining.
 type AppOptions struct {
@@ -74,9 +59,25 @@ func nodeLatency(n *rewrite.MNode, opt AppOptions) int {
 func BalanceApp(m *rewrite.Mapped, opt AppOptions) (*rewrite.Mapped, BalanceReport) {
 	opt = opt.withDefaults()
 	out := &rewrite.Mapped{Name: m.Name + "+balanced", Spec: m.Spec}
-	// Copy nodes; indices are preserved, padding nodes appended.
-	for _, n := range m.Nodes {
-		out.Nodes = append(out.Nodes, cloneMNode(n))
+	// Copy nodes; indices are preserved, padding nodes appended. Port
+	// slices are the only fields balancing rewrites, so the copy gets
+	// its own, all on one backing array; constants stay shared.
+	out.Nodes = append(make([]rewrite.MNode, 0, len(m.Nodes)+len(m.Nodes)/2), m.Nodes...)
+	nports := 0
+	for i := range m.Nodes {
+		nports += len(m.Nodes[i].DataIn) + len(m.Nodes[i].BitIn)
+	}
+	ports := make([]int, 0, nports)
+	for i := range out.Nodes {
+		n := &out.Nodes[i]
+		if n.DataIn != nil {
+			ports = append(ports, n.DataIn...)
+			n.DataIn = ports[len(ports)-len(n.DataIn) : len(ports) : len(ports)]
+		}
+		if n.BitIn != nil {
+			ports = append(ports, n.BitIn...)
+			n.BitIn = ports[len(ports)-len(n.BitIn) : len(ports) : len(ports)]
+		}
 	}
 
 	var report BalanceReport
@@ -106,9 +107,10 @@ func BalanceApp(m *rewrite.Mapped, opt AppOptions) (*rewrite.Mapped, BalanceRepo
 		return cur
 	}
 
+	var prods []int
 	for _, i := range m.TopoOrder() {
 		n := &out.Nodes[i]
-		prods := m.Nodes[i].Producers()
+		prods = m.Nodes[i].AppendProducers(prods[:0])
 		if len(prods) == 0 {
 			arrival[i] = nodeLatency(n, opt)
 			continue
@@ -122,15 +124,15 @@ func BalanceApp(m *rewrite.Mapped, opt AppOptions) (*rewrite.Mapped, BalanceRepo
 		// Delay-match every operand to the latest arrival.
 		switch n.Kind {
 		case rewrite.KindPE:
-			// Fixed port order: delayed() allocates register nodes, so
-			// map-iteration order here would assign different register
-			// indices to different ports run to run and make the whole
-			// place-and-route pipeline nondeterministic downstream.
-			for _, pos := range sortedPositions(n.DataIn) {
-				n.DataIn[pos] = delayed(n.DataIn[pos], latest)
-			}
-			for _, pos := range sortedPositions(n.BitIn) {
-				n.BitIn[pos] = delayed(n.BitIn[pos], latest)
+			// Ascending port order: delayed() appends register nodes,
+			// so the order fixes their indices and with them the whole
+			// place-and-route pipeline downstream.
+			for _, ports := range [2][]int{n.DataIn, n.BitIn} {
+				for pos, p := range ports {
+					if p >= 0 {
+						ports[pos] = delayed(p, latest)
+					}
+				}
 			}
 		default:
 			if n.Arg >= 0 {
@@ -151,9 +153,10 @@ func BalanceApp(m *rewrite.Mapped, opt AppOptions) (*rewrite.Mapped, BalanceRepo
 func CheckBalanced(m *rewrite.Mapped, opt AppOptions) int {
 	opt = opt.withDefaults()
 	arrival := make([]int, len(m.Nodes))
+	var prods []int
 	for _, i := range m.TopoOrder() {
 		n := &m.Nodes[i]
-		prods := n.Producers()
+		prods = n.AppendProducers(prods[:0])
 		if len(prods) > 1 {
 			first := arrival[prods[0]]
 			for _, p := range prods[1:] {
@@ -174,33 +177,4 @@ func CheckBalanced(m *rewrite.Mapped, opt AppOptions) int {
 		arrival[i] = in + nodeLatency(n, opt)
 	}
 	return -1
-}
-
-func cloneMNode(n rewrite.MNode) rewrite.MNode {
-	c := n
-	if n.DataIn != nil {
-		c.DataIn = make(map[int]int, len(n.DataIn))
-		for k, v := range n.DataIn {
-			c.DataIn[k] = v
-		}
-	}
-	if n.BitIn != nil {
-		c.BitIn = make(map[int]int, len(n.BitIn))
-		for k, v := range n.BitIn {
-			c.BitIn[k] = v
-		}
-	}
-	if n.ConstVals != nil {
-		c.ConstVals = make(map[int]uint16, len(n.ConstVals))
-		for k, v := range n.ConstVals {
-			c.ConstVals[k] = v
-		}
-	}
-	if n.LUTTables != nil {
-		c.LUTTables = make(map[int]uint16, len(n.LUTTables))
-		for k, v := range n.LUTTables {
-			c.LUTTables[k] = v
-		}
-	}
-	return c
 }

@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -38,11 +37,15 @@ func (m *Mapped) DOT() string {
 		n := &m.Nodes[i]
 		switch n.Kind {
 		case KindPE:
-			for _, pos := range sortedKeys(n.DataIn) {
-				fmt.Fprintf(&b, "  n%d -> n%d [label=\"in%d\"];\n", n.DataIn[pos], i, pos)
+			for pos, p := range n.DataIn {
+				if p >= 0 {
+					fmt.Fprintf(&b, "  n%d -> n%d [label=\"in%d\"];\n", p, i, pos)
+				}
 			}
-			for _, pos := range sortedKeys(n.BitIn) {
-				fmt.Fprintf(&b, "  n%d -> n%d [label=\"inb%d\", style=dashed];\n", n.BitIn[pos], i, pos)
+			for pos, p := range n.BitIn {
+				if p >= 0 {
+					fmt.Fprintf(&b, "  n%d -> n%d [label=\"inb%d\", style=dashed];\n", p, i, pos)
+				}
 			}
 		default:
 			if n.Arg >= 0 {
@@ -52,13 +55,4 @@ func (m *Mapped) DOT() string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-func sortedKeys(m map[int]int) []int {
-	ks := make([]int, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
-	return ks
 }

@@ -48,12 +48,16 @@ type MNode struct {
 	Kind NodeKind
 	Name string // IO name for inputs/outputs
 
-	// PE fields.
+	// PE fields. DataIn and BitIn are indexed by PE input position and
+	// hold the producer node wired to that port, or -1 for an unwired
+	// port; they end at the highest wired position. ConstVals binds
+	// constant units and LUTTables LUT functional units to their
+	// per-site words, each sorted by unit and nil when empty.
 	Rule      *Rule
-	DataIn    map[int]int    // PE data-input position -> producer node
-	BitIn     map[int]int    // PE bit-input position -> producer node
-	ConstVals map[int]uint16 // constant unit -> per-site value
-	LUTTables map[int]uint16 // LUT functional unit -> per-site table
+	DataIn    []int
+	BitIn     []int
+	ConstVals []UnitVal
+	LUTTables []UnitVal
 
 	// Single-producer fields (mem/reg/regfile/rom/output).
 	Arg   int // producer node index, -1 for sources
@@ -63,38 +67,55 @@ type MNode struct {
 	Val uint16
 }
 
-// Producers returns the indices of all producer nodes feeding n, in
-// ascending port-position order. The order must be deterministic: the
-// placer and router derive topological order, net enumeration, and
-// annealing proposals from it, so map-iteration order here would make
-// place-and-route results vary run to run.
-func (n *MNode) Producers() []int {
-	switch n.Kind {
-	case KindPE:
-		ps := make([]int, 0, len(n.DataIn)+len(n.BitIn))
-		return appendByPosition(appendByPosition(ps, n.DataIn), n.BitIn)
-	case KindInput, KindInputB:
-		return nil
-	default:
-		if n.Arg < 0 {
-			return nil
-		}
-		return []int{n.Arg}
-	}
+// UnitVal binds one PE unit to a per-site configuration word.
+type UnitVal struct {
+	Unit int
+	Val  uint16
 }
 
-// appendByPosition appends a position-indexed map's values to ps in
-// ascending position order. Positions are small and dense, so it probes
-// 0, 1, 2, ... until it has seen every entry; Mapped.Validate rejects
-// negative positions, which would never be reached.
-func appendByPosition(ps []int, m map[int]int) []int {
-	for pos, seen := 0, 0; seen < len(m); pos++ {
-		if p, ok := m[pos]; ok {
-			ps = append(ps, p)
-			seen++
+// Producers returns the indices of all producer nodes feeding n, in
+// ascending port-position order (data ports, then bit ports). The order
+// must be deterministic: the placer and router derive topological
+// order, net enumeration, and annealing proposals from it.
+func (n *MNode) Producers() []int { return n.AppendProducers(nil) }
+
+// AppendProducers appends n's producers to ps in Producers order and
+// returns the extended slice; with a reused buffer it allocates nothing.
+func (n *MNode) AppendProducers(ps []int) []int {
+	switch n.Kind {
+	case KindPE:
+		for _, p := range n.DataIn {
+			if p >= 0 {
+				ps = append(ps, p)
+			}
+		}
+		for _, p := range n.BitIn {
+			if p >= 0 {
+				ps = append(ps, p)
+			}
+		}
+	case KindInput, KindInputB:
+	default:
+		if n.Arg >= 0 {
+			ps = append(ps, n.Arg)
 		}
 	}
 	return ps
+}
+
+// WiredInputs counts n's wired data and bit ports.
+func (n *MNode) WiredInputs() (data, bit int) {
+	return wired(n.DataIn), wired(n.BitIn)
+}
+
+func wired(ports []int) int {
+	k := 0
+	for _, p := range ports {
+		if p >= 0 {
+			k++
+		}
+	}
+	return k
 }
 
 // Mapped is an application mapped onto a PE architecture: a graph of PE,
@@ -133,20 +154,24 @@ func (m *Mapped) countKind(k NodeKind) int {
 	return n
 }
 
-// Validate checks port positions, producer indices and acyclicity.
+// Validate checks port entries, producer indices and acyclicity. A
+// port entry is a producer index or -1 for an unwired port.
 func (m *Mapped) Validate() error {
 	for i := range m.Nodes {
 		n := &m.Nodes[i]
-		if negativePosition(n.DataIn) || negativePosition(n.BitIn) {
-			return fmt.Errorf("rewrite: mapped node %d has a negative port position", i)
-		}
-		for _, p := range n.Producers() {
-			if p < 0 || p >= len(m.Nodes) {
-				return fmt.Errorf("rewrite: mapped node %d references %d out of range", i, p)
+		for _, ports := range [2][]int{n.DataIn, n.BitIn} {
+			for _, p := range ports {
+				if p < -1 || p >= len(m.Nodes) {
+					return fmt.Errorf("rewrite: mapped node %d references %d out of range", i, p)
+				}
 			}
 		}
+		if n.Kind != KindPE && n.Kind != KindInput && n.Kind != KindInputB && n.Arg >= len(m.Nodes) {
+			return fmt.Errorf("rewrite: mapped node %d references %d out of range", i, n.Arg)
+		}
 	}
-	// Cycle check via DFS.
+	// Cycle check: a node still in progress when reached again closes a
+	// cycle.
 	state := make([]uint8, len(m.Nodes))
 	var visit func(i int) error
 	visit = func(i int) error {
@@ -157,10 +182,8 @@ func (m *Mapped) Validate() error {
 			return fmt.Errorf("rewrite: mapped graph cycle at node %d", i)
 		}
 		state[i] = 1
-		for _, p := range m.Nodes[i].Producers() {
-			if err := visit(p); err != nil {
-				return err
-			}
+		if err := m.Nodes[i].eachProducer(visit); err != nil {
+			return err
 		}
 		state[i] = 2
 		return nil
@@ -173,30 +196,44 @@ func (m *Mapped) Validate() error {
 	return nil
 }
 
-func negativePosition(ports map[int]int) bool {
-	for pos := range ports {
-		if pos < 0 {
-			return true
+// eachProducer calls f on each of n's producers in Producers order and
+// returns the first error f returns.
+func (n *MNode) eachProducer(f func(int) error) error {
+	switch n.Kind {
+	case KindPE:
+		for _, ports := range [2][]int{n.DataIn, n.BitIn} {
+			for _, p := range ports {
+				if p < 0 {
+					continue
+				}
+				if err := f(p); err != nil {
+					return err
+				}
+			}
+		}
+	case KindInput, KindInputB:
+	default:
+		if n.Arg >= 0 {
+			return f(n.Arg)
 		}
 	}
-	return false
+	return nil
 }
 
 // TopoOrder returns node indices in dependency order.
 func (m *Mapped) TopoOrder() []int {
 	state := make([]uint8, len(m.Nodes))
 	order := make([]int, 0, len(m.Nodes))
-	var visit func(i int)
-	visit = func(i int) {
+	var visit func(i int) error
+	visit = func(i int) error {
 		if state[i] != 0 {
-			return
+			return nil
 		}
 		state[i] = 1
-		for _, p := range m.Nodes[i].Producers() {
-			visit(p)
-		}
+		m.Nodes[i].eachProducer(visit)
 		state[i] = 2
 		order = append(order, i)
+		return nil
 	}
 	for i := range m.Nodes {
 		visit(i)
@@ -229,29 +266,67 @@ func (m *Mapped) Eval(inputs map[string]uint16) (map[string]uint16, error) {
 			}
 			outs[n.Name] = vals[i]
 		case KindPE:
-			cfg := n.Rule.Config.Clone()
-			for cu, v := range n.ConstVals {
-				cfg.ConstVals[cu] = v
-			}
-			for fu, tbl := range n.LUTTables {
-				cfg.ConstVals[fu] = tbl
-			}
-			inVals := map[int]uint16{}
-			for pos, p := range n.DataIn {
-				inVals[pos] = vals[p]
-			}
-			bitVals := map[int]uint16{}
-			for pos, p := range n.BitIn {
-				bitVals[pos] = vals[p]
-			}
-			res, err := m.Spec.Evaluate(cfg, inVals, bitVals)
+			pp, err := n.CompilePE(m.Spec)
 			if err != nil {
 				return nil, fmt.Errorf("rewrite: PE node %d (%s): %w", i, n.Rule.Name, err)
 			}
-			vals[i] = res[n.Rule.OutUnit]
+			vals[i] = pp.Eval(vals)
 		}
 	}
 	return outs, nil
+}
+
+// PEProgram is a PE node's rule configuration compiled with the node's
+// constants and LUT tables bound, evaluated on producer values.
+type PEProgram struct {
+	n        *MNode
+	p        *pe.Program
+	in, bits []uint16
+	out      bool // the rule's output unit is a configured output
+}
+
+// CompilePE compiles PE node n for spec.
+func (n *MNode) CompilePE(spec *pe.Spec) (*PEProgram, error) {
+	p, err := spec.Compile(n.Rule.Config)
+	if err != nil {
+		return nil, err
+	}
+	for _, uvs := range [2][]UnitVal{n.ConstVals, n.LUTTables} {
+		for _, uv := range uvs {
+			if uv.Unit >= 0 && uv.Unit < len(p.Consts) {
+				p.Consts[uv.Unit] = uv.Val
+			}
+		}
+	}
+	nd, nb := spec.NumDataInputs(), spec.NumBitInputs()
+	ports := make([]uint16, nd+nb)
+	pp := &PEProgram{n: n, p: p, in: ports[:nd:nd], bits: ports[nd:]}
+	for _, o := range p.Outputs {
+		pp.out = pp.out || o == n.Rule.OutUnit
+	}
+	return pp, nil
+}
+
+// Eval returns the node's output word when its ports read vals (indexed
+// by mapped node); unwired ports read zero. It allocates nothing.
+func (pp *PEProgram) Eval(vals []uint16) uint16 {
+	for pos := range pp.in {
+		pp.in[pos] = 0
+		if pos < len(pp.n.DataIn) && pp.n.DataIn[pos] >= 0 {
+			pp.in[pos] = vals[pp.n.DataIn[pos]]
+		}
+	}
+	for pos := range pp.bits {
+		pp.bits[pos] = 0
+		if pos < len(pp.n.BitIn) && pp.n.BitIn[pos] >= 0 {
+			pp.bits[pos] = vals[pp.n.BitIn[pos]]
+		}
+	}
+	pp.p.Run(pp.in, pp.bits)
+	if !pp.out {
+		return 0
+	}
+	return pp.p.Out(pp.n.Rule.OutUnit)
 }
 
 // match records one committed rule application. Both bindings are
@@ -557,6 +632,7 @@ func buildMapped(app *ir.Graph, covered []*match, spec *pe.Spec, name string) (*
 		return mappedIdx[a], nil
 	}
 
+	var sc peScratch
 	topo := appTopo(app)
 	for _, av := range topo {
 		n := &app.Nodes[av]
@@ -609,42 +685,9 @@ func buildMapped(app *ir.Graph, covered []*match, spec *pe.Spec, name string) (*
 			if cm == nil || cm.root != av {
 				continue // interior node, absorbed
 			}
-			pn := MNode{
-				Kind:      KindPE,
-				Rule:      cm.rule,
-				DataIn:    map[int]int{},
-				BitIn:     map[int]int{},
-				ConstVals: map[int]uint16{},
-				LUTTables: map[int]uint16{},
-				Arg:       -1,
-			}
-			for pv, anode := range cm.inputMap {
-				if anode < 0 {
-					continue
-				}
-				p, err := producerIdx(anode)
-				if err != nil {
-					return nil, err
-				}
-				if pos, ok := cm.rule.InputPorts[ir.NodeRef(pv)]; ok {
-					pn.DataIn[pos] = p
-				} else if pos, ok := cm.rule.BitPorts[ir.NodeRef(pv)]; ok {
-					pn.BitIn[pos] = p
-				} else {
-					return nil, fmt.Errorf("rewrite: pattern input %d has no PE port", pv)
-				}
-			}
-			for pv, anode := range cm.nodeMap {
-				if anode < 0 {
-					continue
-				}
-				pnode := &cm.rule.Pattern.Nodes[pv]
-				switch pnode.Op {
-				case ir.OpConst, ir.OpConstB:
-					pn.ConstVals[cm.rule.ConstRegs[ir.NodeRef(pv)]] = app.Nodes[anode].Val
-				case ir.OpLUT:
-					pn.LUTTables[cm.rule.LUTUnits[ir.NodeRef(pv)]] = app.Nodes[anode].Val
-				}
+			pn, err := peNode(app, cm, producerIdx, &sc)
+			if err != nil {
+				return nil, err
 			}
 			mappedIdx[av] = m.add(pn)
 		}
@@ -653,6 +696,111 @@ func buildMapped(app *ir.Graph, covered []*match, spec *pe.Spec, name string) (*
 		return nil, err
 	}
 	return m, nil
+}
+
+// peScratch is buildMapped's per-call scratch for peNode: the wired
+// ports and configuration words of the PE being built.
+type peScratch struct {
+	ports        []portBind
+	consts, luts []UnitVal
+}
+
+type portBind struct {
+	pos, prod int
+	bit       bool
+}
+
+// peNode builds the PE node of one committed match. Its port slices and
+// configuration words each take one allocation.
+func peNode(app *ir.Graph, cm *match, producerIdx func(ir.NodeRef) (int, error), sc *peScratch) (MNode, error) {
+	pn := MNode{Kind: KindPE, Rule: cm.rule, Arg: -1}
+	sc.ports = sc.ports[:0]
+	nData, nBit := 0, 0
+	for pv, anode := range cm.inputMap {
+		if anode < 0 {
+			continue
+		}
+		p, err := producerIdx(anode)
+		if err != nil {
+			return pn, err
+		}
+		b := portBind{prod: p}
+		var ok bool
+		if b.pos, ok = cm.rule.InputPorts[ir.NodeRef(pv)]; ok {
+			nData = max(nData, b.pos+1)
+		} else if b.pos, ok = cm.rule.BitPorts[ir.NodeRef(pv)]; ok {
+			b.bit = true
+			nBit = max(nBit, b.pos+1)
+		} else {
+			return pn, fmt.Errorf("rewrite: pattern input %d has no PE port", pv)
+		}
+		if b.pos < 0 {
+			return pn, fmt.Errorf("rewrite: pattern input %d has negative PE port %d", pv, b.pos)
+		}
+		sc.ports = append(sc.ports, b)
+	}
+	if nData+nBit > 0 {
+		ports := make([]int, nData+nBit)
+		for i := range ports {
+			ports[i] = -1
+		}
+		pn.DataIn, pn.BitIn = ports[:nData:nData], ports[nData:]
+		for _, b := range sc.ports {
+			if b.bit {
+				pn.BitIn[b.pos] = b.prod
+			} else {
+				pn.DataIn[b.pos] = b.prod
+			}
+		}
+		if nData == 0 {
+			pn.DataIn = nil
+		}
+		if nBit == 0 {
+			pn.BitIn = nil
+		}
+	}
+	// Each list in pattern-node order; a unit bound twice keeps its last
+	// word.
+	sc.consts, sc.luts = sc.consts[:0], sc.luts[:0]
+	for pv, anode := range cm.nodeMap {
+		if anode < 0 {
+			continue
+		}
+		switch cm.rule.Pattern.Nodes[pv].Op {
+		case ir.OpConst, ir.OpConstB:
+			sc.consts = append(sc.consts, UnitVal{cm.rule.ConstRegs[ir.NodeRef(pv)], app.Nodes[anode].Val})
+		case ir.OpLUT:
+			sc.luts = append(sc.luts, UnitVal{cm.rule.LUTUnits[ir.NodeRef(pv)], app.Nodes[anode].Val})
+		}
+	}
+	if nc, nl := len(sc.consts), len(sc.luts); nc+nl > 0 {
+		words := append(append(make([]UnitVal, 0, nc+nl), sc.consts...), sc.luts...)
+		pn.ConstVals = sortUnits(words[:nc:nc])
+		pn.LUTTables = sortUnits(words[nc:])
+	}
+	return pn, nil
+}
+
+// sortUnits sorts a short binding list by unit (stably, by insertion),
+// drops all but the last binding of a unit, and returns nil for an
+// empty result.
+func sortUnits(uvs []UnitVal) []UnitVal {
+	for i := 1; i < len(uvs); i++ {
+		for j := i; j > 0 && uvs[j-1].Unit > uvs[j].Unit; j-- {
+			uvs[j-1], uvs[j] = uvs[j], uvs[j-1]
+		}
+	}
+	out := uvs[:0]
+	for i, uv := range uvs {
+		if i+1 < len(uvs) && uvs[i+1].Unit == uv.Unit {
+			continue
+		}
+		out = append(out, uv)
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
 func (m *Mapped) add(n MNode) int {

@@ -426,22 +426,46 @@ func TestMapConstantOutput(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsNegativePosition: Producers walks port positions
-// up from zero, so Validate must refuse a negative one before anything
-// walks it.
+// TestValidateRejectsNegativePosition: a port entry is a producer or
+// -1 for an unwired port, and Producers skips every negative entry, so
+// Validate must refuse an entry below -1 before anything walks it.
 func TestValidateRejectsNegativePosition(t *testing.T) {
 	m := &Mapped{Nodes: []MNode{
 		{Kind: KindInput, Name: "x", Arg: -1},
-		{Kind: KindPE, DataIn: map[int]int{0: 0}, BitIn: map[int]int{-1: 0}, Arg: -1},
+		{Kind: KindPE, DataIn: []int{0}, BitIn: []int{-2}, Arg: -1},
 	}}
-	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "negative port position") {
-		t.Fatalf("Validate = %v, want a negative-position error", err)
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "references -2 out of range") {
+		t.Fatalf("Validate = %v, want an out-of-range port error", err)
 	}
-	m.Nodes[1].BitIn = map[int]int{2: 0}
+	m.Nodes[1].BitIn = []int{-1, -1, 0}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Nodes[1].Producers(); len(got) != 2 {
-		t.Fatalf("Producers = %v, want both ports", got)
+		t.Fatalf("Producers = %v, want both wired ports", got)
+	}
+	if d, b := m.Nodes[1].WiredInputs(); d != 1 || b != 1 {
+		t.Fatalf("WiredInputs = %d, %d, want 1, 1", d, b)
+	}
+}
+
+// TestMapRejectsNegativePort: a rule whose port table names a negative
+// position (only a corrupt stored rule can) fails the mapping with an
+// error instead of indexing a port slice with it.
+func TestMapRejectsNegativePort(t *testing.T) {
+	spec := baselineSpec(t, []ir.Op{ir.OpAdd, ir.OpMul})
+	rs := mustRuleSet(t, spec, nil, []ir.Op{ir.OpAdd, ir.OpMul})
+	bad := *rs
+	bad.Rules = make([]*Rule, len(rs.Rules))
+	for i, r := range rs.Rules {
+		c := *r
+		c.InputPorts = map[ir.NodeRef]int{}
+		for pv, pos := range r.InputPorts {
+			c.InputPorts[pv] = -1 - pos
+		}
+		bad.Rules[i] = &c
+	}
+	if _, err := MapApp(convApp(), &bad, "conv"); err == nil || !strings.Contains(err.Error(), "negative PE port") {
+		t.Fatalf("MapApp = %v, want a negative-port error", err)
 	}
 }
