@@ -93,9 +93,11 @@ fuzz:
 # The PnR performance gates (DESIGN.md §10): the annealer inner loop
 # must stay at zero allocations per move and the router within its
 # per-net allocation budget, so the hot-path rewrites can't silently
-# rot back to map-based state; the annealer's generator must replay
-# math/rand call for call, every placement of a full suite pass must
-# match the pinned digest, and the harness's layout memo must place
+# rot back to map-based state; the adaptive annealer must place and
+# route a full suite pass's distinct netlists no worse than the frozen
+# figures of the fixed-schedule annealer it replaced, at half its
+# moves (TestPlaceQualityNoWorse); every placement of a full suite pass
+# must match the pinned digest, and the harness's layout memo must place
 # each distinct netlist once, rebind shared layouts to each cell, drop
 # canceled builds, and keep the full-PnR span tree worker-invariant; every
 # cell's bitstream words must match their pinned digest too. The merge and
@@ -125,8 +127,8 @@ fuzz:
 # and the cached writer's files are byte-identical to the whole-file
 # read-merge-rewrite it replaced.
 perfcheck:
-	$(GO) test ./internal/cgra -run 'TestAnnealAllocs|TestRouteAllocs|TestAnnealRandMatchesMathRand|TestDivisorRemainder' -count=1 -v
-	$(GO) test ./internal/eval/ -run 'TestPlacementDigestPinned|TestFullPnRObsDeterminism|TestLayoutMemo|TestDesignMemo' -count=1
+	$(GO) test ./internal/cgra -run 'TestAnnealAllocs|TestRouteAllocs' -count=1 -v
+	$(GO) test ./internal/eval/ -run 'TestPlaceQualityNoWorse|TestPlacementDigestPinned|TestFullPnRObsDeterminism|TestLayoutMemo|TestDesignMemo' -count=1
 	$(GO) test -race ./internal/eval/ -run TestAppsSharedReadOnly -count=1
 	$(GO) test ./internal/core/ -run 'TestEvaluateCancellationOnLayoutHit|TestPnRDegradedLayoutShared' -count=1
 	$(GO) test ./internal/graph/ -run TestCliqueAllocs -count=1 -v

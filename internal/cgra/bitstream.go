@@ -20,8 +20,6 @@ type Word struct {
 // box track switches, and connection box input selects.
 type Bitstream struct {
 	Words []Word
-	// TrackOf assigns each routed hop a track index (per net, per hop).
-	TrackOf map[[3]int]int // (route idx, hop idx, 0) -> track
 }
 
 // Feature codes within a tile's configuration address space.
@@ -44,7 +42,7 @@ func tileAddr(c Coord, feature, index int) uint32 {
 // Track assignment is greedy per directed edge in route order; capacity
 // was already guaranteed by the router.
 func GenerateBitstream(r *Routing) (*Bitstream, error) {
-	bs := &Bitstream{TrackOf: map[[3]int]int{}}
+	bs := &Bitstream{}
 	m := r.Placement.Mapped
 
 	// --- PE, memory, and IO tile configuration.
@@ -149,7 +147,6 @@ func GenerateBitstream(r *Routing) (*Bitstream, error) {
 			if track >= capacity {
 				return nil, fmt.Errorf("cgra: edge %v over capacity at bitstream time", e)
 			}
-			bs.TrackOf[[3]int{ri, hi, 0}] = track
 			if seen {
 				continue // switch already configured for this signal
 			}

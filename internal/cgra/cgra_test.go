@@ -87,7 +87,7 @@ func TestPlaceSmall(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.wirelength() <= 0 {
+	if p.Wirelength() <= 0 {
 		t.Error("zero wirelength for a connected design")
 	}
 }
@@ -238,16 +238,25 @@ func TestBitstreamDeterministicAndDecodable(t *testing.T) {
 			t.Fatal("bitstream contents nondeterministic")
 		}
 	}
-	// Track assignments within capacity.
-	for k, track := range b1.TrackOf {
-		rt := r.Routes[k[0]]
+	// Every switch-box word's track (data: route<<8 | dir<<4 | track)
+	// lies within its plane's capacity.
+	sb := 0
+	for _, w := range b1.Words {
+		if int(w.Addr>>8&0xf) != featSB {
+			continue
+		}
+		sb++
+		rt := r.Routes[w.Data>>8]
 		capacity := p.Fabric.Tracks16
 		if rt.Net.Bit {
 			capacity = p.Fabric.Tracks1
 		}
-		if track < 0 || track >= capacity {
-			t.Fatalf("track %d out of range", track)
+		if track := int(w.Data & 0xf); track >= capacity {
+			t.Fatalf("route %d: track %d out of range", w.Data>>8, track)
 		}
+	}
+	if sb == 0 {
+		t.Fatal("no switch-box words")
 	}
 }
 

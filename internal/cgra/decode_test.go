@@ -100,7 +100,7 @@ func TestVerifyCatchesTampering(t *testing.T) {
 			kept = append(kept, w)
 		}
 	}
-	tampered := &Bitstream{Words: kept, TrackOf: bs.TrackOf}
+	tampered := &Bitstream{Words: kept}
 	if err := tampered.VerifyAgainst(r); err == nil {
 		t.Fatal("verification accepted a bitstream with no switch settings")
 	}

@@ -35,23 +35,30 @@ func appBalanced(tb testing.TB, app *apps.App) *rewrite.Mapped {
 func cameraBalanced(tb testing.TB) *rewrite.Mapped { return appBalanced(tb, apps.Camera()) }
 
 // TestAnnealAllocs pins the annealer's inner loop at zero allocations
-// per proposal: the neighbour lists, the prepared range sizes and the
-// inlined generator must absorb everything the old map-based cost
-// function allocated.
+// per proposal: the neighbour lists, the occupancy and compressed site
+// tables and the inlined generator must absorb everything the old
+// map-based cost function allocated. It steps at the full window and at
+// radius 1, hot and at the quench.
 func TestAnnealAllocs(t *testing.T) {
 	bal := cameraBalanced(t)
 	p, err := Place(context.Background(), bal, Default(), PlaceOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newAnnealState(p, classNodes(p.Mapped), 10_000)
+	rng := splitMix(7)
+	s := newAnnealState(p, classNodes(p.Mapped), &rng)
 	if s == nil {
 		t.Fatal("no anneal state for a real design")
 	}
-	rng := newAnnealRand(7)
-	avg := testing.AllocsPerRun(5000, func() { s.step(rng) })
-	if avg > 0 {
-		t.Errorf("anneal step allocates %.2f objects per move, want 0", avg)
+	for _, c := range []struct {
+		t float64
+		r int32
+	}{{5, 32}, {0.5, 1}, {0, 1}} {
+		s.t = c.t
+		avg := testing.AllocsPerRun(5000, func() { s.step(c.r) })
+		if avg > 0 {
+			t.Errorf("anneal step (T=%g, r=%d) allocates %.2f objects per move, want 0", c.t, c.r, avg)
+		}
 	}
 }
 
@@ -200,8 +207,19 @@ func TestPortfolioPlacement(t *testing.T) {
 	if !reflect.DeepEqual(serial.Loc, wide.Loc) {
 		t.Error("portfolio selection depends on the concurrency bound")
 	}
-	if ws, ww := single.wirelength(), wide.wirelength(); ww > ws {
+	if ws, ww := single.Wirelength(), wide.Wirelength(); ww > ws {
 		t.Errorf("portfolio of 4 selected wirelength %d, worse than single seed %d", ww, ws)
+	}
+	// Consecutive seeds (the portfolio's, and the retry ladder's
+	// offsets) anneal different trajectories.
+	for seed := int64(2); seed <= 4; seed++ {
+		other, err := Place(context.Background(), bal, fab, PlaceOptions{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(other.Loc, single.Loc) {
+			t.Errorf("seeds 1 and %d place identically", seed)
+		}
 	}
 
 	// Repeated runs are bit-stable.
@@ -230,7 +248,8 @@ func TestPortfolioCapacityError(t *testing.T) {
 }
 
 // BenchmarkPlaceCamera measures one full simulated-annealing placement
-// of the camera pipeline (greedy seed + 400k-move anneal).
+// of the camera pipeline: the greedy seed plus an anneal of the
+// automatic budget, 100 moves per mapped node.
 func BenchmarkPlaceCamera(b *testing.B) {
 	bal := cameraBalanced(b)
 	fab := Default()

@@ -58,7 +58,7 @@ func Place(ctx context.Context, m *rewrite.Mapped, f *Fabric, opt PlaceOptions) 
 	if err != nil {
 		return nil, err
 	}
-	obs.Observe(ctx, "place.wirelength", int64(p.wirelength()))
+	obs.Observe(ctx, "place.wirelength", int64(p.Wirelength()))
 	return p, nil
 }
 
@@ -97,7 +97,7 @@ func placePortfolio(ctx context.Context, m *rewrite.Mapped, f *Fabric, opt Place
 		if errs[i] != nil {
 			continue
 		}
-		if wl := p.wirelength(); best < 0 || wl < bestWL {
+		if wl := p.Wirelength(); best < 0 || wl < bestWL {
 			best, bestWL = i, wl
 		}
 	}
@@ -158,7 +158,7 @@ func placeOne(ctx context.Context, m *rewrite.Mapped, f *Fabric, seed int64, mov
 	if err := fault.Canceled(ctx); err != nil {
 		return nil, err
 	}
-	rng := newAnnealRand(seed + 1)
+	rng := splitMix(seed)
 	p := &Placement{Fabric: f, Mapped: m, Loc: make([]Coord, len(m.Nodes))}
 
 	classes := classNodes(m)
@@ -200,25 +200,21 @@ func placeOne(ctx context.Context, m *rewrite.Mapped, f *Fabric, seed int64, mov
 	peOrder := sortByCenter(peSlots)
 	order := [numClasses - 1][]Coord{peOrder, peOrder, sortByCenter(memSlots), sortByCenter(ioSlots)}
 	var next [numClasses - 1]int
-	var divW, divH divisor
-	if len(classes[classReg]) > 0 {
-		divW, divH = newDivisor(f.W), newDivisor(f.H)
-	}
 	for _, i := range m.TopoOrder() {
 		switch c := kindClass(m.Nodes[i].Kind); c {
 		case -1:
 		case classReg:
 			// Registers float: seed them at random grid tiles; annealing
 			// and routing pull them onto sensible tiles.
-			x := rng.intn(&divW)
-			p.Loc[i] = Coord{x, rng.intn(&divH)}
+			v := rng.next()
+			p.Loc[i] = Coord{int(below(uint32(v>>32), int32(f.W))), int(below(uint32(v), int32(f.H)))}
 		default:
 			p.Loc[i] = order[c][next[c]]
 			next[c]++
 		}
 	}
 
-	if err := p.anneal(ctx, rng, moves, classes); err != nil {
+	if err := p.anneal(ctx, &rng, moves, classes); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
@@ -244,7 +240,9 @@ func (p *Placement) nets() [][2]int {
 	return p.netList
 }
 
-func (p *Placement) wirelength() int {
+// Wirelength is the placer's cost: the total Manhattan distance over
+// every (producer, consumer) pair.
+func (p *Placement) Wirelength() int {
 	total := 0
 	for _, n := range p.nets() {
 		total += manhattan(p.Loc[n[0]], p.Loc[n[1]])
@@ -252,46 +250,124 @@ func (p *Placement) wirelength() int {
 	return total
 }
 
+// PlacerRevision names the annealer's algorithm. Placements are a pure
+// function of (netlist, fabric, PlaceOptions) only within one revision,
+// so anything that persists placement-derived results folds it into
+// its keys; bump it whenever a change moves any placement. Revision 1
+// was the fixed geometric schedule over whole-fabric moves.
+const PlacerRevision = 2
+
+// The annealing schedule (VPR's, after Betz and Rose), sized on the
+// nine-app suite's 24 distinct netlists, routed.
+const (
+	// movesPerNode and maxAutoMoves size the automatic budget
+	// (PlaceOptions.Moves == 0): half of the fixed-schedule annealer's
+	// 200 per node and 400k cap.
+	movesPerNode = 100
+	maxAutoMoves = 200_000
+	// t0Spread sets the start temperature to this fraction of the
+	// standard deviation of random-move deltas at the greedy seed. The
+	// seed is already a good placement, so the anneal starts cool
+	// enough to keep its structure.
+	t0Spread = 0.5
+	// freezeFrac ends the anneal once T falls below this fraction of
+	// the mean wirelength per net; a greedy quench spends the rest of
+	// the budget.
+	freezeFrac = 0.002
+	// quenchShare is the tail of the budget that always goes to the
+	// quench, so a budget too small for the schedule to freeze still
+	// ends greedy rather than hot.
+	quenchShare = 0.1
+	// rlimBase is the window update's fixed part: rlim <- rlim*(rlimBase
+	// + alpha), which holds rlim steady at an acceptance rate of 0.44.
+	rlimBase = 0.56
+)
+
+// coolFactor is VPR's temperature update for a round that accepted a
+// share alpha of its proposals: cool fast while almost everything is
+// accepted or almost nothing is, slowly through the productive middle.
+func coolFactor(alpha float64) float64 {
+	switch {
+	case alpha > 0.96:
+		return 0.5
+	case alpha > 0.8:
+		return 0.9
+	case alpha > 0.15:
+		return 0.95
+	}
+	return 0.8
+}
+
+// splitMix is the annealer's random stream: SplitMix64, whose
+// consecutive seeds (the portfolio's and the retry ladder's) give
+// independent streams.
+type splitMix uint64
+
+func (r *splitMix) next() uint64 {
+	*r += 0x9e3779b97f4a7c15
+	z := uint64(*r)
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// float64 is a uniform draw in [0, 1).
+func (r *splitMix) float64() float64 { return float64(r.next()>>11) * 0x1p-53 }
+
+// below maps 32 random bits onto [0, n) by Lemire's multiply-shift: no
+// division, and a bias under n/2^32.
+func below(v uint32, n int32) int32 { return int32(uint64(v) * uint64(n) >> 32) }
+
 // xy is a node location on the annealer's flat coordinate plane.
 type xy struct{ x, y int32 }
 
 // annealState is the flattened, preallocated working set of one
-// annealing run: each node's net neighbours in CSR form, class and
-// free-slot tables, and the range sizes every proposal draws from,
-// prepared once.
+// annealing run: each node's net neighbours in CSR form, per-class
+// occupancy over the fabric's dense site index, and the compressed
+// site tables every windowed proposal draws from, prepared once.
 type annealState struct {
-	p *Placement
 	// nbr[nbrOff[i]:nbrOff[i+1]] lists the other endpoint of every net
 	// incident to node i, once per net. Self-loop nets never change
 	// length and are left out.
 	nbrOff, nbr []int32
-	classes     [numClasses][]int
 	classOf     []int8
-	movable     []int
-	free        [numClasses][]Coord
+	movable     []int32
+	loc         []xy
 
-	// loc mirrors p.Loc: the delta loops are pure loads over it, and
-	// accepted proposals write both.
-	loc []xy
+	// occ[c][site] is 1 + the class-c node on a dense site index, 0
+	// when the site is free. Interconnect registers are not exclusive
+	// and have no table.
+	occ [classReg][]int32
+	// Grid classes draw a window on a compressed grid (VPR's): cols[c]
+	// lists the columns holding class c's sites, colOf[c][x] is column
+	// x's index in it, so a window of radius r spans r such columns on
+	// either side whatever the memory-column stride. I/O sites draw
+	// along the ring: ring lists them in ring order and ringOf maps a
+	// dense site index to its ring position.
+	cols, colOf [numClasses][]int32
+	ring        []xy
+	ringOf      []int32
+	h, w2       int32 // grid height; w2 = W+2 strides the dense site index
 
-	divMovable, div2 divisor
-	divFree          [numClasses]divisor
-	divClass         [numClasses]divisor
-
-	t, cool float64
+	rng  *splitMix
+	t    float64 // temperature; 0 during the quench
+	cost int     // current wirelength
+	nets int     // nets that can change length
 }
 
 // newAnnealState builds the flat tables once per Place call. Returns nil
-// when there is nothing to anneal (fewer than two movable nodes), before
-// any RNG is consumed — matching the historical early return.
-func newAnnealState(p *Placement, classes [numClasses][]int, moves int) *annealState {
-	var movable []int
+// when there is nothing to anneal (fewer than two movable nodes).
+func newAnnealState(p *Placement, classes [numClasses][]int, rng *splitMix) *annealState {
+	var movable []int32
 	for _, cl := range classes {
-		movable = append(movable, cl...)
+		for _, i := range cl {
+			movable = append(movable, int32(i))
+		}
 	}
 	if len(movable) < 2 {
 		return nil
 	}
+	f := p.Fabric
 	n := len(p.Mapped.Nodes)
 	nets := p.nets()
 	nbrOff := make([]int32, n+1)
@@ -315,41 +391,69 @@ func newAnnealState(p *Placement, classes [numClasses][]int, moves int) *annealS
 			fill[v]++
 		}
 	}
-	classOf := make([]int8, n)
-	for ci, cl := range classes {
-		for _, nd := range cl {
-			classOf[nd] = int8(ci)
-		}
-	}
-	loc := make([]xy, n)
-	for i, c := range p.Loc {
-		loc[i] = xy{int32(c.X), int32(c.Y)}
-	}
-	t := float64(p.Fabric.W + p.Fabric.H)
 	s := &annealState{
-		p:          p,
-		nbrOff:     nbrOff,
-		nbr:        nbr,
-		classes:    classes,
-		classOf:    classOf,
-		movable:    movable,
-		free:       p.freeSlotsByClass(),
-		loc:        loc,
-		divMovable: newDivisor(len(movable)),
-		div2:       newDivisor(2),
-		t:          t,
-		cool:       math.Pow(0.01/t, 1/float64(moves)),
+		nbrOff:  nbrOff,
+		nbr:     nbr,
+		classOf: make([]int8, n),
+		movable: movable,
+		loc:     make([]xy, n),
+		h:       int32(f.H),
+		w2:      int32(f.W + 2),
+		rng:     rng,
+		nets:    len(nbr) / 2,
 	}
-	for c := range classes {
-		if len(s.free[c]) > 0 {
-			s.divFree[c] = newDivisor(len(s.free[c]))
+	for i, c := range p.Loc {
+		s.loc[i] = xy{int32(c.X), int32(c.Y)}
+	}
+	sites := f.numSites()
+	for c := range s.occ {
+		s.occ[c] = make([]int32, sites)
+	}
+	for ci, cl := range classes {
+		for _, i := range cl {
+			s.classOf[i] = int8(ci)
+			if ci < classReg {
+				s.occ[ci][f.siteIndex(p.Loc[i])] = int32(i + 1)
+			}
 		}
-		if len(classes[c]) > 0 {
-			s.divClass[c] = newDivisor(len(classes[c]))
+	}
+	s.cost = p.Wirelength()
+	for c := range s.cols {
+		if c == classIO {
+			continue
 		}
+		s.colOf[c] = make([]int32, f.W)
+		for x := 0; x < f.W; x++ {
+			k := f.KindAt(Coord{x, 0})
+			if c == classReg || (k == TileMem) == (c == classMem) {
+				s.colOf[c][x] = int32(len(s.cols[c]))
+				s.cols[c] = append(s.cols[c], int32(x))
+			}
+		}
+	}
+	// The ring runs clockwise: north edge west to east, east edge north
+	// to south, south edge east to west, west edge south to north.
+	for x := 0; x < f.W; x++ {
+		s.ring = append(s.ring, xy{int32(x), -1})
+	}
+	for y := 0; y < f.H; y++ {
+		s.ring = append(s.ring, xy{int32(f.W), int32(y)})
+	}
+	for x := f.W - 1; x >= 0; x-- {
+		s.ring = append(s.ring, xy{int32(x), int32(f.H)})
+	}
+	for y := f.H - 1; y >= 0; y-- {
+		s.ring = append(s.ring, xy{-1, int32(y)})
+	}
+	s.ringOf = make([]int32, sites)
+	for i, c := range s.ring {
+		s.ringOf[s.site(c)] = int32(i)
 	}
 	return s
 }
+
+// site is the dense site index of a location.
+func (s *annealState) site(c xy) int32 { return (c.y+1)*s.w2 + c.x + 1 }
 
 // manhattan32 is manhattan on the flat coordinate plane.
 func manhattan32(a, b xy) int32 {
@@ -363,115 +467,206 @@ func manhattan32(a, b xy) int32 {
 	return dx + dy
 }
 
-// anneal refines the placement with class-preserving swap/move proposals.
-// It polls ctx periodically (every 4096 moves) so a long anneal cannot
-// outlive a cancelled evaluation; the deterministic proposal sequence is
-// unaffected when ctx stays live.
-func (p *Placement) anneal(ctx context.Context, rng *annealRand, moves int, classes [numClasses][]int) error {
+// anneal refines the placement with windowed, class-preserving move and
+// swap proposals under an adaptive schedule: a start temperature from
+// the spread of random-move deltas, rounds of one proposal per movable
+// node, each round cooling by its acceptance rate and rescaling the
+// window radius, then, once frozen or in the budget's last tenth at the
+// latest, a greedy quench to the end of the move budget. It polls ctx
+// every 4096 proposals so a long anneal cannot outlive a cancelled
+// evaluation; the proposal sequence does not depend on ctx while it
+// stays live.
+func (p *Placement) anneal(ctx context.Context, rng *splitMix, moves int, classes [numClasses][]int) error {
 	if moves <= 0 {
-		moves = 200 * len(p.Mapped.Nodes)
-		if moves > 400_000 {
-			moves = 400_000
-		}
+		moves = min(movesPerNode*len(p.Mapped.Nodes), maxAutoMoves)
 	}
-	s := newAnnealState(p, classes, moves)
+	s := newAnnealState(p, classes, rng)
 	if s == nil {
 		return nil
 	}
-	for step := 0; step < moves; step++ {
-		if step&4095 == 0 {
-			if err := fault.Canceled(ctx); err != nil {
-				return err
+	rmax := float64(max(p.Fabric.W, p.Fabric.H))
+	rlim := rmax
+	round := len(s.movable)
+
+	// Start temperature: the spread of the first round's deltas,
+	// proposed over the whole fabric and not applied.
+	probe := min(round, moves)
+	var sum, sumSq float64
+	for i := 0; i < probe; i++ {
+		if _, d, ok := s.propose(int32(rmax)); ok {
+			sum += float64(d)
+			sumSq += float64(d) * float64(d)
+		}
+	}
+	mean := sum / float64(probe)
+	s.t = t0Spread * math.Sqrt(max(sumSq/float64(probe)-mean*mean, 0))
+
+	quenchAt := moves - int(quenchShare*float64(moves))
+	for done := probe; done < moves; {
+		if done >= quenchAt {
+			s.t = 0
+		}
+		k := min(round, moves-done)
+		r := int32(rlim)
+		accepted := 0
+		for i := 0; i < k; i++ {
+			if (done+i)&4095 == 0 {
+				if err := fault.Canceled(ctx); err != nil {
+					return err
+				}
+			}
+			if s.step(r) {
+				accepted++
 			}
 		}
-		s.step(rng)
+		done += k
+		alpha := float64(accepted) / float64(k)
+		rlim = min(max(rlim*(rlimBase+alpha), 1), rmax)
+		if s.t > 0 {
+			s.t *= coolFactor(alpha)
+			if s.t < freezeFrac*float64(s.cost)/float64(max(s.nets, 1)) {
+				s.t = 0
+			}
+		}
+	}
+	for _, i := range s.movable {
+		p.Loc[i] = Coord{int(s.loc[i].x), int(s.loc[i].y)}
 	}
 	return nil
 }
 
-// step proposes and (maybe) applies one move or swap. The RNG draw
-// sequence, acceptance math, and free-slot bookkeeping reproduce the
-// original map-based annealer exactly, so placements are byte-identical
-// per seed; the cost of a proposal is an incremental delta over the
-// touched nets, computed without mutating the placement until
-// acceptance.
-func (s *annealState) step(rng *annealRand) {
-	p := s.p
-	a := s.movable[rng.intn(&s.divMovable)]
-	ca := s.classOf[a]
-	// Either swap with a same-class node or move to a free slot.
-	if len(s.free[ca]) > 0 && rng.intn(&s.div2) == 0 {
-		si := rng.intn(&s.divFree[ca])
-		target := s.free[ca][si]
-		to := xy{int32(target.X), int32(target.Y)}
-		if s.acceptDelta(s.moveDelta(a, to), rng) {
-			s.free[ca][si] = p.Loc[a]
-			p.Loc[a] = target
-			s.loc[a] = to
+// proposal is one candidate change: node a to location to, swapping
+// with b (-1 for a free site).
+type proposal struct {
+	a, b int32
+	to   xy
+}
+
+// propose draws a random movable node and a different site of its
+// class inside a window of radius r around it, clamped to the fabric
+// (twice r along the I/O ring, whose steps are Manhattan steps), and
+// returns the move or swap onto that site with its wirelength delta. A
+// drawn target equal to the node's own site is redrawn; ok is false if
+// four draws in a row hit it.
+func (s *annealState) propose(r int32) (pr proposal, delta int32, ok bool) {
+	a := s.movable[below(uint32(s.rng.next()>>32), int32(len(s.movable)))]
+	from := s.loc[a]
+	c := s.classOf[a]
+	var to xy
+	if c == classIO {
+		l := int32(len(s.ring))
+		rr := min(2*r, l/2)
+		k := below(uint32(s.rng.next()>>32), 2*rr) - rr // [-rr, rr)
+		if k >= 0 {
+			k++ // skip the node's own site: [-rr, -1] and [1, rr]
 		}
+		pos := s.ringOf[s.site(from)] + k
+		if pos < 0 {
+			pos += l
+		} else if pos >= l {
+			pos -= l
+		}
+		to = s.ring[pos]
 	} else {
-		b := s.sameClassPeer(rng, ca, a)
-		if b < 0 {
-			return // no cooling on a failed pairing, matching the old control flow
-		}
-		if s.acceptDelta(s.swapDelta(a, b), rng) {
-			p.Loc[a], p.Loc[b] = p.Loc[b], p.Loc[a]
-			s.loc[a], s.loc[b] = s.loc[b], s.loc[a]
+		cols := s.cols[c]
+		ci := s.colOf[c][from.x]
+		xlo, xhi := max(ci-r, 0), min(ci+r, int32(len(cols))-1)
+		ylo, yhi := max(from.y-r, 0), min(from.y+r, s.h-1)
+		for tries := 0; ; tries++ {
+			v := s.rng.next()
+			to = xy{cols[xlo+below(uint32(v>>32), xhi-xlo+1)], ylo + below(uint32(v), yhi-ylo+1)}
+			if to != from {
+				break
+			}
+			if tries == 3 {
+				return proposal{}, 0, false
+			}
 		}
 	}
-	s.t *= s.cool
+	pr = proposal{a: a, b: -1, to: to}
+	if c != classReg {
+		pr.b = s.occ[c][s.site(to)] - 1
+	}
+	if pr.b < 0 {
+		return pr, s.moveDelta(a, to), true
+	}
+	return pr, s.swapDelta(a, pr.b), true
+}
+
+// step proposes one move or swap within radius r and applies it if the
+// Metropolis test accepts it, reporting whether it did.
+func (s *annealState) step(r int32) bool {
+	pr, delta, ok := s.propose(r)
+	if !ok || !s.accept(delta) {
+		return false
+	}
+	a, b := pr.a, pr.b
+	from := s.loc[a]
+	if c := s.classOf[a]; c != classReg {
+		occ := s.occ[c]
+		occ[s.site(from)] = b + 1 // 0 when a moved to a free site
+		occ[s.site(pr.to)] = a + 1
+	}
+	if b >= 0 {
+		s.loc[b] = from
+	}
+	s.loc[a] = pr.to
+	s.cost += int(delta)
+	return true
 }
 
 // moveDelta is the wirelength change from relocating node a to `to`.
-func (s *annealState) moveDelta(a int, to xy) int {
+func (s *annealState) moveDelta(a int32, to xy) int32 {
 	from := s.loc[a]
 	delta := int32(0)
 	for _, n := range s.nbr[s.nbrOff[a]:s.nbrOff[a+1]] {
 		at := s.loc[n]
 		delta += manhattan32(to, at) - manhattan32(from, at)
 	}
-	return int(delta)
+	return delta
 }
 
 // swapDelta is the wirelength change from exchanging the locations of a
 // and b: the sum over a's neighbours other than b, and b's other than a.
 // A net joining a and b keeps its length under the swap, so skipping it
 // on both sides is exact.
-func (s *annealState) swapDelta(a, b int) int {
+func (s *annealState) swapDelta(a, b int32) int32 {
 	la, lb := s.loc[a], s.loc[b]
-	a32, b32 := int32(a), int32(b)
 	delta := int32(0)
 	for _, n := range s.nbr[s.nbrOff[a]:s.nbrOff[a+1]] {
-		if n != b32 {
+		if n != b {
 			at := s.loc[n]
 			delta += manhattan32(lb, at) - manhattan32(la, at)
 		}
 	}
 	for _, n := range s.nbr[s.nbrOff[b]:s.nbrOff[b+1]] {
-		if n != a32 {
+		if n != a {
 			at := s.loc[n]
 			delta += manhattan32(la, at) - manhattan32(lb, at)
 		}
 	}
-	return int(delta)
+	return delta
 }
 
-// acceptDelta is the Metropolis criterion on an incremental cost delta.
-// For integer deltas float64(before-after) == -float64(delta) exactly,
-// and the Float64 draw happens iff delta > 0 — both identical to the old
-// accepted(before, after) on full costs.
+// accept is the Metropolis criterion on an incremental cost delta; at
+// T = 0 (the quench) it accepts exactly the moves that do not worsen
+// the cost.
 //
 // The transcendental is bracketed before it is computed: for x <= 0,
-// 1+x <= exp(x) <= 1/(1-x) with slack of order x^2/2. Here |x| >=
-// 1/(W+H) (delta is a positive integer, t starts at W+H and only
-// shrinks), so the slack dwarfs float rounding by >10 orders of
+// 1+x <= exp(x) <= 1/(1-x) with slack of order x^2/2. Here |x| >= 1/T0
+// (delta is a positive integer and T only falls from T0, a fraction of
+// a spread of wirelength deltas on a fabric of at most a few thousand
+// tiles a side), so the slack dwarfs float rounding by many orders of
 // magnitude and the cheap bounds decide u < exp(x) exactly; math.Exp
 // runs only for draws inside the thin undecided band.
-func (s *annealState) acceptDelta(delta int, rng *annealRand) bool {
+func (s *annealState) accept(delta int32) bool {
 	if delta <= 0 {
 		return true
 	}
-	u := rng.float64()
+	if s.t == 0 {
+		return false
+	}
+	u := s.rng.float64()
 	x := -float64(delta) / s.t
 	if u <= 1+x {
 		return true
@@ -480,61 +675,6 @@ func (s *annealState) acceptDelta(delta int, rng *annealRand) bool {
 		return false
 	}
 	return u < math.Exp(x)
-}
-
-// sameClassPeer draws a swap partner for a from its class: up to eight
-// draws, -1 when none differs from a (or the class has one member).
-func (s *annealState) sameClassPeer(rng *annealRand, c int8, a int) int {
-	class := s.classes[c]
-	if len(class) < 2 {
-		return -1
-	}
-	for tries := 0; tries < 8; tries++ {
-		b := class[rng.intn(&s.divClass[c])]
-		if b != a {
-			return b
-		}
-	}
-	return -1
-}
-
-// freeSlotsByClass lists the unoccupied slots of each resource class, in
-// fabric order. Interconnect registers are not exclusive, so every grid
-// tile is a register slot.
-func (p *Placement) freeSlotsByClass() [numClasses][]Coord {
-	f := p.Fabric
-	sites := f.numSites()
-	var occupied [classReg][]bool // over the dense site index
-	for c := range occupied {
-		occupied[c] = make([]bool, sites)
-	}
-	for i := range p.Mapped.Nodes {
-		if c := kindClass(p.Mapped.Nodes[i].Kind); c >= 0 && c < classReg {
-			occupied[c][f.siteIndex(p.Loc[i])] = true
-		}
-	}
-	var free [numClasses][]Coord
-	for _, c := range f.PETiles() {
-		if !occupied[classPE][f.siteIndex(c)] {
-			free[classPE] = append(free[classPE], c)
-		}
-		if !occupied[classRF][f.siteIndex(c)] {
-			free[classRF] = append(free[classRF], c)
-		}
-		free[classReg] = append(free[classReg], c)
-	}
-	for _, c := range f.MemTiles() {
-		if !occupied[classMem][f.siteIndex(c)] {
-			free[classMem] = append(free[classMem], c)
-		}
-		free[classReg] = append(free[classReg], c)
-	}
-	for _, c := range f.IOSites() {
-		if !occupied[classIO][f.siteIndex(c)] {
-			free[classIO] = append(free[classIO], c)
-		}
-	}
-	return free
 }
 
 // Validate checks resource legality: kinds on compatible tiles and no

@@ -19,7 +19,7 @@ func TestAnnealingImprovesWirelength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w0, w1 := seeded.wirelength(), annealed.wirelength()
+	w0, w1 := seeded.Wirelength(), annealed.Wirelength()
 	if w1 > w0 {
 		t.Errorf("annealing worsened wirelength: %d -> %d", w0, w1)
 	}

@@ -327,6 +327,10 @@ type Layout struct {
 	routingTiles, usedSBTiles int
 }
 
+// Routing returns the layout's routed design, nil when the ladder
+// degraded. Its placement points at whichever design built the layout.
+func (l *Layout) Routing() *cgra.Routing { return l.routing }
+
 // Design is what one design stage of an evaluation produced: the mapped
 // design of an (application, variant) pair, or its balanced design and
 // balance report at one PE latency. It is read-only once built; every

@@ -401,8 +401,11 @@ func reverseTopo(app *ir.Graph) []ir.NodeRef {
 // back to exactly the state before it; after an attempt the trail is
 // unwound to empty, leaving every slot -1 for the next one.
 type matcher struct {
-	app      *ir.Graph
-	users    [][]ir.NodeRef
+	app *ir.Graph
+	// users[userOff[a]:userOff[a+1]] lists the nodes reading app node
+	// a, once per operand, in node order.
+	userOff  []int32
+	users    []ir.NodeRef
 	covered  []*match
 	required []bool
 
@@ -427,21 +430,33 @@ type bindUndo struct {
 }
 
 func newMatcher(app *ir.Graph, rules []*Rule) *matcher {
+	n := len(app.Nodes)
 	mt := &matcher{
 		app:      app,
-		users:    make([][]ir.NodeRef, len(app.Nodes)),
-		covered:  make([]*match, len(app.Nodes)),
-		required: make([]bool, len(app.Nodes)),
-		rev:      make([]ir.NodeRef, len(app.Nodes)),
+		userOff:  make([]int32, n+1),
+		covered:  make([]*match, n),
+		required: make([]bool, n),
+		rev:      make([]ir.NodeRef, n),
 	}
-	for i, n := range app.Nodes {
-		for _, a := range n.Args {
-			mt.users[a] = append(mt.users[a], ir.NodeRef(i))
+	for _, nd := range app.Nodes {
+		for _, a := range nd.Args {
+			mt.userOff[a+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		mt.userOff[i+1] += mt.userOff[i]
+	}
+	mt.users = make([]ir.NodeRef, mt.userOff[n])
+	fill := append([]int32(nil), mt.userOff[:n]...)
+	for i, nd := range app.Nodes {
+		for _, a := range nd.Args {
+			mt.users[fill[a]] = ir.NodeRef(i)
+			fill[a]++
 		}
 		// Values consumed by structural nodes must be exposed on the fabric.
-		switch n.Op {
+		switch nd.Op {
 		case ir.OpOutput, ir.OpMem, ir.OpReg, ir.OpRegFileFIFO, ir.OpRom:
-			for _, a := range n.Args {
+			for _, a := range nd.Args {
 				mt.required[a] = true
 			}
 		}
@@ -511,7 +526,7 @@ func (mt *matcher) exposed() bool {
 		if anode < 0 || anode == mt.root || !mt.rule.Pattern.Nodes[pv].Op.IsCompute() {
 			continue
 		}
-		for _, u := range mt.users[anode] {
+		for _, u := range mt.users[mt.userOff[anode]:mt.userOff[anode+1]] {
 			if mt.rev[u] < 0 {
 				return false
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/cgra"
 	"repro/internal/core"
 	"repro/internal/wire"
 )
@@ -188,5 +189,11 @@ func TestKeySensitivity(t *testing.T) {
 	fw5.Fabric.W = 16
 	if ResultKey(ah, vk, fw5, true, true) == rk {
 		t.Fatal("result key ignores the fabric size")
+	}
+	if resultKey(ah, vk, fw, true, true, cgra.PlacerRevision+1) == rk {
+		t.Fatal("place-and-route result key ignores the placer revision")
+	}
+	if resultKey(ah, vk, fw, false, true, cgra.PlacerRevision+1) != ResultKey(ah, vk, fw, false, true) {
+		t.Fatal("post-mapping result key depends on the placer revision")
 	}
 }

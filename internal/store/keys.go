@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/apps"
+	"repro/internal/cgra"
 	"repro/internal/core"
 	"repro/internal/wire"
 )
@@ -17,7 +18,8 @@ import (
 //	             deterministic functions of analyses, which are functions
 //	             of app graphs) + front-end options
 //	result    <- app graph + the variant key + fabric config + placement
-//	             seed/portfolio options + evaluation level
+//	             seed/portfolio options + evaluation level (+ the placer
+//	             revision for place-and-route cells)
 //
 // plus SchemaVersion (folded in by NewHasher), which stands in for the
 // algorithm revision of the pipeline itself. The registry hash is
@@ -124,8 +126,14 @@ func ModelKey(runFingerprint Key, featureSchema int, hyper string) Key {
 
 // ResultKey keys one evaluation cell: the app and variant fingerprints,
 // the fabric configuration, the placement options, and the evaluation
-// level.
+// level; a place-and-route cell also the placer's revision, so a store
+// filled by another annealer never serves its layouts. Post-mapping
+// cells read no placement and keep their keys across revisions.
 func ResultKey(appHash, variantKey Key, fw *core.Framework, pnr, pipelined bool) Key {
+	return resultKey(appHash, variantKey, fw, pnr, pipelined, cgra.PlacerRevision)
+}
+
+func resultKey(appHash, variantKey Key, fw *core.Framework, pnr, pipelined bool, placer int) Key {
 	h := NewHasher("result")
 	h.Str(string(appHash))
 	h.Str(string(variantKey))
@@ -141,5 +149,8 @@ func ResultKey(appHash, variantKey Key, fw *core.Framework, pnr, pipelined bool)
 	h.Int(fw.PlaceSeeds)
 	h.Bool(pnr)
 	h.Bool(pipelined)
+	if pnr {
+		h.Int(placer)
+	}
 	return h.Key()
 }
