@@ -119,9 +119,8 @@ fuzz:
 # does on every registry app and on random embedding lists, within a
 # fixed allocation budget per pattern, and MapApp and BalanceApp on
 # camera stay within theirs (no per-port or per-constant maps). The telemetry
-# additions (DESIGN.md §14):
-# steady-state time-series recording and the no-subscriber event guard
-# are allocation-free, and per-job trace capture stays O(spans). The
+# additions (DESIGN.md §14): the no-subscriber event guard is
+# allocation-free, and per-job trace capture stays O(spans). The
 # daemon journal (DESIGN.md §13): steady-state saves from one handle
 # never re-parse the file, one foreign write costs exactly one re-parse,
 # and the cached writer's files are byte-identical to the whole-file
@@ -138,7 +137,6 @@ perfcheck:
 	$(GO) test ./internal/core/ -run 'TestSelectPatternsMatchesLegacy|TestSelectPatternsPrefix|TestMapBalanceAllocs' -count=1 -v
 	$(GO) test ./internal/mis/ -run 'TestAnalyzeMatchesReference|TestAnalyzeAllocs' -count=1 -v
 	$(GO) test -race ./internal/core/ -run TestGenerateTopPEMatchesGeneratePE -count=1
-	$(GO) test ./internal/obs/ -run TestTimeSeriesAllocs -count=1
 	$(GO) test ./internal/serve/ -run 'TestEventPublishInactiveAllocs|TestJobTraceCaptureAllocs|TestJournalReparses|TestJournalMatchesReference' -count=1
 
 # Regenerate the golden tables after an intentional change to the

@@ -20,12 +20,12 @@
 //     accepting (readyz flips to 503), finish in-flight jobs, journal
 //     the rest as pending. A second signal exits immediately.
 //
-// Telemetry: /metrics serves the Prometheus text exposition; every job
-// runs under its own trace, retained in a bounded ring (-trace-ring,
-// -trace-ring-bytes) and served by /api/v1/jobs/{id}/trace; a rolling
-// time-series store (-sample-interval, -sample-window) backs
-// /api/v1/timeseries; and /api/v1/events streams job transitions and
-// sweep cell progress over SSE (-events-buffer per subscriber).
+// Telemetry: /metrics serves the Prometheus text exposition, the
+// daemon's one live metrics surface (a scraper keeps the history);
+// every job runs under its own trace, retained in a bounded ring
+// (-trace-ring records, 16 MiB) and served by /api/v1/jobs/{id}/trace;
+// and /api/v1/events streams job transitions and sweep cell progress
+// over SSE.
 //
 // Exit status: 0 clean drain, 1 hard error or forced exit.
 package main
@@ -74,11 +74,7 @@ func run() (int, error) {
 	cacheDir := flag.String("cache-dir", "", "persistent content-addressed result cache directory ('' = in-memory only)")
 	cacheMax := flag.Int64("cache-max-bytes", 0, "cache size budget; oldest entries pruned past it (0 = unbounded)")
 	fast := flag.Bool("fast", false, "skip place-and-route in every evaluation")
-	eventsBuffer := flag.Int("events-buffer", 64, "per-subscriber event-stream buffer; a slow SSE consumer past it drops events")
 	traceRing := flag.Int("trace-ring", 256, "per-job trace records retained (newest win; -1 disables trace capture)")
-	traceRingBytes := flag.Int64("trace-ring-bytes", 16<<20, "byte budget for retained job traces")
-	sampleInterval := flag.Duration("sample-interval", time.Second, "rolling time-series resolution")
-	sampleWindow := flag.Duration("sample-window", 15*time.Minute, "rolling time-series retention window")
 	var of obs.Flags
 	of.Register(flag.CommandLine)
 	flag.Parse()
@@ -106,23 +102,19 @@ func run() (int, error) {
 	defer obsCleanup()
 
 	srv, err := serve.New(serve.Config{
-		Workers:        workers,
-		QueueDepth:     *queueDepth,
-		Rate:           *rate,
-		Burst:          *burst,
-		RetryBudget:    *retries,
-		RetryBackoff:   *retryBackoff,
-		JobTimeout:     *jobTimeout,
-		JournalPath:    *journal,
-		CacheDir:       *cacheDir,
-		CacheMaxBytes:  *cacheMax,
-		FastMode:       *fast,
-		Obs:            o,
-		EventBuffer:    *eventsBuffer,
-		TraceRingSize:  *traceRing,
-		TraceRingBytes: *traceRingBytes,
-		SampleInterval: *sampleInterval,
-		SampleWindow:   *sampleWindow,
+		Workers:       workers,
+		QueueDepth:    *queueDepth,
+		Rate:          *rate,
+		Burst:         *burst,
+		RetryBudget:   *retries,
+		RetryBackoff:  *retryBackoff,
+		JobTimeout:    *jobTimeout,
+		JournalPath:   *journal,
+		CacheDir:      *cacheDir,
+		CacheMaxBytes: *cacheMax,
+		FastMode:      *fast,
+		Obs:           o,
+		TraceRingSize: *traceRing,
 	})
 	if err != nil {
 		return 1, err

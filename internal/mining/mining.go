@@ -53,6 +53,11 @@ func (p *Pattern) ComputeSize() int {
 	return n
 }
 
+// minComputeNodes is the fewest compute nodes a reported pattern may
+// have: a single operation is not an interesting PE candidate (the
+// baseline already has it).
+const minComputeNodes = 2
+
 // Options configures the miner.
 type Options struct {
 	// MinSupport is the minimum MNI support for a pattern to be frequent.
@@ -64,10 +69,6 @@ type Options struct {
 	// default of 20000. Hitting the cap under-counts support, which only
 	// makes the miner more conservative.
 	MaxEmbeddings int
-	// MinComputeNodes requires at least this many compute nodes per
-	// reported pattern; 0 means the default of 2 (a single operation is
-	// not an interesting PE candidate — the baseline already has it).
-	MinComputeNodes int
 	// Workers is the number of goroutines used for candidate generation
 	// and support counting. 0 and 1 both mean fully serial (no goroutines
 	// are spawned). The mined output is byte-identical at every worker
@@ -84,9 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxEmbeddings <= 0 {
 		o.MaxEmbeddings = 20000
-	}
-	if o.MinComputeNodes <= 0 {
-		o.MinComputeNodes = 2
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -134,7 +132,7 @@ func Mine(ctx context.Context, target *graph.Graph, opt Options) ([]Pattern, err
 		// parent itself, so collecting first preserves the result order.
 		for i := range frontier {
 			p := &frontier[i]
-			if p.Support >= opt.MinSupport && p.ComputeSize() >= opt.MinComputeNodes {
+			if p.Support >= opt.MinSupport && p.ComputeSize() >= minComputeNodes {
 				results = append(results, *p)
 			}
 		}

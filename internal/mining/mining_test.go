@@ -135,7 +135,7 @@ func TestPatternsConnectedAndDeduped(t *testing.T) {
 		}
 		seen[p.Code] = true
 		if p.ComputeSize() < 2 {
-			t.Errorf("pattern %s has %d compute nodes, MinComputeNodes=2", p.Code, p.ComputeSize())
+			t.Errorf("pattern %s has %d compute nodes, minComputeNodes=2", p.Code, p.ComputeSize())
 		}
 	}
 }

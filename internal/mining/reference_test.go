@@ -27,7 +27,7 @@ func MineReference(_ context.Context, target *graph.Graph, opt Options) []Patter
 	for len(frontier) > 0 {
 		var next []refPattern
 		for _, p := range frontier {
-			if p.Support >= opt.MinSupport && refComputeSize(p.Graph) >= opt.MinComputeNodes {
+			if p.Support >= opt.MinSupport && refComputeSize(p.Graph) >= minComputeNodes {
 				results = append(results, p)
 			}
 			if p.Graph.NumNodes() >= opt.MaxNodes {

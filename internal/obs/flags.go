@@ -39,7 +39,7 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.MetricsPath, "metrics", "", "write the metrics registry as JSON")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
-	fs.StringVar(&f.PprofAddr, "pprof", "", "serve net/http/pprof and expvar metrics on this address (e.g. :6060)")
+	fs.StringVar(&f.PprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 }
 
 // Setup builds the Obs bundle the flags describe, starts profiling and
@@ -61,7 +61,7 @@ func (f *Flags) Setup(logw io.Writer) (*Obs, func() error, error) {
 	}
 	o := &Obs{Logger: NewLogger(logw, verbosity, f.LogFormat)}
 
-	if f.ForceObs || f.TracePath != "" || f.TraceTree != "" || f.MetricsPath != "" || f.PprofAddr != "" {
+	if f.ForceObs || f.TracePath != "" || f.TraceTree != "" || f.MetricsPath != "" {
 		o.Metrics = NewRegistry()
 		o.Tracer = NewTracer()
 		o.Tracer.LinkMetrics(o.Metrics)
@@ -76,7 +76,7 @@ func (f *Flags) Setup(logw io.Writer) (*Obs, func() error, error) {
 		}
 	}
 	if f.PprofAddr != "" {
-		if err := ServePprof(f.PprofAddr, o.Metrics); err != nil {
+		if err := ServePprof(f.PprofAddr); err != nil {
 			if stopCPU != nil {
 				stopCPU()
 			}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -9,7 +8,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 )
 
 // StartCPUProfile begins writing a CPU profile to path and returns the
@@ -43,25 +41,10 @@ func WriteHeapProfile(path string) error {
 	return nil
 }
 
-var expvarOnce sync.Once
-
-// PublishExpvar exposes the registry's snapshot as the expvar variable
-// "apex_metrics" (served on /debug/vars). Safe to call more than once;
-// only the first registry wins, matching expvar's publish-once model.
-func PublishExpvar(r *Registry) {
-	expvarOnce.Do(func() {
-		expvar.Publish("apex_metrics", expvar.Func(func() any { return r.Snapshot() }))
-	})
-}
-
-// ServePprof serves net/http/pprof (/debug/pprof) and expvar
-// (/debug/vars, including the registry when non-nil) on addr in a
+// ServePprof serves net/http/pprof (/debug/pprof) on addr in a
 // background goroutine. The listen error is returned synchronously so a
 // bad -pprof address fails the CLI immediately.
-func ServePprof(addr string, r *Registry) error {
-	if r != nil {
-		PublishExpvar(r)
-	}
+func ServePprof(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("obs: pprof listen %s: %w", addr, err)

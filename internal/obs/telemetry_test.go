@@ -170,97 +170,6 @@ func TestFromContext(t *testing.T) {
 	}
 }
 
-// TestSeriesSet covers the rolling ring: windows, gaps, last-wins
-// slots, monotonic writes, and lap clearing.
-func TestSeriesSet(t *testing.T) {
-	base := time.Unix(1000, 0)
-	ss := NewSeriesSet(time.Second, 10*time.Second)
-
-	for i := 0; i < 5; i++ {
-		ss.Record("qps", base.Add(time.Duration(i)*time.Second), float64(i))
-	}
-	w, ok := ss.Window("qps", base.Add(4*time.Second), 5*time.Second)
-	if !ok {
-		t.Fatal("window for recorded series missing")
-	}
-	if len(w.Points) != 5 {
-		t.Fatalf("got %d points, want 5", len(w.Points))
-	}
-	for i, p := range w.Points {
-		if p.V == nil || *p.V != float64(i) {
-			t.Errorf("point %d = %v, want %d", i, p.V, i)
-		}
-	}
-
-	// Last value in a slot wins.
-	ss.Record("qps", base.Add(4*time.Second), 99)
-	w, _ = ss.Window("qps", base.Add(4*time.Second), time.Second)
-	if *w.Points[0].V != 99 {
-		t.Errorf("slot rewrite = %v, want 99", *w.Points[0].V)
-	}
-
-	// Writes into the past are dropped.
-	ss.Record("qps", base, 7)
-	w, _ = ss.Window("qps", base, time.Second)
-	if *w.Points[0].V != 0 {
-		t.Errorf("stale write changed slot to %v, want 0", *w.Points[0].V)
-	}
-
-	// A gap (skipped slots) renders as nils, and skipping a whole lap
-	// clears old data rather than showing it through.
-	ss.Record("qps", base.Add(7*time.Second), 70)
-	w, _ = ss.Window("qps", base.Add(7*time.Second), 3*time.Second)
-	if w.Points[0].V != nil || w.Points[1].V != nil || *w.Points[2].V != 70 {
-		t.Errorf("gap window = %+v, want [nil nil 70]", w.Points)
-	}
-	ss.Record("qps", base.Add(100*time.Second), 1)
-	w, _ = ss.Window("qps", base.Add(100*time.Second), 10*time.Second)
-	for i, p := range w.Points[:9] {
-		if p.V != nil {
-			t.Errorf("lapped slot %d still has value %v", i, *p.V)
-		}
-	}
-	if w.Points[9].V == nil || *w.Points[9].V != 1 {
-		t.Errorf("newest slot = %v, want 1", w.Points[9].V)
-	}
-
-	if _, ok := ss.Window("missing", base, time.Second); ok {
-		t.Error("unknown series must report !ok")
-	}
-	if names := ss.Names(); len(names) != 1 || names[0] != "qps" {
-		t.Errorf("Names = %v, want [qps]", names)
-	}
-
-	// Nil set: everything is a no-op.
-	var nilSS *SeriesSet
-	nilSS.Record("x", base, 1)
-	if _, ok := nilSS.Window("x", base, time.Second); ok {
-		t.Error("nil SeriesSet Window must report !ok")
-	}
-	if nilSS.Names() != nil || nilSS.Resolution() != 0 {
-		t.Error("nil SeriesSet accessors must be inert")
-	}
-}
-
-// TestTimeSeriesAllocs: steady-state recording into an existing series
-// must not allocate (the sampler fires every second for the life of the
-// daemon).
-func TestTimeSeriesAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; run without -race")
-	}
-	ss := NewSeriesSet(time.Second, time.Minute)
-	base := time.Unix(2000, 0)
-	ss.Record("qps", base, 0)
-	i := 0
-	if n := testing.AllocsPerRun(200, func() {
-		i++
-		ss.Record("qps", base.Add(time.Duration(i)*time.Second), float64(i))
-	}); n != 0 {
-		t.Errorf("steady-state Record allocates %.1f times per call, want 0", n)
-	}
-}
-
 // TestPrometheusGolden locks the text exposition format (v0.0.4):
 // family grouping and ordering, label rendering, cumulative histogram
 // buckets, and name sanitization.

@@ -2,13 +2,14 @@ package pipeline
 
 import "repro/internal/rewrite"
 
+// memLatency is the cycle latency of a memory or ROM tile.
+const memLatency = 1
+
 // AppOptions tunes application pipelining.
 type AppOptions struct {
 	// PELatency is the pipeline depth of every PE tile (homogeneous
 	// fabric), from PipelinePE.
 	PELatency int
-	// MemLatency is the memory-tile latency; default 1.
-	MemLatency int
 	// FIFOCutoff is the register-chain length above which a chain is
 	// replaced by a register-file FIFO (paper Section 4.3: "register
 	// chains greater than length 2"); default 2. Negative disables the
@@ -17,9 +18,6 @@ type AppOptions struct {
 }
 
 func (o AppOptions) withDefaults() AppOptions {
-	if o.MemLatency <= 0 {
-		o.MemLatency = 1
-	}
 	if o.FIFOCutoff == 0 {
 		o.FIFOCutoff = 2
 	}
@@ -40,7 +38,7 @@ func nodeLatency(n *rewrite.MNode, opt AppOptions) int {
 	case rewrite.KindPE:
 		return opt.PELatency
 	case rewrite.KindMem, rewrite.KindRom:
-		return opt.MemLatency
+		return memLatency
 	case rewrite.KindReg:
 		return 1
 	case rewrite.KindRegFile:

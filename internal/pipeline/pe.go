@@ -30,12 +30,12 @@ type PipelinedPE struct {
 	ExtraRegs int
 }
 
+// maxStages caps PE pipeline depth: PipelinePE deepens a PE until its
+// period meets tech.ClockPeriodPS or it reaches this many stages.
+const maxStages = 6
+
 // Options tunes PE pipelining.
 type Options struct {
-	// TargetPS is the desired clock period; default tech.ClockPeriodPS.
-	TargetPS float64
-	// MaxStages caps the pipeline depth; default 6.
-	MaxStages int
 	// MinGain is the minimum fractional period reduction an extra stage
 	// must deliver to be worth it (paper: "determining when adding
 	// another stage gives a significant benefit"); default 0.10.
@@ -43,12 +43,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.TargetPS <= 0 {
-		o.TargetPS = tech.ClockPeriodPS
-	}
-	if o.MaxStages <= 0 {
-		o.MaxStages = 6
-	}
 	if o.MinGain <= 0 {
 		o.MinGain = 0.10
 	}
@@ -64,7 +58,7 @@ func PipelinePE(spec *pe.Spec, m *tech.Model, opt Options) *PipelinedPE {
 	opt = opt.withDefaults()
 	best := Retime(spec, m, 0)
 	plateau := 0
-	for s := 1; s <= opt.MaxStages && best.PeriodPS > opt.TargetPS; s++ {
+	for s := 1; s <= maxStages && best.PeriodPS > tech.ClockPeriodPS; s++ {
 		next := Retime(spec, m, s)
 		gain := (best.PeriodPS - next.PeriodPS) / best.PeriodPS
 		if next.PeriodPS < best.PeriodPS {

@@ -20,8 +20,7 @@ import (
 //	GET    /api/v1/jobs/{id}/result the raw result document (404 until done)
 //	DELETE /api/v1/jobs/{id}       cancel (queued: immediate; running: ctx cancel)
 //	GET    /api/v1/jobs/{id}/trace per-job span tree (?format=tree|chrome|json)
-//	GET    /api/v1/stats           queue/limiter/store/metrics snapshot
-//	GET    /api/v1/timeseries      rolling series (?series=a,b&window=5m)
+//	GET    /api/v1/stats           queue, job, store, memo, event and trace status
 //	GET    /api/v1/events          live event stream (SSE, ?types=job,sweep)
 //	GET    /metrics                Prometheus text exposition (v0.0.4)
 //	GET    /healthz                liveness (200 while the process serves)
@@ -56,14 +55,13 @@ type listResponse struct {
 
 // statsResponse is the GET /api/v1/stats document.
 type statsResponse struct {
-	Draining   bool              `json:"draining"`
-	Queued     int               `json:"queued"`
-	Jobs       map[State]int     `json:"jobs"`
-	Store      any               `json:"store,omitempty"`
-	Metrics    *obs.RegistrySnap `json:"metrics,omitempty"`
-	MemoTables map[string]any    `json:"memo_tables,omitempty"`
-	Events     *eventStats       `json:"events,omitempty"`
-	Traces     *traceStats       `json:"traces,omitempty"`
+	Draining   bool           `json:"draining"`
+	Queued     int            `json:"queued"`
+	Jobs       map[State]int  `json:"jobs"`
+	Store      any            `json:"store,omitempty"`
+	MemoTables map[string]any `json:"memo_tables,omitempty"`
+	Events     *eventStats    `json:"events,omitempty"`
+	Traces     *traceStats    `json:"traces,omitempty"`
 }
 
 // Handler returns the daemon's HTTP handler.
@@ -76,7 +74,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("GET /api/v1/stats", s.handleStats)
-	mux.HandleFunc("GET /api/v1/timeseries", s.handleTimeseries)
 	mux.HandleFunc("GET /api/v1/events", s.handleEvents)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -271,10 +268,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st := s.st.Stats()
 		resp.Store = &st
 	}
-	if s.cfg.Obs != nil && s.cfg.Obs.Metrics != nil {
-		snap := s.cfg.Obs.Metrics.Snapshot()
-		resp.Metrics = &snap
-	}
 	memo := map[string]any{}
 	for name, ms := range s.h.MemoStats() {
 		memo[name] = ms
@@ -333,52 +326,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleTimeseries serves the rolling series. Without ?series= it lists
-// what is available; with it, returns the named series' windows (gaps
-// render as nulls).
-func (s *Server) handleTimeseries(w http.ResponseWriter, r *http.Request) {
-	if s.ts == nil {
-		writeError(w, http.StatusNotFound, "time-series sampling disabled (no metrics registry)")
-		return
-	}
-	q := r.URL.Query()
-	names := q.Get("series")
-	if names == "" {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"series":        s.ts.Names(),
-			"catalog":       timeseriesCatalog,
-			"resolution_ms": s.ts.Resolution().Milliseconds(),
-		})
-		return
-	}
-	window := s.cfg.sampleWindow()
-	if v := q.Get("window"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, "invalid window %q", v)
-			return
-		}
-		window = d
-	}
-	now := time.Now()
-	var out []obs.SeriesWindow
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		wnd, ok := s.ts.Window(name, now, window)
-		if !ok {
-			// Unknown series still answer, with no points: a dashboard
-			// polling before the first sample sees an empty window, not
-			// an error.
-			wnd = obs.SeriesWindow{Series: name, ResolutionMS: s.ts.Resolution().Milliseconds()}
-		}
-		out = append(out, wnd)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"windows": out})
-}
-
 // handleEvents streams the live event bus over SSE. Each event is one
 // frame (id = sequence number, event = type, data = JSON). A slow
 // consumer drops events rather than slowing the daemon; the drop count
@@ -394,7 +341,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("types"); v != "" {
 		types = strings.Split(v, ",")
 	}
-	sub := s.events.subscribe(types, s.cfg.eventBuffer())
+	sub := s.events.subscribe(types, eventBuffer)
 	defer s.events.unsubscribe(sub)
 
 	w.Header().Set("Content-Type", "text/event-stream")

@@ -57,28 +57,35 @@ type Config struct {
 	// FastMode skips place-and-route in every evaluation (the unit-test
 	// and smoke-deploy mode).
 	FastMode bool
-	// MemoResetEvery drops the harness's in-memory memo tables after
-	// every N terminal jobs, bounding daemon memory; the persistent
-	// store keeps warm restarts cheap. 0 means 512; negative disables.
-	MemoResetEvery int
 	// Obs is the daemon's observability bundle; nil disables
 	// instrumentation.
 	Obs *obs.Obs
-	// EventBuffer is each event-stream subscriber's channel capacity;
-	// events past a full buffer are dropped for that subscriber (and
-	// counted). 0 means 64.
-	EventBuffer int
-	// TraceRingSize and TraceRingBytes bound the per-job trace
-	// retention ring (newest records win). 0 means 256 records / 16 MiB;
-	// a negative size disables trace capture.
-	TraceRingSize  int
-	TraceRingBytes int64
-	// SampleInterval is the rolling time-series resolution; 0 means 1s.
-	// Negative disables the background sampler (tests drive sampling
-	// manually). SampleWindow is the retained span; 0 means 15m.
+	// TraceRingSize bounds the per-job trace retention ring (newest
+	// records win; traceRingBytes bounds its bytes). 0 means 256
+	// records; negative disables trace capture.
+	TraceRingSize int
+
+	// SampleInterval is ignored: /metrics is the daemon's one live
+	// metrics surface, and a scraper keeps the history. The field stays
+	// only until a benchmark change stops setting it.
+	//
+	// Deprecated: ignored.
 	SampleInterval time.Duration
-	SampleWindow   time.Duration
 }
+
+// Fixed daemon sizes, each the only value any caller ever used.
+const (
+	// memoResetEvery is how many terminal jobs pass between drops of
+	// the harness's in-memory memo tables, bounding daemon memory; the
+	// persistent store keeps warm restarts cheap.
+	memoResetEvery = 512
+	// eventBuffer is each event-stream subscriber's channel capacity;
+	// events past a full buffer are dropped for that subscriber (and
+	// counted).
+	eventBuffer = 64
+	// traceRingBytes is the byte budget of the per-job trace ring.
+	traceRingBytes = 16 << 20
+)
 
 func (c Config) queueDepth() int {
 	if c.QueueDepth > 0 {
@@ -105,13 +112,6 @@ func (c Config) retryBackoff() time.Duration {
 	return 250 * time.Millisecond
 }
 
-func (c Config) eventBuffer() int {
-	if c.EventBuffer > 0 {
-		return c.EventBuffer
-	}
-	return 64
-}
-
 func (c Config) traceRingSize() int {
 	switch {
 	case c.TraceRingSize > 0:
@@ -120,42 +120,6 @@ func (c Config) traceRingSize() int {
 		return 0
 	default:
 		return 256
-	}
-}
-
-func (c Config) traceRingBytes() int64 {
-	if c.TraceRingBytes > 0 {
-		return c.TraceRingBytes
-	}
-	return 16 << 20
-}
-
-func (c Config) sampleInterval() time.Duration {
-	switch {
-	case c.SampleInterval > 0:
-		return c.SampleInterval
-	case c.SampleInterval < 0:
-		return 0
-	default:
-		return time.Second
-	}
-}
-
-func (c Config) sampleWindow() time.Duration {
-	if c.SampleWindow > 0 {
-		return c.SampleWindow
-	}
-	return 15 * time.Minute
-}
-
-func (c Config) memoResetEvery() int {
-	switch {
-	case c.MemoResetEvery > 0:
-		return c.MemoResetEvery
-	case c.MemoResetEvery < 0:
-		return 0
-	default:
-		return 512
 	}
 }
 
@@ -172,13 +136,9 @@ type Server struct {
 	now   func() time.Time
 	nonce string
 
-	// Telemetry: live event fanout, per-job trace retention, rolling
-	// time-series plus the sampler feeding it (ts/smp are nil without a
-	// metrics registry).
+	// Telemetry: live event fanout and per-job trace retention.
 	events    *eventBus
 	traces    *traceRing
-	ts        *obs.SeriesSet
-	smp       *sampler
 	startedAt time.Time
 
 	jnl *journal // nil without a journal path
@@ -193,7 +153,7 @@ type Server struct {
 
 	seq      atomic.Int64 // job-ID counter (per process)
 	draining atomic.Bool
-	done     atomic.Int64 // terminal jobs, drives MemoResetEvery
+	done     atomic.Int64 // terminal jobs, drives memoResetEvery
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -231,15 +191,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.events = newEventBus(func(n int64) { s.count("serve.events.dropped", n) })
 	if n := cfg.traceRingSize(); n > 0 {
-		s.traces = newTraceRing(n, cfg.traceRingBytes())
-	}
-	if cfg.Obs != nil && cfg.Obs.Metrics != nil {
-		res := cfg.sampleInterval()
-		if res <= 0 {
-			res = time.Second
-		}
-		s.ts = obs.NewSeriesSet(res, cfg.sampleWindow())
-		s.smp = newSampler(s, res)
+		s.traces = newTraceRing(n, traceRingBytes)
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.q = newQueue(cfg.queueDepth(), func() time.Time { return s.now() })
@@ -308,15 +260,10 @@ func (s *Server) Harness() *eval.Harness { return s.h }
 // Store returns the attached persistent store (nil without CacheDir).
 func (s *Server) Store() *store.Store { return s.st }
 
-// Start launches the worker pool and the time-series sampler. It is
-// idempotent.
+// Start launches the worker pool. It is idempotent.
 func (s *Server) Start() {
 	if !s.started.CompareAndSwap(false, true) {
 		return
-	}
-	if s.smp != nil && s.cfg.sampleInterval() > 0 {
-		s.smp.running.Store(true)
-		go s.smp.run()
 	}
 	n := s.cfg.Workers
 	if n <= 0 {
@@ -376,16 +323,9 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.jnl.release()
 	}
 
-	// Telemetry teardown after the workers are idle, so every terminal
-	// event has been published: close the stream (subscribers see EOF)
-	// and stop the sampler.
+	// Close the event stream after the workers are idle, so every
+	// terminal event has been published; subscribers see EOF.
 	s.events.closeAll()
-	if s.smp != nil {
-		s.smp.halt()
-		if s.smp.running.Load() {
-			<-s.smp.done
-		}
-	}
 	if err != nil {
 		return err
 	}
@@ -566,7 +506,7 @@ func (s *Server) runJob(j *Job) {
 		s.disposeFailure(j, err, deadlineHit)
 	}
 
-	if n := s.done.Load(); s.cfg.memoResetEvery() > 0 && n > 0 && n%int64(s.cfg.memoResetEvery()) == 0 {
+	if n := s.done.Load(); n > 0 && n%memoResetEvery == 0 {
 		s.h.ResetMemos()
 	}
 }

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -323,6 +326,51 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if stats.Draining || stats.Queued != 1 || stats.Jobs[StateQueued] != 1 {
 		t.Fatalf("stats = %+v", stats)
+	}
+}
+
+// TestREADMEDaemonRoutesServed: every daemon URL the README's apexd
+// section shows is routed by Handler() for the method its curl line
+// uses, so the docs cannot name an endpoint the daemon no longer
+// serves. Routing is checked through the mux's own lookup (an empty
+// pattern is its unrouted 404 or 405), so no request runs, which keeps
+// the streaming /api/v1/events from blocking.
+func TestREADMEDaemonRoutesServed(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "### Serving daemon (`apexd`)")
+	if !ok {
+		t.Fatal("README.md has no \"Serving daemon (`apexd`)\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n### ")
+
+	srv, err := New(Config{FastMode: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	mux := srv.Handler().(*http.ServeMux)
+
+	urlRE := regexp.MustCompile(`localhost:8728(/[^\s'"?]*)`)
+	methodRE := regexp.MustCompile(`-X\s+([A-Z]+)`)
+	checked := 0
+	for _, line := range strings.Split(section, "\n") {
+		method := http.MethodGet
+		if m := methodRE.FindStringSubmatch(line); m != nil {
+			method = m[1]
+		}
+		for _, m := range urlRE.FindAllStringSubmatch(line, -1) {
+			req := httptest.NewRequest(method, m[1], nil)
+			if _, pattern := mux.Handler(req); !strings.HasPrefix(pattern, method+" ") {
+				t.Errorf("README shows %s %s, which the daemon does not route", method, m[1])
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no localhost:8728 URLs in the README's daemon section")
 	}
 }
 

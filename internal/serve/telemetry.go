@@ -6,14 +6,12 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
 
 // Telemetry layer: the live event stream (SSE fanout with slow-consumer
-// drop accounting), the bounded per-job trace retention ring, and the
-// sampler that feeds the rolling time-series from the metrics registry.
+// drop accounting) and the bounded per-job trace retention ring.
 
 // Event is one entry of the live event stream. Exactly one of Job and
 // Sweep is set, matching Type. Events deliberately carry no timestamps:
@@ -325,127 +323,6 @@ func (s *Server) jobEvent(j *Job) Event {
 		Error:     j.Error,
 		ErrorKind: j.ErrorKind,
 	}}
-}
-
-// timeseriesCatalog is the sampled-series contract: every name the
-// sampler records, in the order the docs list them.
-//
-//	queue.depth.queued   jobs waiting in the client-fair queue
-//	queue.depth.running  jobs currently executing
-//	jobs.started         job attempts started per interval
-//	jobs.finished        jobs completed per interval
-//	jobs.failed          jobs terminally failed per interval
-//	cache.hit_rate       memo-table hit fraction over the interval (gap when idle)
-//	pnr.attempts         PnR ladder attempts per interval
-//	pnr.degraded         PnR degradations per interval (all reasons)
-//	route.ripups         router rip-up nets per interval
-var timeseriesCatalog = []string{
-	"queue.depth.queued", "queue.depth.running",
-	"jobs.started", "jobs.finished", "jobs.failed",
-	"cache.hit_rate", "pnr.attempts", "pnr.degraded", "route.ripups",
-}
-
-// sampler feeds the rolling time-series from one registry snapshot per
-// interval. Counters become per-interval deltas; gauges record their
-// level. All series for one tick come from a single Snapshot, so they
-// are mutually consistent.
-type sampler struct {
-	s        *Server
-	interval time.Duration
-	stop     chan struct{}
-	done     chan struct{}
-	once     sync.Once
-	running  atomic.Bool // set by Start before the loop spawns
-
-	mu   sync.Mutex
-	prev map[string]int64 // cumulative counter values at the last tick
-}
-
-func newSampler(s *Server, interval time.Duration) *sampler {
-	return &sampler{
-		s:        s,
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		prev:     map[string]int64{},
-	}
-}
-
-func (sp *sampler) run() {
-	defer close(sp.done)
-	t := time.NewTicker(sp.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-sp.stop:
-			return
-		case now := <-t.C:
-			sp.sampleOnce(now)
-		}
-	}
-}
-
-// halt stops the background loop (idempotent; safe if run never
-// started — callers must not wait on done in that case).
-func (sp *sampler) halt() {
-	sp.once.Do(func() { close(sp.stop) })
-}
-
-// delta returns the counter's change since the previous tick.
-func (sp *sampler) delta(key string, cur int64) int64 {
-	d := cur - sp.prev[key]
-	sp.prev[key] = cur
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// sampleOnce records one tick of every series. Exported to the tests
-// through the package boundary (they call it with a pinned clock).
-func (sp *sampler) sampleOnce(now time.Time) {
-	s := sp.s
-	if s.ts == nil || s.cfg.Obs == nil || s.cfg.Obs.Metrics == nil {
-		return
-	}
-	snap := s.cfg.Obs.Metrics.Snapshot()
-	counters := make(map[string]int64, len(snap.Counters))
-	var degraded int64
-	for _, c := range snap.Counters {
-		counters[c.Name] = c.Value
-		if strings.HasPrefix(c.Name, "pnr.degraded.") {
-			degraded += c.Value
-		}
-	}
-	var running int64
-	for _, g := range snap.Gauges {
-		if g.Name == "serve.jobs.running" {
-			running = g.Value
-		}
-	}
-
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	s.ts.Record("queue.depth.queued", now, float64(s.q.len()))
-	s.ts.Record("queue.depth.running", now, float64(running))
-	s.ts.Record("jobs.started", now, float64(sp.delta("jobs.started", counters["serve.jobs.started"])))
-	s.ts.Record("jobs.finished", now, float64(sp.delta("jobs.finished", counters["serve.jobs.done"])))
-	s.ts.Record("jobs.failed", now, float64(sp.delta("jobs.failed", counters["serve.jobs.failed"])))
-	s.ts.Record("pnr.attempts", now, float64(sp.delta("pnr.attempts", counters["pnr.attempts"])))
-	s.ts.Record("pnr.degraded", now, float64(sp.delta("pnr.degraded", degraded)))
-	s.ts.Record("route.ripups", now, float64(sp.delta("route.ripups", counters["route.ripup.nets"])))
-
-	// Cache hit rate over the interval, from the memo tables; an idle
-	// interval records no point (a gap, not a fake 0 or 100%).
-	var hits, lookups int64
-	for _, ms := range s.h.MemoStats() {
-		hits += ms.Hits
-		lookups += ms.Lookups()
-	}
-	dh, dl := sp.delta("cache.hits", hits), sp.delta("cache.lookups", lookups)
-	if dl > 0 {
-		s.ts.Record("cache.hit_rate", now, float64(dh)/float64(dl))
-	}
 }
 
 // clientLabel sanitizes a client identity for embedding as a label

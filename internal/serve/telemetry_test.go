@@ -127,7 +127,7 @@ func jobStates(evs []Event, id string) []State {
 // transitions in order — queued, running, done — with monotonically
 // increasing sequence numbers. Run under -race via `make servecheck`.
 func TestEventStreamJobLifecycle(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, Obs: telemetryObs(), SampleInterval: -1})
+	srv, ts := newTestServer(t, Config{Workers: 1, Obs: telemetryObs()})
 	c := openSSE(t, ts.URL+"/api/v1/events")
 	defer c.close()
 	srv.Start()
@@ -170,7 +170,7 @@ func TestEventStreamJobLifecycle(t *testing.T) {
 // TestEventStreamSweepProgress: a sweep job's cell completions stream
 // as typed sweep events, done reaches total, and the type filter works.
 func TestEventStreamSweepProgress(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, Obs: telemetryObs(), SampleInterval: -1})
+	srv, ts := newTestServer(t, Config{Workers: 1, Obs: telemetryObs()})
 	c := openSSE(t, ts.URL+"/api/v1/events?types=sweep")
 	defer c.close()
 	srv.Start()
@@ -242,7 +242,7 @@ func TestJournalReplayTerminalEventsExactlyOnce(t *testing.T) {
 
 	// Incarnation A: accept but never run (workers not started); Close
 	// journals the job as pending.
-	srvA, tsA := newTestServer(t, Config{Workers: 1, JournalPath: jp, Obs: telemetryObs(), SampleInterval: -1})
+	srvA, tsA := newTestServer(t, Config{Workers: 1, JournalPath: jp, Obs: telemetryObs()})
 	j := decodeJob(t, submitJob(t, tsA, "alice", KindAnalyze, Params{App: "gaussian"}))
 	tsA.Close()
 	srvA.Close()
@@ -250,7 +250,7 @@ func TestJournalReplayTerminalEventsExactlyOnce(t *testing.T) {
 	// Incarnation B resumes the pending job; a subscriber attached before
 	// Start sees running+done exactly once (the queued transition happened
 	// in a prior life).
-	srvB, tsB := newTestServer(t, Config{Workers: 1, JournalPath: jp, Obs: telemetryObs(), SampleInterval: -1})
+	srvB, tsB := newTestServer(t, Config{Workers: 1, JournalPath: jp, Obs: telemetryObs()})
 	cB := openSSE(t, tsB.URL+"/api/v1/events")
 	srvB.Start()
 	waitTerminal(t, srvB, j.ID, 30*time.Second)
@@ -272,7 +272,7 @@ func TestJournalReplayTerminalEventsExactlyOnce(t *testing.T) {
 	srvB.Close()
 
 	// Incarnation C loads the job already terminal: no events for it.
-	srvC, tsC := newTestServer(t, Config{Workers: 1, JournalPath: jp, Obs: telemetryObs(), SampleInterval: -1})
+	srvC, tsC := newTestServer(t, Config{Workers: 1, JournalPath: jp, Obs: telemetryObs()})
 	cC := openSSE(t, tsC.URL+"/api/v1/events")
 	defer cC.close()
 	srvC.Start()
@@ -295,7 +295,7 @@ func TestResumedTraceByteIdentical(t *testing.T) {
 	j1 := filepath.Join(dir, "j1.json")
 	j2 := filepath.Join(dir, "j2.json")
 
-	srvA, tsA := newTestServer(t, Config{Workers: 1, JournalPath: j1, Obs: telemetryObs(), SampleInterval: -1})
+	srvA, tsA := newTestServer(t, Config{Workers: 1, JournalPath: j1, Obs: telemetryObs()})
 	j := decodeJob(t, submitJob(t, tsA, "alice", KindEvaluate, Params{App: "gaussian", K: 1}))
 
 	// Snapshot the journal while the job is still pending, then let A run
@@ -311,7 +311,7 @@ func TestResumedTraceByteIdentical(t *testing.T) {
 	waitTerminal(t, srvA, j.ID, 60*time.Second)
 	treeA := getTrace(t, tsA, j.ID, "")
 
-	srvB, tsB := newTestServer(t, Config{Workers: 1, JournalPath: j2, Obs: telemetryObs(), SampleInterval: -1})
+	srvB, tsB := newTestServer(t, Config{Workers: 1, JournalPath: j2, Obs: telemetryObs()})
 	srvB.Start()
 	waitTerminal(t, srvB, j.ID, 60*time.Second)
 	treeB := getTrace(t, tsB, j.ID, "")
@@ -348,7 +348,7 @@ func getTrace(t *testing.T, ts *httptest.Server, id, format string) string {
 // TestTraceEndpointFormats: tree/chrome/json formats, the metrics delta
 // scope, and the error paths.
 func TestTraceEndpointFormats(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, Obs: telemetryObs(), SampleInterval: -1})
+	srv, ts := newTestServer(t, Config{Workers: 1, Obs: telemetryObs()})
 	srv.Start()
 	j := decodeJob(t, submitJob(t, ts, "alice", KindEvaluate, Params{App: "gaussian", K: 0}))
 	waitTerminal(t, srv, j.ID, 60*time.Second)
@@ -439,7 +439,7 @@ func TestTraceRingEviction(t *testing.T) {
 // the daemon counters, per-client depth gauges, and process metrics.
 func TestMetricsEndpoint(t *testing.T) {
 	o := telemetryObs()
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, Obs: o, SampleInterval: -1})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2, Obs: o})
 	for i := 0; i < 2; i++ {
 		resp := submitJob(t, ts, "alice", KindAnalyze, Params{App: "gaussian"})
 		resp.Body.Close()
@@ -475,69 +475,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestTimeseriesEndpoint: the sampler's series are queryable with
-// windows; the bare endpoint lists names and the catalog.
-func TestTimeseriesEndpoint(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, Obs: telemetryObs(), SampleInterval: -1})
-	srv.Start()
-	j := decodeJob(t, submitJob(t, ts, "alice", KindAnalyze, Params{App: "gaussian"}))
-	waitTerminal(t, srv, j.ID, 30*time.Second)
-	srv.smp.sampleOnce(time.Now())
-
-	var list struct {
-		Series  []string `json:"series"`
-		Catalog []string `json:"catalog"`
-	}
-	resp, err := http.Get(ts.URL + "/api/v1/timeseries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(list.Series) == 0 || len(list.Catalog) == 0 {
-		t.Fatalf("series list = %+v", list)
-	}
-
-	var out struct {
-		Windows []obs.SeriesWindow `json:"windows"`
-	}
-	resp, err = http.Get(ts.URL + "/api/v1/timeseries?series=jobs.finished,queue.depth.queued&window=10s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(out.Windows) != 2 {
-		t.Fatalf("got %d windows, want 2", len(out.Windows))
-	}
-	var finished float64
-	for _, p := range out.Windows[0].Points {
-		if p.V != nil {
-			finished += *p.V
-		}
-	}
-	if finished != 1 {
-		t.Errorf("jobs.finished over the window = %v, want 1", finished)
-	}
-
-	resp, err = http.Get(ts.URL + "/api/v1/timeseries?series=x&window=bogus")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad window = %d, want 400", resp.StatusCode)
-	}
-}
-
 // TestStatsIncludesTelemetry: /api/v1/stats carries the event-bus and
-// trace-ring counters, and histogram snapshots now include quantiles.
+// trace-ring counters.
 func TestStatsIncludesTelemetry(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, Obs: telemetryObs(), SampleInterval: -1})
+	srv, ts := newTestServer(t, Config{Workers: 1, Obs: telemetryObs()})
 	srv.Start()
 	j := decodeJob(t, submitJob(t, ts, "alice", KindAnalyze, Params{App: "gaussian"}))
 	waitTerminal(t, srv, j.ID, 30*time.Second)
@@ -586,7 +527,7 @@ func TestJobTraceCaptureAllocs(t *testing.T) {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
 	o := telemetryObs()
-	srv, err := New(Config{Workers: 1, Obs: o, SampleInterval: -1})
+	srv, err := New(Config{Workers: 1, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
