@@ -31,7 +31,8 @@ bench:
 # `make check`: the miner >=4x faster than the frozen reference miner
 # on camera (internal/mining), the fast suite >=5x faster over a warm
 # store than cold (internal/eval), and a triaged PnR sweep >=3x faster
-# than the full oracle at <=2% hypervolume regret (internal/sweep).
+# than the full oracle at <=2% hypervolume regret (internal/sweep; each
+# side the median of five alternating runs).
 gates:
 	$(GO) test -tags gates -run Gate -count=1 ./internal/mining ./internal/eval ./internal/sweep
 
@@ -41,7 +42,9 @@ gates:
 # detected and recomputed (a stored variant whose rule tail is cut short
 # among them, at load: TestPersistCorruptEntriesRecomputed), a warm
 # suite is byte-identical to cold and builds only the one rule set its
-# tables read (TestPersistWarmPassDecodesOnlyReadRules), a
+# tables read (TestPersistWarmPassDecodesOnlyReadRules), a stored
+# selection that fails its envelope or does not decode is recomputed
+# and overwritten (TestPersistCorruptSelectionsRecomputed), a
 # checkpointed sweep resumes without recomputing finished cells, and a
 # sweep's cells share designs and layouts (TestSweepSharesLayouts) while
 # its report keeps its pinned bytes at any worker count
@@ -124,7 +127,9 @@ fuzz:
 # daemon journal (DESIGN.md §13): steady-state saves from one handle
 # never re-parse the file, one foreign write costs exactly one re-parse,
 # and the cached writer's files are byte-identical to the whole-file
-# read-merge-rewrite it replaced.
+# read-merge-rewrite it replaced. A warm suite pass reads Fig. 10's pick
+# codes from their stored selections: it loads no analysis and runs no
+# selection round (TestPersistWarmPassReadsNoAnalysis).
 perfcheck:
 	$(GO) test ./internal/cgra -run 'TestAnnealAllocs|TestRouteAllocs' -count=1 -v
 	$(GO) test ./internal/eval/ -run 'TestPlaceQualityNoWorse|TestPlacementDigestPinned|TestFullPnRObsDeterminism|TestLayoutMemo|TestDesignMemo' -count=1
@@ -137,6 +142,7 @@ perfcheck:
 	$(GO) test ./internal/core/ -run 'TestSelectPatternsMatchesLegacy|TestSelectPatternsPrefix|TestMapBalanceAllocs' -count=1 -v
 	$(GO) test ./internal/mis/ -run 'TestAnalyzeMatchesReference|TestAnalyzeAllocs' -count=1 -v
 	$(GO) test -race ./internal/core/ -run TestGenerateTopPEMatchesGeneratePE -count=1
+	$(GO) test ./internal/eval/ -run TestPersistWarmPassReadsNoAnalysis -count=1
 	$(GO) test ./internal/serve/ -run 'TestEventPublishInactiveAllocs|TestJobTraceCaptureAllocs|TestJournalReparses|TestJournalMatchesReference' -count=1
 
 # Regenerate the golden tables after an intentional change to the

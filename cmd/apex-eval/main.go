@@ -226,9 +226,9 @@ func run(ctx context.Context) (int, error) {
 			o.Tracer.WriteStageSummary(os.Stderr)
 		}
 		fmt.Fprintln(os.Stderr, "memo caches:")
-		for _, name := range []string{"analyses", "variants", "results", "designs", "layouts", "generated"} {
+		for _, name := range []string{"analyses", "selections", "variants", "results", "designs", "layouts", "generated"} {
 			s := h.Report.MemoStats()[name]
-			fmt.Fprintf(os.Stderr, "  %-9s %d lookups: %d hits, %d coalesced, %d misses, %d panics\n",
+			fmt.Fprintf(os.Stderr, "  %-10s %d lookups: %d hits, %d coalesced, %d misses, %d panics\n",
 				name, s.Lookups(), s.Hits, s.Coalesced, s.Misses, s.Panics)
 		}
 		if st := h.Store(); st != nil {

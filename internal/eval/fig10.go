@@ -45,11 +45,7 @@ func (h *Harness) Fig10(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var codes []string
-		for _, r := range core.SelectPatterns(h.Analysis(camera), k-1) {
-			codes = append(codes, r.Pattern.Code)
-		}
-		addVariant(fmt.Sprintf("camera PE %d", k), v, codes)
+		addVariant(fmt.Sprintf("camera PE %d", k), v, h.PickCodes(camera, k-1))
 	}
 	// PE Spec for the remaining image applications.
 	for _, a := range []*apps.App{apps.Harris(), apps.Gaussian(), apps.Unsharp()} {
@@ -57,11 +53,7 @@ func (h *Harness) Fig10(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var codes []string
-		for _, r := range core.SelectPatterns(h.Analysis(a), 3) {
-			codes = append(codes, r.Pattern.Code)
-		}
-		addVariant("PE Spec "+a.Name, v, codes)
+		addVariant("PE Spec "+a.Name, v, h.PickCodes(a, 3))
 	}
 	// Domain PEs.
 	ip, err := h.PEIP()
@@ -70,8 +62,8 @@ func (h *Harness) Fig10(ctx context.Context) (*Table, error) {
 	}
 	var ipCodes []string
 	for _, a := range apps.AnalyzedIP() {
-		for _, r := range core.SelectPatterns(h.Analysis(a), 1) {
-			ipCodes = append(ipCodes, a.Name+": "+r.Pattern.Code)
+		for _, code := range h.PickCodes(a, 1) {
+			ipCodes = append(ipCodes, a.Name+": "+code)
 		}
 	}
 	addVariant("PE IP", ip, ipCodes)
@@ -82,8 +74,8 @@ func (h *Harness) Fig10(ctx context.Context) (*Table, error) {
 	}
 	var mlCodes []string
 	for _, a := range apps.AnalyzedML() {
-		for _, r := range core.SelectPatterns(h.Analysis(a), 2) {
-			mlCodes = append(mlCodes, a.Name+": "+r.Pattern.Code)
+		for _, code := range h.PickCodes(a, 2) {
+			mlCodes = append(mlCodes, a.Name+": "+code)
 		}
 	}
 	addVariant("PE ML", ml, mlCodes)

@@ -29,10 +29,10 @@ import (
 	"repro/internal/store"
 )
 
-// Harness caches analyses, PE variants and the merges and rules they are
-// generated from, evaluation results, mapped and balanced designs, and
-// place-and-route layouts across experiments, so the full suite runs
-// each expensive step once. All methods are safe for concurrent use:
+// Harness caches analyses, their pattern selections, PE variants and
+// the merges and rules they are generated from, evaluation results,
+// mapped and balanced designs, and place-and-route layouts across
+// experiments, so the full suite runs each expensive step once. All methods are safe for concurrent use:
 // the caches are singleflight memo tables (duplicate keys compute
 // exactly once even under contention), and the figure drivers fan their
 // independent (app, variant, pnr, pipelined) cells out over a bounded
@@ -74,8 +74,11 @@ type Harness struct {
 	obs *obs.Obs
 
 	analyses memo.Table[*core.Analysis]
-	variants memo.Table[*core.PEVariant]
-	results  memo.Table[*core.Result]
+	// selections holds the canonical codes of each (app, k) pattern
+	// selection a table prints (PickCodes).
+	selections memo.Table[[]string]
+	variants   memo.Table[*core.PEVariant]
+	results    memo.Table[*core.Result]
 	// designs shares each (app, variant) mapping and each (app, variant,
 	// PE latency) balance between the cells that need it, and layouts
 	// shares place-and-route between cells whose balanced designs are the
@@ -113,6 +116,7 @@ func (h *Harness) SetObs(o *obs.Obs) {
 		reg = o.Metrics
 	}
 	h.analyses.Instrument("analyses", reg)
+	h.selections.Instrument("selections", reg)
 	h.variants.Instrument("variants", reg)
 	h.results.Instrument("results", reg)
 	h.designs.Instrument("designs", reg)
@@ -120,16 +124,17 @@ func (h *Harness) SetObs(o *obs.Obs) {
 	h.generated.Instrument("generated", reg)
 }
 
-// ResetMemos drops every in-memory memoized analysis, variant, result,
-// design, layout, and generated datapath, PE and rule. A long-running
-// process (the apexd daemon) calls it periodically so the in-process
-// tables cannot grow without bound; with a persistent store attached the
-// next lookups reload from disk, so the cost is deserialization, not
-// recomputation. Safe to call concurrently
+// ResetMemos drops every in-memory memoized analysis, selection,
+// variant, result, design, layout, and generated datapath, PE and rule.
+// A long-running process (the apexd daemon) calls it periodically so
+// the in-process tables cannot grow without bound; with a persistent
+// store attached the next lookups reload from disk, so the cost is
+// deserialization, not recomputation. Safe to call concurrently
 // with evaluations: in-flight builds complete against their detached
 // entries and their callers observe them normally.
 func (h *Harness) ResetMemos() {
 	h.analyses.Reset()
+	h.selections.Reset()
 	h.variants.Reset()
 	h.results.Reset()
 	h.designs.Reset()
@@ -157,12 +162,13 @@ func (h *Harness) ForgetResult(appName, variantName string, pnr, pipelined bool)
 // tables, keyed by table name.
 func (h *Harness) MemoStats() map[string]memo.Stats {
 	return map[string]memo.Stats{
-		"analyses":  h.analyses.Stats(),
-		"variants":  h.variants.Stats(),
-		"results":   h.results.Stats(),
-		"designs":   h.designs.Stats(),
-		"layouts":   h.layouts.Stats(),
-		"generated": h.generated.Stats(),
+		"analyses":   h.analyses.Stats(),
+		"selections": h.selections.Stats(),
+		"variants":   h.variants.Stats(),
+		"results":    h.results.Stats(),
+		"designs":    h.designs.Stats(),
+		"layouts":    h.layouts.Stats(),
+		"generated":  h.generated.Stats(),
 	}
 }
 
@@ -206,6 +212,32 @@ func (h *Harness) AnalysisFor(fw *core.Framework, app *apps.App) *core.Analysis 
 		return a, err
 	})
 	return a
+}
+
+// PickCodes returns the canonical codes of the first k patterns
+// core.SelectPatterns picks from app's analysis under the harness's
+// framework, in pick order, memoized per (app, k); callers must not
+// modify the slice. With a store attached the codes are stored under
+// store.SelectionKey, so a warm pass reads them back without loading
+// the analysis or running a selection round.
+func (h *Harness) PickCodes(app *apps.App, k int) []string {
+	key := fmt.Sprintf("%s|%d", app.Name, k)
+	codes, _ := h.selections.Do(context.Background(), key, func() ([]string, error) {
+		if h.useStore() {
+			if codes, ok := h.loadSelection(h.FW, app, k); ok {
+				return codes, nil
+			}
+		}
+		var codes []string
+		for _, r := range core.SelectPatterns(h.Analysis(app), k) {
+			codes = append(codes, r.Pattern.Code)
+		}
+		if h.useStore() {
+			h.saveSelection(h.FW, app, k, codes)
+		}
+		return codes, nil
+	})
+	return codes
 }
 
 // Variant builds (or returns cached) a named PE variant under the

@@ -12,9 +12,9 @@ import (
 // back. The layering preserves every memo guarantee (exactly-once per
 // key per process, panic containment, cancellation semantics) and adds
 // cross-process, cross-run reuse: a warm apex-eval run deserializes
-// analyses, variants, and results instead of mining, merging, and
-// placing-and-routing them — byte-identical tables, an order of
-// magnitude faster.
+// pattern selections, variants, and results instead of mining,
+// selecting, merging, and placing-and-routing them — byte-identical
+// tables, an order of magnitude faster.
 //
 // The store is bypassed entirely when a fault-injection plan is
 // installed: injected failures and sabotaged cells must never poison
@@ -68,6 +68,33 @@ func (h *Harness) saveAnalysis(fw *core.Framework, app *apps.App, a *core.Analys
 	key := store.AnalysisKey(store.AppHash(app), fw)
 	h.store.Put(store.KindAnalysis, key, store.EncodeAnalysis(a))
 	h.cacheCount("cache.analysis.put")
+}
+
+// loadSelection consults the store for the pick codes of the first k
+// patterns selected from app's analysis.
+func (h *Harness) loadSelection(fw *core.Framework, app *apps.App, k int) ([]string, bool) {
+	payload, ok := h.store.Get(store.KindSelection, selectionKey(fw, app, k))
+	if !ok {
+		h.cacheCount("cache.selection.miss")
+		return nil, false
+	}
+	codes, err := store.DecodeSelection(payload)
+	if err != nil {
+		h.cacheCount("cache.selection.corrupt")
+		h.logger().Warn("cached selection undecodable, recomputing", "app", app.Name, "k", k, "err", err.Error())
+		return nil, false
+	}
+	h.cacheCount("cache.selection.hit")
+	return codes, true
+}
+
+func (h *Harness) saveSelection(fw *core.Framework, app *apps.App, k int, codes []string) {
+	h.store.Put(store.KindSelection, selectionKey(fw, app, k), store.EncodeSelection(codes))
+	h.cacheCount("cache.selection.put")
+}
+
+func selectionKey(fw *core.Framework, app *apps.App, k int) store.Key {
+	return store.SelectionKey(store.AnalysisKey(store.AppHash(app), fw), k)
 }
 
 // loadVariant consults the store for a generated PE variant. The

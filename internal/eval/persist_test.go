@@ -2,12 +2,14 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -183,5 +185,124 @@ func TestPersistBypassedUnderFaultInjection(t *testing.T) {
 	}
 	if _, entries := h.Store().DiskBytes(); entries != 0 {
 		t.Fatalf("store has %d entries after a faults-armed run", entries)
+	}
+}
+
+// selection names one (app, k) pattern selection.
+type selection struct {
+	app *apps.App
+	k   int
+}
+
+// fig10Selections lists the distinct selections Fig. 10 prints:
+// camera's ladder (k = 0..3), each other image app's PE Spec (k = 3),
+// PE IP (k = 1 per IP app, camera's already in the ladder) and PE ML
+// (k = 2 per ML app).
+func fig10Selections() []selection {
+	var out []selection
+	seen := map[selection]bool{}
+	add := func(a *apps.App, k int) {
+		if s := (selection{a, k}); !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	for k := 0; k <= 3; k++ {
+		add(apps.Camera(), k)
+	}
+	for _, a := range []*apps.App{apps.Harris(), apps.Gaussian(), apps.Unsharp()} {
+		add(a, 3)
+	}
+	for _, a := range apps.AnalyzedIP() {
+		add(a, 1)
+	}
+	for _, a := range apps.AnalyzedML() {
+		add(a, 2)
+	}
+	return out
+}
+
+// TestPersistWarmPassReadsNoAnalysis: Fig. 10 prints the pick codes of
+// its selections, which a warm pass reads from their own store entries,
+// so it loads no analysis (no analyses memo lookup at all, hence no
+// SelectPatterns round either), misses nothing in the store, and hits
+// each distinct (app, k) selection once.
+func TestPersistWarmPassReadsNoAnalysis(t *testing.T) {
+	dir := t.TempDir()
+	cold := suiteMarkdown(t, storedHarness(t, dir))
+	warm := storedHarness(t, dir)
+	reg := obs.NewRegistry()
+	warm.SetObs(&obs.Obs{Metrics: reg})
+	if got := suiteMarkdown(t, warm); got != cold {
+		t.Fatal("warm pass differs from the cold pass")
+	}
+	if got := reg.Counter("cache.analysis.hit").Value(); got != 0 {
+		t.Errorf("warm pass decoded %d analyses; want 0", got)
+	}
+	if got := warm.MemoStats()["analyses"].Lookups(); got != 0 {
+		t.Errorf("warm pass looked up %d analyses; want 0", got)
+	}
+	if s := warm.Store().Stats(); s.Misses != 0 || s.Puts != 0 {
+		t.Errorf("warm pass missed or wrote the store: %+v", s)
+	}
+	want := int64(len(fig10Selections()))
+	if got := reg.Counter("cache.selection.hit").Value(); got != want {
+		t.Errorf("warm pass hit %d stored selections; want one per distinct (app, k), %d", got, want)
+	}
+	if got := warm.MemoStats()["selections"].Misses; got != want {
+		t.Errorf("selections memo missed %d times; want %d", got, want)
+	}
+}
+
+// TestPersistCorruptSelectionsRecomputed: a selection entry that fails
+// its envelope checks, or whose sound envelope holds an undecodable
+// payload, is recomputed from the (stored) analysis and overwritten,
+// with the tables unchanged; the next pass hits every selection again.
+func TestPersistCorruptSelectionsRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	plain := suiteMarkdown(t, storedHarness(t, dir))
+	sels := fig10Selections()
+	n := int64(len(sels))
+	for _, mode := range []string{"envelope", "payload"} {
+		h := storedHarness(t, dir)
+		if mode == "envelope" {
+			sdir := filepath.Join(dir, fmt.Sprintf("v%d", store.SchemaVersion), string(store.KindSelection))
+			if got := corruptEvery(t, sdir); got != int(n) {
+				t.Fatalf("%d selection entries on disk; want %d", got, n)
+			}
+		} else {
+			for _, s := range sels {
+				key := store.SelectionKey(store.AnalysisKey(store.AppHash(s.app), h.FW), s.k)
+				h.Store().Put(store.KindSelection, key, []byte{0xff}) // a count cut short
+			}
+		}
+		reg := obs.NewRegistry()
+		h.SetObs(&obs.Obs{Metrics: reg})
+		if got := suiteMarkdown(t, h); got != plain {
+			t.Fatalf("%s: run over corrupt selections differs from the cold run", mode)
+		}
+		corrupt := reg.Counter("cache.selection.corrupt").Value()
+		if mode == "envelope" {
+			corrupt = h.Store().Stats().Corrupt
+		}
+		if corrupt != n {
+			t.Errorf("%s: %d corrupt selections counted; want %d", mode, corrupt, n)
+		}
+		if got := reg.Counter("cache.selection.put").Value(); got != n {
+			t.Errorf("%s: %d selections rewritten; want %d", mode, got, n)
+		}
+		if got := reg.Counter("cache.selection.hit").Value(); got != 0 {
+			t.Errorf("%s: %d corrupt selections served as hits", mode, got)
+		}
+
+		healed := storedHarness(t, dir)
+		reg = obs.NewRegistry()
+		healed.SetObs(&obs.Obs{Metrics: reg})
+		if got := suiteMarkdown(t, healed); got != plain {
+			t.Fatalf("%s: run after recovery differs from the cold run", mode)
+		}
+		if got := reg.Counter("cache.selection.hit").Value(); got != n {
+			t.Errorf("%s: %d selections hit after recovery; want %d", mode, got, n)
+		}
 	}
 }

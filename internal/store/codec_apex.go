@@ -17,7 +17,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Typed codecs for the three cached value kinds. The encodings are
+// Typed codecs for the four cached pipeline value kinds. The encodings are
 // deterministic (maps in sorted key order) and exact where exactness
 // matters downstream:
 //
@@ -41,6 +41,9 @@ import (
 //     are deliberately not stored: no table reads them, and consumers
 //     that need a mapping (the FIFO-cutoff ablation) recompute it from
 //     the variant's rules in microseconds.
+//   - Selection stores the canonical codes of a selection's picks, the
+//     one part of a selection a table reads (Fig. 10), so a warm pass
+//     neither decodes the analysis nor re-runs the greedy set cover.
 
 // --- ir.Graph ---------------------------------------------------------
 
@@ -135,6 +138,32 @@ func DecodeAnalysis(data []byte) (*core.Analysis, error) {
 		return nil, fmt.Errorf("store: decode analysis: %w", err)
 	}
 	return a, nil
+}
+
+// --- pattern selection -----------------------------------------------
+
+// EncodeSelection serializes the canonical codes of a selection's
+// picks, in pick order.
+func EncodeSelection(codes []string) []byte {
+	e := &wire.Enc{}
+	e.Uvarint(uint64(len(codes)))
+	for _, c := range codes {
+		e.Str(c)
+	}
+	return e.Buf
+}
+
+// DecodeSelection is the inverse of EncodeSelection.
+func DecodeSelection(data []byte) ([]string, error) {
+	d := wire.NewDec(data)
+	codes := make([]string, d.Count())
+	for i := range codes {
+		codes[i] = d.Str()
+	}
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("store: decode selection: %w", err)
+	}
+	return codes, nil
 }
 
 // --- core.PEVariant ---------------------------------------------------

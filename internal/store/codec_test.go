@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -36,6 +37,35 @@ func pipelineFixtures(t testing.TB) (*core.Framework, *apps.App, *core.Analysis,
 		t.Fatal(err)
 	}
 	return fw, app, a, v, r
+}
+
+// pickCodes is the canonical codes of SelectPatterns(a, k), in pick
+// order: what the selection kind stores.
+func pickCodes(a *core.Analysis, k int) []string {
+	var codes []string
+	for _, r := range core.SelectPatterns(a, k) {
+		codes = append(codes, r.Pattern.Code)
+	}
+	return codes
+}
+
+func TestSelectionRoundTrip(t *testing.T) {
+	_, _, a, _, _ := pipelineFixtures(t)
+	for k := 0; k <= 4; k++ {
+		codes := pickCodes(a, k)
+		dec, err := DecodeSelection(EncodeSelection(codes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(dec, codes) {
+			t.Fatalf("k=%d: selection %q decoded as %q", k, codes, dec)
+		}
+	}
+	for _, bad := range [][]byte{{}, {2, 1, 'a'}, {1, 5, 'a'}, {0, 0}} {
+		if _, err := DecodeSelection(bad); err == nil {
+			t.Errorf("undecodable selection %q decoded without error", bad)
+		}
+	}
 }
 
 func TestAnalysisRoundTrip(t *testing.T) {

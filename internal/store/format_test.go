@@ -60,18 +60,20 @@ func formatDigests(t *testing.T) map[string]string {
 	t.Helper()
 	fw, app, a, v, r := pipelineFixtures(t)
 	enc := map[string][]byte{
-		"analysis":   EncodeAnalysis(a),
-		"variant":    EncodeVariant(v),
-		"result":     EncodeResult(r),
-		"model":      pinnedModel().Encode(),
-		"sample":     pinnedSample().Encode(),
-		"graph":      a.View.AppendBinary(nil),
-		"embeddings": a.Ranked[0].Pattern.Embeddings.AppendBinary(nil),
-		"pattern":    a.Ranked[0].Pattern.Graph.AppendBinary(nil),
-		"app_key":    []byte(AppHash(app)),
-		"result_key": []byte(ResultKey(AppHash(app), VariantKey(v.Name, RegistryHash(), fw), fw, true, true)),
-		"key":        []byte(NewHasher("pin").Str("harris").Int(-3).Int64(1<<40).Ints(1, 2).Bool(true).Bytes([]byte{0, 255}).Key()),
-		"envelope":   sealEnvelope("k", []byte("payload")),
+		"analysis":      EncodeAnalysis(a),
+		"selection":     EncodeSelection(pickCodes(a, 2)),
+		"variant":       EncodeVariant(v),
+		"result":        EncodeResult(r),
+		"model":         pinnedModel().Encode(),
+		"sample":        pinnedSample().Encode(),
+		"graph":         a.View.AppendBinary(nil),
+		"embeddings":    a.Ranked[0].Pattern.Embeddings.AppendBinary(nil),
+		"pattern":       a.Ranked[0].Pattern.Graph.AppendBinary(nil),
+		"app_key":       []byte(AppHash(app)),
+		"selection_key": []byte(SelectionKey(AnalysisKey(AppHash(app), fw), 2)),
+		"result_key":    []byte(ResultKey(AppHash(app), VariantKey(v.Name, RegistryHash(), fw), fw, true, true)),
+		"key":           []byte(NewHasher("pin").Str("harris").Int(-3).Int64(1<<40).Ints(1, 2).Bool(true).Bytes([]byte{0, 255}).Key()),
+		"envelope":      sealEnvelope("k", []byte("payload")),
 	}
 	out := map[string]string{}
 	for name, b := range enc {

@@ -27,6 +27,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(EncodeAnalysis(&core.Analysis{View: a.View, Ranked: a.Ranked[:2]}))
 	f.Add(EncodeVariant(v))
 	f.Add(EncodeResult(r))
+	f.Add(EncodeSelection(pickCodes(a, 2)))
 	f.Add(trainedModel(f).Encode())
 	f.Add(pinnedSample().Encode())
 	f.Add(embeddingsAnalysis(1<<32, 1<<32))
@@ -41,6 +42,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("the lazily built rule set differs from DecodeVariant's")
 		}
 		DecodeResult(data)
+		DecodeSelection(data)
 		costmodel.DecodeModel(data)
 		costmodel.DecodeSample(data)
 	})

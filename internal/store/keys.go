@@ -14,6 +14,8 @@ import (
 // cone of its value:
 //
 //	analysis  <- app graph encoding + mining options (support, size cap)
+//	selection <- the analysis key + k (the picks are a deterministic
+//	             function of the analysis)
 //	variant   <- variant name + the analyzed-app registry (variants are
 //	             deterministic functions of analyses, which are functions
 //	             of app graphs) + front-end options
@@ -22,7 +24,9 @@ import (
 //	             revision for place-and-route cells)
 //
 // plus SchemaVersion (folded in by NewHasher), which stands in for the
-// algorithm revision of the pipeline itself. The registry hash is
+// algorithm revision of the pipeline itself: a change to mining,
+// core.SelectPatterns, merging or the backend that may alter a stored
+// selection, variant or result needs a SchemaVersion bump. The registry hash is
 // deliberately conservative: a change to any application graph
 // invalidates every variant and result, trading a cold rebuild for the
 // guarantee that a composition change (domain PEs mix subgraphs from
@@ -86,6 +90,15 @@ func AnalysisKey(appHash Key, fw *core.Framework) Key {
 	h.Str(string(appHash))
 	h.Int(fw.MaxPatternNodes)
 	h.Int(fw.MinSupport)
+	return h.Key()
+}
+
+// SelectionKey keys the first k picks of core.SelectPatterns over the
+// analysis stored under analysisKey.
+func SelectionKey(analysisKey Key, k int) Key {
+	h := NewHasher("selection")
+	h.Str(string(analysisKey))
+	h.Int(k)
 	return h.Key()
 }
 

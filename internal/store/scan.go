@@ -81,7 +81,7 @@ type KindStat struct {
 
 // Kinds lists every kind the store may hold, in report order.
 func Kinds() []Kind {
-	return []Kind{KindAnalysis, KindVariant, KindResult, KindSample, KindModel, KindSweep}
+	return []Kind{KindAnalysis, KindSelection, KindVariant, KindResult, KindSample, KindModel, KindSweep}
 }
 
 // KindCounts walks the current schema generation and returns per-kind

@@ -161,4 +161,10 @@ func TestSampleAndModelKeysAreSensitive(t *testing.T) {
 	if ModelKey(fp, 1, "a") == ModelKey(fp, 2, "a") {
 		t.Fatal("ModelKey ignores the feature schema")
 	}
+	if SelectionKey(rk, 1) == SelectionKey(rk, 2) {
+		t.Fatal("SelectionKey ignores k")
+	}
+	if SelectionKey(NewHasher("a").Key(), 1) == SelectionKey(NewHasher("b").Key(), 1) {
+		t.Fatal("SelectionKey ignores the analysis key")
+	}
 }

@@ -54,6 +54,9 @@ const (
 	KindAnalysis Kind = "analysis"
 	KindVariant  Kind = "variant"
 	KindResult   Kind = "result"
+	// KindSelection holds the canonical codes of an analysis's first k
+	// selected patterns (core.SelectPatterns), in pick order.
+	KindSelection Kind = "selection"
 	// KindSample holds learned-cost-model training samples: the feature
 	// vector and PnR-vs-postmap labels of one oracle-evaluated sweep cell.
 	KindSample Kind = "sample"
