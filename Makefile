@@ -96,10 +96,12 @@ fuzz:
 # The PnR performance gates (DESIGN.md §10): the annealer inner loop
 # must stay at zero allocations per move and the router within its
 # per-net allocation budget, so the hot-path rewrites can't silently
-# rot back to map-based state; the adaptive annealer must place and
-# route a full suite pass's distinct netlists no worse than the frozen
-# figures of the fixed-schedule annealer it replaced, at half its
-# moves (TestPlaceQualityNoWorse); every placement of a full suite pass
+# rot back to map-based state; the adaptive annealer must freeze before
+# its quench tail at any budget (TestAnnealFreezesWithinBudget) and
+# place and route a full suite pass's distinct netlists no worse than
+# the frozen figures of the fixed-schedule annealer it replaced, at a
+# quarter of its moves, and within 2% of revision 2's totals at half
+# of them (TestPlaceQualityNoWorse); every placement of a full suite pass
 # must match the pinned digest, and the harness's layout memo must place
 # each distinct netlist once, rebind shared layouts to each cell, drop
 # canceled builds, and keep the full-PnR span tree worker-invariant; every
@@ -131,7 +133,7 @@ fuzz:
 # codes from their stored selections: it loads no analysis and runs no
 # selection round (TestPersistWarmPassReadsNoAnalysis).
 perfcheck:
-	$(GO) test ./internal/cgra -run 'TestAnnealAllocs|TestRouteAllocs' -count=1 -v
+	$(GO) test ./internal/cgra -run 'TestAnnealAllocs|TestRouteAllocs|TestAnnealFreezesWithinBudget' -count=1 -v
 	$(GO) test ./internal/eval/ -run 'TestPlaceQualityNoWorse|TestPlacementDigestPinned|TestFullPnRObsDeterminism|TestLayoutMemo|TestDesignMemo' -count=1
 	$(GO) test -race ./internal/eval/ -run TestAppsSharedReadOnly -count=1
 	$(GO) test ./internal/core/ -run 'TestEvaluateCancellationOnLayoutHit|TestPnRDegradedLayoutShared' -count=1

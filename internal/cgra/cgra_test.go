@@ -18,16 +18,17 @@ func TestFabricGeometry(t *testing.T) {
 	if f.W != 32 || f.H != 16 {
 		t.Fatalf("default fabric %dx%d, want 32x16", f.W, f.H)
 	}
-	pes, mems := f.PETiles(), f.MemTiles()
-	if len(pes)+len(mems) != f.NumTiles() {
-		t.Errorf("tiles %d + %d != %d", len(pes), len(mems), f.NumTiles())
+	_, slots := freeSites(f)
+	pes, mems := slots[classPE], slots[classMem]
+	if pes+mems != f.NumTiles() || slots[classRF] != pes {
+		t.Errorf("tiles %d + %d != %d, or %d register-file slots", pes, mems, f.NumTiles(), slots[classRF])
 	}
 	// Every 4th column is memory: 8 columns x 16 rows.
-	if len(mems) != 8*16 {
-		t.Errorf("mem tiles = %d, want 128", len(mems))
+	if mems != 8*16 {
+		t.Errorf("mem tiles = %d, want 128", mems)
 	}
-	if len(f.IOSites()) != 2*(32+16) {
-		t.Errorf("IO sites = %d, want 96", len(f.IOSites()))
+	if slots[classIO] != 2*(32+16) {
+		t.Errorf("IO sites = %d, want 96", slots[classIO])
 	}
 	if f.KindAt(Coord{3, 0}) != TileMem || f.KindAt(Coord{0, 0}) != TilePE {
 		t.Error("mem column stride wrong")

@@ -98,46 +98,6 @@ func (f *Fabric) ValidCoord(c Coord) bool {
 	return onX != onY
 }
 
-// PETiles returns all PE-tile coordinates in row-major order.
-func (f *Fabric) PETiles() []Coord {
-	var cs []Coord
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			c := Coord{x, y}
-			if f.KindAt(c) == TilePE {
-				cs = append(cs, c)
-			}
-		}
-	}
-	return cs
-}
-
-// MemTiles returns all memory-tile coordinates in row-major order.
-func (f *Fabric) MemTiles() []Coord {
-	var cs []Coord
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
-			c := Coord{x, y}
-			if f.KindAt(c) == TileMem {
-				cs = append(cs, c)
-			}
-		}
-	}
-	return cs
-}
-
-// IOSites returns the ring I/O coordinates.
-func (f *Fabric) IOSites() []Coord {
-	var cs []Coord
-	for x := 0; x < f.W; x++ {
-		cs = append(cs, Coord{x, -1}, Coord{x, f.H})
-	}
-	for y := 0; y < f.H; y++ {
-		cs = append(cs, Coord{-1, y}, Coord{f.W, y})
-	}
-	return cs
-}
-
 // edgeDirs is the neighbor order shared by Neighbors and the dense edge
 // index below — the PnR hot paths rely on the two agreeing.
 var edgeDirs = [4]Coord{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}

@@ -248,8 +248,8 @@ func TestPortfolioCapacityError(t *testing.T) {
 }
 
 // BenchmarkPlaceCamera measures one full simulated-annealing placement
-// of the camera pipeline: the greedy seed plus an anneal of the
-// automatic budget, 100 moves per mapped node.
+// of the camera pipeline: the constructive seed plus an anneal of the
+// automatic budget, 50 moves per mapped node.
 func BenchmarkPlaceCamera(b *testing.B) {
 	bal := cameraBalanced(b)
 	fab := Default()

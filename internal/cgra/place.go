@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/fault"
@@ -47,9 +46,9 @@ type PlaceOptions struct {
 }
 
 // Place produces a legal placement minimizing estimated wirelength via
-// greedy seeding followed by simulated annealing. Designs that exceed the
-// fabric's tile budget fail with fault.ErrCapacity; cancellation of ctx
-// aborts the annealing loop with fault.ErrCanceled.
+// constructive seeding followed by simulated annealing. Designs that
+// exceed the fabric's tile budget fail with fault.ErrCapacity;
+// cancellation of ctx aborts the annealing loop with fault.ErrCanceled.
 func Place(ctx context.Context, m *rewrite.Mapped, f *Fabric, opt PlaceOptions) (*Placement, error) {
 	if opt.Seeds > 1 {
 		return placePortfolio(ctx, m, f, opt)
@@ -153,7 +152,8 @@ func classNodes(m *rewrite.Mapped) [numClasses][]int {
 	return classes
 }
 
-// placeOne is the single-seed place flow: greedy seed, then anneal.
+// placeOne is the single-seed place flow: constructive seed, then
+// anneal.
 func placeOne(ctx context.Context, m *rewrite.Mapped, f *Fabric, seed int64, moves int) (*Placement, error) {
 	if err := fault.Canceled(ctx); err != nil {
 		return nil, err
@@ -162,65 +162,147 @@ func placeOne(ctx context.Context, m *rewrite.Mapped, f *Fabric, seed int64, mov
 	p := &Placement{Fabric: f, Mapped: m, Loc: make([]Coord, len(m.Nodes))}
 
 	classes := classNodes(m)
-	peSlots := f.PETiles()
-	memSlots := f.MemTiles()
-	ioSlots := f.IOSites()
-	if n := len(classes[classPE]); n > len(peSlots) {
-		return nil, fault.Capacityf("cgra: %d PEs exceed %d PE tiles", n, len(peSlots))
-	}
-	if n := len(classes[classRF]); n > len(peSlots) {
-		return nil, fault.Capacityf("cgra: %d register files exceed %d PE tiles", n, len(peSlots))
-	}
-	if n := len(classes[classMem]); n > len(memSlots) {
-		return nil, fault.Capacityf("cgra: %d memories exceed %d memory tiles", n, len(memSlots))
-	}
-	if n := len(classes[classIO]); n > len(ioSlots) {
-		return nil, fault.Capacityf("cgra: %d IOs exceed %d IO sites", n, len(ioSlots))
-	}
-
-	// Greedy seed: BFS order of the mapped graph onto slot lists sorted
-	// by distance from the grid center, so connected nodes start close.
-	center := Coord{f.W / 2, f.H / 2}
-	sortByCenter := func(cs []Coord) []Coord {
-		out := append([]Coord(nil), cs...)
-		sort.Slice(out, func(i, j int) bool {
-			di, dj := manhattan(out[i], center), manhattan(out[j], center)
-			if di != dj {
-				return di < dj
-			}
-			if out[i].Y != out[j].Y {
-				return out[i].Y < out[j].Y
-			}
-			return out[i].X < out[j].X
-		})
-		return out
-	}
-	// Register files share the PE tiles' order; each class has its own
-	// cursor into its order.
-	peOrder := sortByCenter(peSlots)
-	order := [numClasses - 1][]Coord{peOrder, peOrder, sortByCenter(memSlots), sortByCenter(ioSlots)}
-	var next [numClasses - 1]int
-	for _, i := range m.TopoOrder() {
-		switch c := kindClass(m.Nodes[i].Kind); c {
-		case -1:
-		case classReg:
-			// Registers float: seed them at random grid tiles; annealing
-			// and routing pull them onto sensible tiles.
-			v := rng.next()
-			p.Loc[i] = Coord{int(below(uint32(v>>32), int32(f.W))), int(below(uint32(v), int32(f.H)))}
-		default:
-			p.Loc[i] = order[c][next[c]]
-			next[c]++
+	free, slots := freeSites(f)
+	for c, name := range [classReg][2]string{{"PEs", "PE tiles"}, {"register files", "PE tiles"}, {"memories", "memory tiles"}, {"IOs", "IO sites"}} {
+		if n := len(classes[c]); n > slots[c] {
+			return nil, fault.Capacityf("cgra: %d %s exceed %d %s", n, name[0], slots[c], name[1])
 		}
 	}
 
-	if err := p.anneal(ctx, &rng, moves, classes); err != nil {
+	p.seed(&rng, free)
+	if _, err := p.anneal(ctx, &rng, moves, classes); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// freeSites marks, per dense site index, the resource classes the site
+// can host: bit c is set on the grid tiles of class c's tile kind, on
+// the ring's I/O sites (corners excluded) for I/O, and on every grid
+// tile for interconnect registers. It also counts each exclusive
+// class's sites.
+func freeSites(f *Fabric) (free []uint8, slots [classReg]int) {
+	free = make([]uint8, f.numSites())
+	for y := -1; y <= f.H; y++ {
+		for x := -1; x <= f.W; x++ {
+			c := Coord{x, y}
+			var bits uint8
+			switch {
+			case !f.ValidCoord(c):
+				continue
+			case !f.InGrid(c):
+				bits = 1 << classIO
+			case f.KindAt(c) == TileMem:
+				bits = 1<<classMem | 1<<classReg
+			default:
+				bits = 1<<classPE | 1<<classRF | 1<<classReg
+			}
+			free[f.siteIndex(c)] = bits
+			for cl := range slots {
+				if bits&(1<<cl) != 0 {
+					slots[cl]++
+				}
+			}
+		}
+	}
+	return free, slots
+}
+
+// seed lays the design out constructively along its dataflow order
+// (TopoOrder), so the anneal starts from a placement whose nets are
+// already short: each node takes the free site of its class nearest the
+// centroid of its already-placed producers, and a node with no placed
+// producer (an input, or a node closing a cycle) takes the free site of
+// its class nearest the grid centre. The seed holds interconnect
+// registers to one per tile too, so a register chain spreads out rather
+// than stacking every net on one switch box; a register with no placed
+// producer starts on a random tile. free is freeSites' mask, and seed
+// clears the bits it takes.
+func (p *Placement) seed(rng *splitMix, free []uint8) {
+	f, m := p.Fabric, p.Mapped
+	center := Coord{f.W / 2, f.H / 2}
+	// Sites are only ever taken, so the distance from the centre to a
+	// class's nearest free site never shrinks: each class's search from
+	// the centre resumes at the last one's radius.
+	var centerD [numClasses]int
+	placed := make([]bool, len(m.Nodes))
+	var prods []int
+	for _, i := range m.TopoOrder() {
+		c := kindClass(m.Nodes[i].Kind)
+		if c < 0 {
+			continue
+		}
+		prods = m.Nodes[i].AppendProducers(prods[:0])
+		var sx, sy, k int
+		for _, pr := range prods {
+			if placed[pr] {
+				sx += p.Loc[pr].X
+				sy += p.Loc[pr].Y
+				k++
+			}
+		}
+		placed[i] = true
+		var at Coord
+		var ok bool
+		switch {
+		case k > 0:
+			centroid := Coord{roundDiv(sx, k), roundDiv(sy, k)}
+			if at, _, ok = nearestFree(f, free, c, centroid, 0); !ok {
+				// Only registers outnumber their sites: stack this one.
+				at = Coord{min(max(centroid.X, 0), f.W-1), min(max(centroid.Y, 0), f.H-1)}
+			}
+		case c == classReg:
+			v := rng.next()
+			at = Coord{int(below(uint32(v>>32), int32(f.W))), int(below(uint32(v), int32(f.H)))}
+		default:
+			at, centerD[c], _ = nearestFree(f, free, c, center, centerD[c])
+		}
+		free[f.siteIndex(at)] &^= 1 << c
+		p.Loc[i] = at
+	}
+}
+
+// roundDiv is a/b rounded to the nearest integer, halves up, for b > 0.
+func roundDiv(a, b int) int {
+	n, d := 2*a+b, 2*b
+	if n < 0 {
+		return -((-n + d - 1) / d) // floor of a negative quotient
+	}
+	return n / d
+}
+
+// nearestFree finds the site nearest c whose free bit for class cl is
+// set, searching Manhattan rings of growing radius from radius d0 out
+// to the far corner of the fabric; within one ring it walks rows north
+// to south, west before east. It returns the site, its ring's radius,
+// and false if no site is free.
+func nearestFree(f *Fabric, free []uint8, cl int, c Coord, d0 int) (Coord, int, bool) {
+	bit := uint8(1) << cl
+	try := func(x, y int) bool {
+		return x >= -1 && x <= f.W && y >= -1 && y <= f.H && free[f.siteIndex(Coord{x, y})]&bit != 0
+	}
+	for d := d0; d <= f.W+f.H+2; d++ {
+		for dy := -d; dy <= d; dy++ {
+			dx := d - abs(dy)
+			if try(c.X-dx, c.Y+dy) {
+				return Coord{c.X - dx, c.Y + dy}, d, true
+			}
+			if dx != 0 && try(c.X+dx, c.Y+dy) {
+				return Coord{c.X + dx, c.Y + dy}, d, true
+			}
+		}
+	}
+	return c, 0, false
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // nets enumerates (producer, consumer) pairs, cached on the Placement
@@ -254,29 +336,31 @@ func (p *Placement) Wirelength() int {
 // function of (netlist, fabric, PlaceOptions) only within one revision,
 // so anything that persists placement-derived results folds it into
 // its keys; bump it whenever a change moves any placement. Revision 1
-// was the fixed geometric schedule over whole-fabric moves.
-const PlacerRevision = 2
+// was the fixed geometric schedule over whole-fabric moves, revision 2
+// the open-ended adaptive schedule from a centre-sorted seed at 100
+// moves per node.
+const PlacerRevision = 3
 
-// The annealing schedule (VPR's, after Betz and Rose), sized on the
-// nine-app suite's 24 distinct netlists, routed.
+// The annealing schedule (VPR's, after Betz and Rose, with its length
+// fitted to the budget), sized on the nine-app suite's 24 distinct
+// netlists, routed.
 const (
 	// movesPerNode and maxAutoMoves size the automatic budget
-	// (PlaceOptions.Moves == 0): half of the fixed-schedule annealer's
-	// 200 per node and 400k cap.
-	movesPerNode = 100
+	// (PlaceOptions.Moves == 0): a quarter of the fixed-schedule
+	// annealer's 200 per node, and half its 400k cap.
+	movesPerNode = 50
 	maxAutoMoves = 200_000
 	// t0Spread sets the start temperature to this fraction of the
-	// standard deviation of random-move deltas at the greedy seed. The
-	// seed is already a good placement, so the anneal starts cool
-	// enough to keep its structure.
-	t0Spread = 0.5
+	// standard deviation of random-move deltas at the constructive
+	// seed. The seed is already a good placement, so the anneal starts
+	// cool enough to keep its structure.
+	t0Spread = 0.2
 	// freezeFrac ends the anneal once T falls below this fraction of
 	// the mean wirelength per net; a greedy quench spends the rest of
 	// the budget.
 	freezeFrac = 0.002
 	// quenchShare is the tail of the budget that always goes to the
-	// quench, so a budget too small for the schedule to freeze still
-	// ends greedy rather than hot.
+	// quench; the cooling is fitted to freeze before it.
 	quenchShare = 0.1
 	// rlimBase is the window update's fixed part: rlim <- rlim*(rlimBase
 	// + alpha), which holds rlim steady at an acceptance rate of 0.44.
@@ -468,21 +552,24 @@ func manhattan32(a, b xy) int32 {
 }
 
 // anneal refines the placement with windowed, class-preserving move and
-// swap proposals under an adaptive schedule: a start temperature from
-// the spread of random-move deltas, rounds of one proposal per movable
-// node, each round cooling by its acceptance rate and rescaling the
-// window radius, then, once frozen or in the budget's last tenth at the
-// latest, a greedy quench to the end of the move budget. It polls ctx
-// every 4096 proposals so a long anneal cannot outlive a cancelled
-// evaluation; the proposal sequence does not depend on ctx while it
-// stays live.
-func (p *Placement) anneal(ctx context.Context, rng *splitMix, moves int, classes [numClasses][]int) error {
+// swap proposals under an adaptive schedule fitted to the move budget: a
+// start temperature from the spread of random-move deltas, rounds of one
+// proposal per movable node, each round rescaling the window radius by
+// its acceptance rate and cooling by VPR's factor for that rate or, when
+// that is too slow to freeze in the rounds left before the quench tail,
+// by the factor that freezes exactly as they run out; once frozen, a
+// greedy quench spends the rest of the budget. It returns the number of
+// moves made when the anneal froze, -1 if the quench tail cut it hot (a
+// budget under two rounds). It polls ctx every 4096 proposals so a long
+// anneal cannot outlive a cancelled evaluation; the proposal sequence
+// does not depend on ctx while it stays live.
+func (p *Placement) anneal(ctx context.Context, rng *splitMix, moves int, classes [numClasses][]int) (frozeAt int, err error) {
 	if moves <= 0 {
 		moves = min(movesPerNode*len(p.Mapped.Nodes), maxAutoMoves)
 	}
 	s := newAnnealState(p, classes, rng)
 	if s == nil {
-		return nil
+		return 0, nil
 	}
 	rmax := float64(max(p.Fabric.W, p.Fabric.H))
 	rlim := rmax
@@ -502,6 +589,10 @@ func (p *Placement) anneal(ctx context.Context, rng *splitMix, moves int, classe
 	s.t = t0Spread * math.Sqrt(max(sumSq/float64(probe)-mean*mean, 0))
 
 	quenchAt := moves - int(quenchShare*float64(moves))
+	frozeAt = -1
+	if s.t == 0 {
+		frozeAt = probe
+	}
 	for done := probe; done < moves; {
 		if done >= quenchAt {
 			s.t = 0
@@ -512,7 +603,7 @@ func (p *Placement) anneal(ctx context.Context, rng *splitMix, moves int, classe
 		for i := 0; i < k; i++ {
 			if (done+i)&4095 == 0 {
 				if err := fault.Canceled(ctx); err != nil {
-					return err
+					return 0, err
 				}
 			}
 			if s.step(r) {
@@ -523,16 +614,24 @@ func (p *Placement) anneal(ctx context.Context, rng *splitMix, moves int, classe
 		alpha := float64(accepted) / float64(k)
 		rlim = min(max(rlim*(rlimBase+alpha), 1), rmax)
 		if s.t > 0 {
-			s.t *= coolFactor(alpha)
-			if s.t < freezeFrac*float64(s.cost)/float64(max(s.nets, 1)) {
+			// Cooling by (tFreeze/T)^(1/left) every round lands T on the
+			// freeze threshold as the left rounds before the quench tail
+			// run out; with one round left that factor is the freeze.
+			tFreeze := freezeFrac * float64(s.cost) / float64(max(s.nets, 1))
+			left := (quenchAt - done + round - 1) / round
+			if left > 1 {
+				s.t *= min(coolFactor(alpha), math.Pow(tFreeze/s.t, 1/float64(left)))
+			}
+			if left <= 1 || s.t < tFreeze {
 				s.t = 0
+				frozeAt = done
 			}
 		}
 	}
 	for _, i := range s.movable {
 		p.Loc[i] = Coord{int(s.loc[i].x), int(s.loc[i].y)}
 	}
-	return nil
+	return frozeAt, nil
 }
 
 // proposal is one candidate change: node a to location to, swapping

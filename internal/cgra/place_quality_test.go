@@ -3,10 +3,12 @@ package cgra
 import (
 	"context"
 	"testing"
+
+	"repro/internal/apps"
 )
 
 // TestAnnealingImprovesWirelength: the simulated-annealing placer must
-// beat (or at least match) the greedy seed it starts from on a real
+// beat (or at least match) the constructive seed it starts from on a real
 // design.
 func TestAnnealingImprovesWirelength(t *testing.T) {
 	_, m := smallMapped(t)
@@ -71,4 +73,30 @@ func TestAnnealedRoutesShorter(t *testing.T) {
 		t.Errorf("annealed placement routes longer: %d vs %d hops", rg.TotalHops(), rb.TotalHops())
 	}
 	t.Logf("hops: seed-only %d -> annealed %d", rb.TotalHops(), rg.TotalHops())
+}
+
+// TestAnnealFreezesWithinBudget: the cooling is fitted to the move
+// budget, so at any explicit budget, small ones included, every app's
+// anneal reaches its freeze threshold before the quench tail begins
+// rather than being cut off hot by it.
+func TestAnnealFreezesWithinBudget(t *testing.T) {
+	fab := Default()
+	for _, app := range apps.All() {
+		m := appBalanced(t, app)
+		for _, perNode := range []int{10, 25, 50, 100} {
+			moves := perNode * len(m.Nodes)
+			p := &Placement{Fabric: fab, Mapped: m, Loc: make([]Coord, len(m.Nodes))}
+			rng := splitMix(1)
+			free, _ := freeSites(fab)
+			p.seed(&rng, free)
+			frozeAt, err := p.anneal(context.Background(), &rng, moves, classNodes(m))
+			if err != nil {
+				t.Fatal(err)
+			}
+			quenchAt := moves - int(quenchShare*float64(moves))
+			if frozeAt < 0 || frozeAt >= quenchAt {
+				t.Errorf("%s at %d moves per node: froze at move %d, quench tail from %d", app.Name, perNode, frozeAt, quenchAt)
+			}
+		}
+	}
 }

@@ -93,6 +93,11 @@ type Harness struct {
 	// merged and synthesized once. Compile jobs (internal/serve) bypass
 	// it: user source is unbounded input.
 	generated memo.Table[*core.Generated]
+	// variantKeys holds each variant's store.VariantKey by variantKeyOf,
+	// so the result keys of a pass hash each variant key once. It is
+	// made on first use: a pointer keeps Harness in its allocation size
+	// class, and a pass without a store never needs it.
+	variantKeys atomic.Pointer[sync.Map]
 
 	// store is the optional persistent content-addressed cache layered
 	// under the memo tables (SetStore); nil keeps the harness in-memory.
@@ -125,7 +130,8 @@ func (h *Harness) SetObs(o *obs.Obs) {
 }
 
 // ResetMemos drops every in-memory memoized analysis, selection,
-// variant, result, design, layout, and generated datapath, PE and rule.
+// variant, result, design, layout, generated datapath, PE and rule, and
+// variant store key.
 // A long-running process (the apexd daemon) calls it periodically so
 // the in-process tables cannot grow without bound; with a persistent
 // store attached the next lookups reload from disk, so the cost is
@@ -140,6 +146,7 @@ func (h *Harness) ResetMemos() {
 	h.designs.Reset()
 	h.layouts.Reset()
 	h.generated.Reset()
+	h.variantKeys.Store(nil)
 }
 
 // ForgetResult drops one evaluation cell from the results memo, and the

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"sync"
+
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/store"
@@ -102,8 +104,7 @@ func selectionKey(fw *core.Framework, app *apps.App, k int) store.Key {
 // cache.variant.rules_decoded: a warm pass serves most cells from
 // stored results and never maps on most variants it loads.
 func (h *Harness) loadVariant(fw *core.Framework, name string) (*core.PEVariant, bool) {
-	key := store.VariantKey(name, store.RegistryHash(), fw)
-	payload, ok := h.store.Get(store.KindVariant, key)
+	payload, ok := h.store.Get(store.KindVariant, h.variantKey(fw, name))
 	if !ok {
 		h.cacheCount("cache.variant.miss")
 		return nil, false
@@ -119,8 +120,7 @@ func (h *Harness) loadVariant(fw *core.Framework, name string) (*core.PEVariant,
 }
 
 func (h *Harness) saveVariant(fw *core.Framework, v *core.PEVariant) {
-	key := store.VariantKey(v.Name, store.RegistryHash(), fw)
-	h.store.Put(store.KindVariant, key, store.EncodeVariant(v))
+	h.store.Put(store.KindVariant, h.variantKey(fw, v.Name), store.EncodeVariant(v))
 	h.cacheCount("cache.variant.put")
 }
 
@@ -151,6 +151,30 @@ func (h *Harness) saveResult(fw *core.Framework, app *apps.App, v *core.PEVarian
 // ResultKey is the store key of the evaluation of app on the named
 // variant under fw: the key EvaluateFor reads and writes.
 func (h *Harness) ResultKey(fw *core.Framework, app *apps.App, variant string, pnr, pipelined bool) store.Key {
-	vk := store.VariantKey(variant, store.RegistryHash(), fw)
-	return store.ResultKey(store.AppHash(app), vk, fw, pnr, pipelined)
+	return store.ResultKey(store.AppHash(app), h.variantKey(fw, variant), fw, pnr, pipelined)
+}
+
+// variantKeyOf is what store.VariantKey reads: the variant's name and
+// fw's mining options (the registry hash is fixed per process).
+type variantKeyOf struct {
+	name                        string
+	maxPatternNodes, minSupport int
+}
+
+// variantKey is store.VariantKey(name, store.RegistryHash(), fw),
+// hashed once per variant and mining options: a suite pass keys 68
+// results over 17 variants, and a sweep builds a framework per cell.
+func (h *Harness) variantKey(fw *core.Framework, name string) store.Key {
+	keys := h.variantKeys.Load()
+	for keys == nil { // a ResetMemos may drop the map just made
+		h.variantKeys.CompareAndSwap(nil, new(sync.Map))
+		keys = h.variantKeys.Load()
+	}
+	of := variantKeyOf{name, fw.MaxPatternNodes, fw.MinSupport}
+	if k, ok := keys.Load(of); ok {
+		return k.(store.Key)
+	}
+	k := store.VariantKey(name, store.RegistryHash(), fw)
+	keys.Store(of, k)
+	return k
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -304,5 +305,55 @@ func TestPersistCorruptSelectionsRecomputed(t *testing.T) {
 		if got := reg.Counter("cache.selection.hit").Value(); got != n {
 			t.Errorf("%s: %d selections hit after recovery; want %d", mode, got, n)
 		}
+	}
+}
+
+// TestResultKeyMemoMatchesStore: the harness hashes each variant key
+// once and reuses it, and the result keys it builds from the memo are
+// byte-identical to store.ResultKey over a freshly hashed variant key
+// for every cell of a full suite pass (filled by four workers at once),
+// under the pass's framework and under one with other mining options,
+// whose keys must differ.
+func TestResultKeyMemoMatchesStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full PnR suite skipped in -short mode")
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHarness()
+	h.Workers = 4
+	h.SetStore(st)
+	if _, err := h.Suite(context.Background(), true); err != nil {
+		t.Fatal(err)
+	}
+	other := *h.FW
+	other.MinSupport++
+	other.MaxPatternNodes++
+	cells := 0
+	h.results.Each(func(key string, _ *core.Result, err error) {
+		if err != nil {
+			t.Fatalf("cell %s: %v", key, err)
+		}
+		f := strings.Split(key, "|")
+		app, err := apps.ByName(f[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pnr, pipe := f[2] == "true", f[3] == "true"
+		cells++
+		for _, fw := range []*core.Framework{h.FW, &other} {
+			want := store.ResultKey(store.AppHash(app), store.VariantKey(f[1], store.RegistryHash(), fw), fw, pnr, pipe)
+			if got := h.ResultKey(fw, app, f[1], pnr, pipe); got != want {
+				t.Errorf("cell %s, support %d: memoized result key %s, store.ResultKey %s", key, fw.MinSupport, got, want)
+			}
+		}
+		if h.ResultKey(h.FW, app, f[1], pnr, pipe) == h.ResultKey(&other, app, f[1], pnr, pipe) {
+			t.Errorf("cell %s: result key ignores the mining options", key)
+		}
+	})
+	if cells != 68 {
+		t.Errorf("suite has %d cells, want 68", cells)
 	}
 }

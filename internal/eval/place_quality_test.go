@@ -12,49 +12,76 @@ import (
 )
 
 // placeQualityFile holds the frozen per-netlist figures of the
-// fixed-schedule annealer the adaptive one replaced.
-const placeQualityFile = "testdata/place_quality.txt"
+// fixed-schedule annealer the adaptive one replaced (placer revision 1);
+// placeQualityRev2File the suite totals of revision 2.
+const (
+	placeQualityFile     = "testdata/place_quality.txt"
+	placeQualityRev2File = "testdata/place_quality_rev2.txt"
+)
 
 // layoutQuality is what the placer is judged by on one netlist.
 type layoutQuality struct{ wirelength, hops, sbTiles int }
 
-func readPlaceQuality(t *testing.T) map[string]layoutQuality {
+// readQualityLines calls parse on every line of a frozen-figures file
+// that is neither blank nor a comment.
+func readQualityLines(t *testing.T, path string, parse func(line string) error) {
 	t.Helper()
-	f, err := os.Open(placeQualityFile)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	want := map[string]layoutQuality{}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		var key string
-		var q layoutQuality
-		if _, err := fmt.Sscan(line, &key, &q.wirelength, &q.hops, &q.sbTiles); err != nil {
-			t.Fatalf("%s: %q: %v", placeQualityFile, line, err)
+		if err := parse(line); err != nil {
+			t.Fatalf("%s: %q: %v", path, line, err)
 		}
-		want[key] = q
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func readPlaceQuality(t *testing.T) map[string]layoutQuality {
+	t.Helper()
+	want := map[string]layoutQuality{}
+	readQualityLines(t, placeQualityFile, func(line string) error {
+		var key string
+		var q layoutQuality
+		_, err := fmt.Sscan(line, &key, &q.wirelength, &q.hops, &q.sbTiles)
+		want[key] = q
+		return err
+	})
 	return want
+}
+
+func readPlaceQualityRev2(t *testing.T) layoutQuality {
+	t.Helper()
+	var q layoutQuality
+	readQualityLines(t, placeQualityRev2File, func(line string) error {
+		_, err := fmt.Sscan(line, &q.wirelength, &q.hops, &q.sbTiles)
+		return err
+	})
+	return q
 }
 
 // TestPlaceQualityNoWorse: one full-PnR suite pass at the automatic move
 // budget places and routes its distinct netlists no worse in total than
-// the fixed-schedule annealer did at twice the moves, on wirelength,
-// routed hops and used switch-box tiles alike, and no netlist routes
-// more than 10% worse on hops or switch-box tiles.
+// the fixed-schedule annealer did at four times the moves, on
+// wirelength, routed hops and used switch-box tiles alike, and no
+// netlist routes more than 10% worse on hops or switch-box tiles. Its
+// totals also stay within 2% of placer revision 2's (at twice the
+// moves) on wirelength and hops, and no worse on switch-box tiles.
 func TestPlaceQualityNoWorse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full PnR suite skipped in -short mode")
 	}
 	want := readPlaceQuality(t)
+	rev2 := readPlaceQualityRev2(t)
 	h := NewHarness()
 	h.Workers = 1
 	if _, err := h.Suite(context.Background(), true); err != nil {
@@ -102,5 +129,10 @@ func TestPlaceQualityNoWorse(t *testing.T) {
 		old.wirelength, got.wirelength, old.hops, got.hops, old.sbTiles, got.sbTiles)
 	if got.wirelength > old.wirelength || got.hops > old.hops || got.sbTiles > old.sbTiles {
 		t.Errorf("suite totals worse than the frozen annealer's")
+	}
+	t.Logf("against revision 2: wirelength %d -> %d, hops %d -> %d, SB tiles %d -> %d",
+		rev2.wirelength, got.wirelength, rev2.hops, got.hops, rev2.sbTiles, got.sbTiles)
+	if 100*got.wirelength > 102*rev2.wirelength || 100*got.hops > 102*rev2.hops || got.sbTiles > rev2.sbTiles {
+		t.Errorf("suite totals more than 2%% over revision 2's wirelength or hops, or over its SB tiles")
 	}
 }
