@@ -47,9 +47,6 @@ type Fabric struct {
 	// control uses narrower tracks).
 	Tracks16 int
 	Tracks1  int
-	// MaxRegsPerTile caps interconnect pipeline registers hosted by one
-	// tile's switch box.
-	MaxRegsPerTile int
 }
 
 // NewFabric returns the paper's 32x16 fabric with a memory column every
@@ -60,7 +57,6 @@ func NewFabric(w, h int) *Fabric {
 		MemColumnStride: 4,
 		Tracks16:        5,
 		Tracks1:         2,
-		MaxRegsPerTile:  10,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -179,7 +180,7 @@ func TestIncrementalConvergesUnderCongestion(t *testing.T) {
 
 // TestPortfolioPlacement pins the portfolio's determinism contract:
 // Seeds<=1 is byte-identical to a plain Place call, the selection is
-// invariant to the concurrency bound, and widening the portfolio never
+// invariant to the worker count, and widening the portfolio never
 // worsens the selected wirelength.
 func TestPortfolioPlacement(t *testing.T) {
 	bal := cameraBalanced(t)
@@ -196,16 +197,20 @@ func TestPortfolioPlacement(t *testing.T) {
 		t.Error("Seeds=1 placement differs from the plain single-seed placement")
 	}
 
-	serial, err := Place(context.Background(), bal, fab, PlaceOptions{Seed: 1, Seeds: 4, Parallel: 1})
+	// The portfolio runs at most GOMAXPROCS anneals at once; one worker
+	// and the default must select the same placement.
+	prev := runtime.GOMAXPROCS(1)
+	serial, err := Place(context.Background(), bal, fab, PlaceOptions{Seed: 1, Seeds: 4})
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := Place(context.Background(), bal, fab, PlaceOptions{Seed: 1, Seeds: 4, Parallel: 8})
+	wide, err := Place(context.Background(), bal, fab, PlaceOptions{Seed: 1, Seeds: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial.Loc, wide.Loc) {
-		t.Error("portfolio selection depends on the concurrency bound")
+		t.Error("portfolio selection depends on the worker count")
 	}
 	if ws, ww := single.Wirelength(), wide.Wirelength(); ww > ws {
 		t.Errorf("portfolio of 4 selected wirelength %d, worse than single seed %d", ww, ws)

@@ -35,14 +35,12 @@ type PlaceOptions struct {
 	Moves int // annealing moves; 0 = default scaled by design size
 
 	// Seeds widens placement into a deterministic portfolio: seeds
-	// Seed..Seed+Seeds-1 anneal independently (concurrently, bounded by
-	// Parallel) and the lowest-wirelength result wins, ties broken
-	// toward the lowest seed — so the outcome never depends on how many
-	// workers ran or which finished first. 0 or 1 keeps the single-seed
-	// path bit-for-bit identical to a plain Place call.
+	// Seed..Seed+Seeds-1 anneal independently (concurrently, at most
+	// GOMAXPROCS at a time) and the lowest-wirelength result wins, ties
+	// broken toward the lowest seed — so the outcome never depends on
+	// how many workers ran or which finished first. 0 or 1 keeps the
+	// single-seed path bit-for-bit identical to a plain Place call.
 	Seeds int
-	// Parallel bounds concurrent portfolio anneals; 0 = GOMAXPROCS.
-	Parallel int
 }
 
 // Place produces a legal placement minimizing estimated wirelength via
@@ -67,13 +65,7 @@ func Place(ctx context.Context, m *rewrite.Mapped, f *Fabric, opt PlaceOptions) 
 // whole deterministic regardless of scheduling.
 func placePortfolio(ctx context.Context, m *rewrite.Mapped, f *Fabric, opt PlaceOptions) (*Placement, error) {
 	k := opt.Seeds
-	par := opt.Parallel
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > k {
-		par = k
-	}
+	par := min(runtime.GOMAXPROCS(0), k)
 	placements := make([]*Placement, k)
 	errs := make([]error, k)
 	sem := make(chan struct{}, par)

@@ -448,7 +448,7 @@ func (f *Framework) layout(ctx context.Context, app *apps.App, v *PEVariant, bal
 func (f *Framework) layoutKey(m *rewrite.Mapped) string {
 	var e wire.Enc
 	fab := f.Fabric
-	for _, x := range []int{fab.W, fab.H, fab.MemColumnStride, fab.Tracks16, fab.Tracks1, fab.MaxRegsPerTile, f.PlaceSeeds, f.PlaceMoves} {
+	for _, x := range []int{fab.W, fab.H, fab.MemColumnStride, fab.Tracks16, fab.Tracks1, f.PlaceSeeds, f.PlaceMoves} {
 		e.Int(x)
 	}
 	e.Uvarint(uint64(f.PlaceSeed))

@@ -12,10 +12,14 @@ import (
 // byte-identical models are exactly the models with identical weights —
 // the determinism tests compare encoded bytes directly.
 
+// Models and samples carry their own codec versions, so a change to the
+// model layout refuses older models (never misreads them) without
+// orphaning the stored samples.
 const (
 	modelMagic  = "APXM"
 	sampleMagic = "APXS"
-	codecVer    = 1
+	modelVer    = 2
+	sampleVer   = 1
 )
 
 func encodeFloats(e *wire.Enc, vs []float64) {
@@ -35,13 +39,13 @@ func decodeFloats(d *wire.Dec) []float64 {
 
 // openMagic checks the magic prefix and the codec version and returns
 // a decoder positioned after them.
-func openMagic(data []byte, magic, what string) (*wire.Dec, error) {
+func openMagic(data []byte, magic, what string, ver uint64) (*wire.Dec, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("costmodel: decode: bad %s magic", what)
 	}
 	d := wire.NewDec(data[len(magic):])
-	if v := d.Uvarint(); v != codecVer {
-		return nil, fmt.Errorf("costmodel: decode: %s codec version %d, want %d", what, v, codecVer)
+	if v := d.Uvarint(); v != ver {
+		return nil, fmt.Errorf("costmodel: decode: %s codec version %d, want %d", what, v, ver)
 	}
 	return d, nil
 }
@@ -49,7 +53,7 @@ func openMagic(data []byte, magic, what string) (*wire.Dec, error) {
 // Encode serializes the model deterministically.
 func (m *Model) Encode() []byte {
 	e := &wire.Enc{Buf: []byte(modelMagic)}
-	e.Uvarint(codecVer)
+	e.Uvarint(modelVer)
 	e.Uvarint(uint64(m.Schema))
 	e.Uvarint(uint64(m.SampleCount))
 	e.Uvarint(uint64(len(m.Names)))
@@ -62,13 +66,6 @@ func (m *Model) Encode() []byte {
 		tm := &m.Targets[t]
 		e.Float64(tm.Intercept)
 		encodeFloats(e, tm.Weights)
-		e.Uvarint(uint64(len(tm.Stumps)))
-		for _, s := range tm.Stumps {
-			e.Uvarint(uint64(s.Feature))
-			e.Float64(s.Threshold)
-			e.Float64(s.Left)
-			e.Float64(s.Right)
-		}
 	}
 	return e.Buf
 }
@@ -77,7 +74,7 @@ func (m *Model) Encode() []byte {
 // the running binary is an error: a model trained on a different
 // feature layout must be retrained, not misread.
 func DecodeModel(data []byte) (*Model, error) {
-	d, err := openMagic(data, modelMagic, "model")
+	d, err := openMagic(data, modelMagic, "model", modelVer)
 	if err != nil {
 		return nil, err
 	}
@@ -94,15 +91,6 @@ func DecodeModel(data []byte) (*Model, error) {
 		tm := &m.Targets[t]
 		tm.Intercept = d.Float64()
 		tm.Weights = decodeFloats(d)
-		ns := d.Count()
-		for i := 0; i < ns; i++ {
-			tm.Stumps = append(tm.Stumps, Stump{
-				Feature:   int(d.Uvarint()),
-				Threshold: d.Float64(),
-				Left:      d.Float64(),
-				Right:     d.Float64(),
-			})
-		}
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("costmodel: decode model: %w", err)
@@ -120,7 +108,7 @@ func DecodeModel(data []byte) (*Model, error) {
 // Encode serializes one training sample deterministically.
 func (s *Sample) Encode() []byte {
 	e := &wire.Enc{Buf: []byte(sampleMagic)}
-	e.Uvarint(codecVer)
+	e.Uvarint(sampleVer)
 	e.Uvarint(FeatureSchemaVersion)
 	encodeFloats(e, s.Features)
 	for _, l := range s.Labels {
@@ -132,7 +120,7 @@ func (s *Sample) Encode() []byte {
 // DecodeSample parses a sample encoded by Sample.Encode. Samples from a
 // different feature schema decode to an error — the trainer skips them.
 func DecodeSample(data []byte) (*Sample, error) {
-	d, err := openMagic(data, sampleMagic, "sample")
+	d, err := openMagic(data, sampleMagic, "sample", sampleVer)
 	if err != nil {
 		return nil, err
 	}

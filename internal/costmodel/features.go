@@ -1,18 +1,18 @@
 // Package costmodel is the learned PnR cost model behind sweep triage:
-// a stdlib-only regressor (ridge regression plus gradient-boosted
-// stumps) over deterministic graph features of a variant's mapped
-// datapath, trained on the memoized place-and-route results the
-// persistent store already holds. The sweep engine uses it to rank
-// cells by predicted cost and spend the expensive PnR oracle only on
-// the predicted-Pareto slice plus a seeded exploration band; every
-// pruned cell is filled with the model's estimate, tagged Predicted.
+// stdlib-only ridge regression, with no tunable hyperparameters, over
+// deterministic graph features of a variant's mapped datapath, trained
+// on the memoized place-and-route results the persistent store already
+// holds. The sweep engine uses it to rank cells by predicted cost and
+// spend the expensive PnR oracle only on the predicted-Pareto slice
+// plus a seeded exploration band; every pruned cell is filled with the
+// model's estimate, tagged Predicted.
 //
 // Everything here is deterministic by construction: the feature vector
 // has a fixed order, training is serial over samples sorted by content
-// key, ties break by the lowest feature index, and the serialized model
-// is a byte-exact function of its training set — so a sweep triaged at
-// -j 1 and one at -j 8 train byte-identical models and rank cells
-// identically.
+// key, the solve's pivot ties keep the lowest row, and the serialized
+// model is a byte-exact function of its training set — so a sweep
+// triaged at -j 1 and one at -j 8 train byte-identical models and rank
+// cells identically.
 package costmodel
 
 import (

@@ -40,21 +40,11 @@ const (
 	maxRatio = 4.0
 )
 
-// Stump is one gradient-boosted regression stump: add Left to the
-// target's prediction when feature < Threshold, Right otherwise
-// (shrinkage already folded in).
-type Stump struct {
-	Feature     int
-	Threshold   float64
-	Left, Right float64
-}
-
 // targetModel is one target's regressor: a ridge-regularized linear
-// model over standardized features plus boosted stumps on the residuals.
+// model over standardized features.
 type targetModel struct {
 	Intercept float64
 	Weights   []float64
-	Stumps    []Stump
 }
 
 // Model predicts the PnR outcome of a sweep cell from its features.
@@ -69,41 +59,15 @@ type Model struct {
 	SampleCount int
 }
 
-// TrainOptions are the training hyperparameters. The zero value selects
-// the defaults; the resolved values are folded into the store's model
-// key, so changing a default re-trains rather than serving a stale fit.
-type TrainOptions struct {
-	// Ridge is the L2 regularization strength (lambda); 0 means 1.0.
-	Ridge float64
-	// Stumps is the number of boosting rounds per target; 0 means 24,
-	// negative disables the stump stage (pure ridge).
-	Stumps int
-	// Shrinkage is the boosting learning rate; 0 means 0.3.
-	Shrinkage float64
-}
+// TrainOptions is empty: the model has no tunable hyperparameters.
+// The type stays only until a benchmark change stops passing it.
+//
+// Deprecated: ignored.
+type TrainOptions struct{}
 
-func (o TrainOptions) resolved() TrainOptions {
-	if o.Ridge == 0 {
-		o.Ridge = 1.0
-	}
-	if o.Stumps == 0 {
-		o.Stumps = 24
-	}
-	if o.Stumps < 0 {
-		o.Stumps = 0
-	}
-	if o.Shrinkage == 0 {
-		o.Shrinkage = 0.3
-	}
-	return o
-}
-
-// Hyper canonically encodes the resolved hyperparameters for key
-// derivation (store.ModelKey).
-func (o TrainOptions) Hyper() string {
-	r := o.resolved()
-	return fmt.Sprintf("ridge=%g,stumps=%d,shrinkage=%g", r.Ridge, r.Stumps, r.Shrinkage)
-}
+// ridgeLambda is the L2 regularization strength of every target's
+// solve.
+const ridgeLambda = 1.0
 
 // Train fits the model on the given samples. Training is strictly
 // serial and deterministic: the caller passes samples in a canonical
@@ -111,9 +75,8 @@ func (o TrainOptions) Hyper() string {
 // produce a byte-identical serialized model. Observability flows
 // through ctx: sample count, per-target MAE, and training time land in
 // the costmodel.* metrics when a registry is attached.
-func Train(ctx context.Context, samples []Sample, opt TrainOptions) (*Model, error) {
+func Train(ctx context.Context, samples []Sample, _ TrainOptions) (*Model, error) {
 	start := time.Now()
-	opt = opt.resolved()
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("costmodel: no training samples")
 	}
@@ -150,7 +113,7 @@ func Train(ctx context.Context, samples []Sample, opt TrainOptions) (*Model, err
 		for i, s := range samples {
 			y[i] = s.Labels[t]
 		}
-		tm, err := fitTarget(z, y, opt)
+		tm, err := fitTarget(z, y)
 		if err != nil {
 			return nil, fmt.Errorf("costmodel: fit %s: %w", targetNames[t], err)
 		}
@@ -195,9 +158,8 @@ func standardize(samples []Sample, nf int) (mean, scale []float64) {
 	return mean, scale
 }
 
-// fitTarget solves the ridge normal equations, then boosts stumps on
-// the residuals.
-func fitTarget(z [][]float64, y []float64, opt TrainOptions) (targetModel, error) {
+// fitTarget solves the ridge normal equations for one target.
+func fitTarget(z [][]float64, y []float64) (targetModel, error) {
 	nf := len(z[0])
 	n := len(z)
 
@@ -229,113 +191,13 @@ func fitTarget(z [][]float64, y []float64, opt TrainOptions) (targetModel, error
 		for k := 0; k < j; k++ {
 			a[j][k] = a[k][j]
 		}
-		a[j][j] += opt.Ridge
+		a[j][j] += ridgeLambda
 	}
 	w, err := solve(a, b)
 	if err != nil {
 		return targetModel{}, err
 	}
-	tm := targetModel{Intercept: ymean, Weights: w}
-
-	// Boosted stumps on the residuals.
-	if opt.Stumps > 0 {
-		resid := make([]float64, n)
-		for i := range resid {
-			resid[i] = y[i] - tm.predict(z[i])
-		}
-		for round := 0; round < opt.Stumps; round++ {
-			st, ok := bestStump(z, resid)
-			if !ok {
-				break
-			}
-			st.Left *= opt.Shrinkage
-			st.Right *= opt.Shrinkage
-			tm.Stumps = append(tm.Stumps, st)
-			for i := range resid {
-				if z[i][st.Feature] < st.Threshold {
-					resid[i] -= st.Left
-				} else {
-					resid[i] -= st.Right
-				}
-			}
-		}
-	}
-	return tm, nil
-}
-
-// stumpCandidates caps the thresholds tried per feature: the quantile
-// midpoints of the sorted standardized values.
-const stumpCandidates = 16
-
-// bestStump scans every (feature, threshold) candidate for the split
-// minimizing the residual SSE. Ties break deterministically: lowest
-// feature index, then lowest threshold. Returns ok=false when no split
-// improves on the constant fit (all features degenerate).
-func bestStump(z [][]float64, resid []float64) (Stump, bool) {
-	n := len(resid)
-	total := 0.0
-	for _, r := range resid {
-		total += r
-	}
-	mean := total / float64(n)
-
-	best := Stump{}
-	bestGain := 1e-12 // require a real improvement
-	found := false
-	vals := make([]float64, n)
-	idx := make([]int, n)
-	for f := 0; f < len(z[0]); f++ {
-		for i := 0; i < n; i++ {
-			vals[i] = z[i][f]
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
-		if vals[idx[0]] == vals[idx[n-1]] {
-			continue // constant feature
-		}
-		// Candidate thresholds: midpoints at evenly spaced ranks where the
-		// value actually changes.
-		prevThr := math.Inf(-1)
-		for c := 1; c <= stumpCandidates; c++ {
-			pos := c * n / (stumpCandidates + 1)
-			if pos <= 0 || pos >= n {
-				continue
-			}
-			lo, hi := vals[idx[pos-1]], vals[idx[pos]]
-			if lo == hi {
-				continue
-			}
-			thr := lo + (hi-lo)/2
-			if thr == prevThr {
-				continue
-			}
-			prevThr = thr
-			// Split stats.
-			var sumL, sumR float64
-			var nL, nR int
-			for i := 0; i < n; i++ {
-				if z[i][f] < thr {
-					sumL += resid[i]
-					nL++
-				} else {
-					sumR += resid[i]
-					nR++
-				}
-			}
-			if nL == 0 || nR == 0 {
-				continue
-			}
-			meanL, meanR := sumL/float64(nL), sumR/float64(nR)
-			// SSE reduction vs the constant fit.
-			gain := float64(nL)*(meanL-mean)*(meanL-mean) + float64(nR)*(meanR-mean)*(meanR-mean)
-			if gain > bestGain {
-				bestGain = gain
-				best = Stump{Feature: f, Threshold: thr, Left: meanL, Right: meanR}
-				found = true
-			}
-		}
-	}
-	return best, found
+	return targetModel{Intercept: ymean, Weights: w}, nil
 }
 
 // solve performs Gaussian elimination with partial pivoting on a copy of
@@ -384,13 +246,6 @@ func (t *targetModel) predict(z []float64) float64 {
 	v := t.Intercept
 	for j, w := range t.Weights {
 		v += w * z[j]
-	}
-	for _, s := range t.Stumps {
-		if z[s.Feature] < s.Threshold {
-			v += s.Left
-		} else {
-			v += s.Right
-		}
 	}
 	return v
 }
@@ -480,17 +335,13 @@ type Importance struct {
 }
 
 // Importances ranks features by the sum over targets of |standardized
-// linear weight| plus the absolute stump contributions touching the
-// feature, normalized to sum to 1. Sorted descending, ties by feature
-// order — deterministic.
+// linear weight|, normalized to sum to 1. Sorted descending, ties by
+// feature order — deterministic.
 func (m *Model) Importances() []Importance {
 	raw := make([]float64, len(m.Names))
 	for t := 0; t < NumTargets; t++ {
 		for j, w := range m.Targets[t].Weights {
 			raw[j] += math.Abs(w)
-		}
-		for _, s := range m.Targets[t].Stumps {
-			raw[s.Feature] += math.Abs(s.Right - s.Left)
 		}
 	}
 	total := 0.0

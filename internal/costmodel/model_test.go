@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // lcg is a tiny deterministic generator for synthetic feature vectors —
@@ -17,8 +20,7 @@ func (l *lcg) next() float64 {
 }
 
 // synthSamples builds n samples whose labels are a known function of the
-// features: area = linear combo, routability = step function (so stumps
-// have something a linear model cannot express).
+// features: area = linear combo, routability = step function.
 func synthSamples(n int, seed uint64) []Sample {
 	r := &lcg{s: seed}
 	nf := NumFeatures()
@@ -44,7 +46,7 @@ func synthSamples(n int, seed uint64) []Sample {
 
 func TestTrainRecoversLinearFunction(t *testing.T) {
 	samples := synthSamples(200, 1)
-	m, err := Train(context.Background(), samples, TrainOptions{Stumps: -1, Ridge: 1e-6})
+	m, err := Train(context.Background(), samples, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,26 +55,6 @@ func TestTrainRecoversLinearFunction(t *testing.T) {
 		if math.Abs(got-s.Labels[TargetArea]) > 0.02 {
 			t.Fatalf("linear target not recovered: got %.4f want %.4f", got, s.Labels[TargetArea])
 		}
-	}
-}
-
-func TestStumpsImproveNonlinearTarget(t *testing.T) {
-	samples := synthSamples(300, 2)
-	linear, err := Train(context.Background(), samples, TrainOptions{Stumps: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boosted, err := Train(context.Background(), samples, TrainOptions{Stumps: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm := linear.Validate(samples)[TargetRoutability].MAE
-	bm := boosted.Validate(samples)[TargetRoutability].MAE
-	if bm >= lm {
-		t.Fatalf("stumps did not reduce step-function error: linear MAE %.4f, boosted MAE %.4f", lm, bm)
-	}
-	if bm > 0.6*lm {
-		t.Fatalf("stumps barely helped: linear MAE %.4f, boosted MAE %.4f", lm, bm)
 	}
 }
 
@@ -94,7 +76,7 @@ func TestTrainIsDeterministic(t *testing.T) {
 
 func TestModelCodecRoundTrip(t *testing.T) {
 	samples := synthSamples(80, 4)
-	m, err := Train(context.Background(), samples, TrainOptions{Stumps: 8})
+	m, err := Train(context.Background(), samples, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +121,7 @@ func TestSampleCodecRoundTrip(t *testing.T) {
 
 func TestPredictClamps(t *testing.T) {
 	samples := synthSamples(60, 6)
-	m, err := Train(context.Background(), samples, TrainOptions{Stumps: -1})
+	m, err := Train(context.Background(), samples, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +181,33 @@ func TestImportancesSumToOneAndSorted(t *testing.T) {
 	}
 }
 
-func TestHyperStringReflectsResolvedDefaults(t *testing.T) {
-	if (TrainOptions{}).Hyper() != (TrainOptions{Ridge: 1, Stumps: 24, Shrinkage: 0.3}).Hyper() {
-		t.Fatal("zero-value options do not resolve to the defaults")
+// TestDecodeModelRejectsV1: a payload of the codec version that still
+// carried a boosted-stump section per target is refused, not misread
+// as the current layout.
+func TestDecodeModelRejectsV1(t *testing.T) {
+	m, err := Train(context.Background(), synthSamples(40, 8), TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if (TrainOptions{Stumps: -1}).Hyper() == (TrainOptions{}).Hyper() {
-		t.Fatal("disabled stumps indistinguishable from defaults")
+	// The version-1 layout: the same header and weights, plus an empty
+	// stump list after each target's weights.
+	e := &wire.Enc{Buf: []byte(modelMagic)}
+	e.Uvarint(1)
+	e.Uvarint(uint64(m.Schema))
+	e.Uvarint(uint64(m.SampleCount))
+	e.Uvarint(uint64(len(m.Names)))
+	for _, n := range m.Names {
+		e.Str(n)
+	}
+	encodeFloats(e, m.Mean)
+	encodeFloats(e, m.Scale)
+	for t := range m.Targets {
+		e.Float64(m.Targets[t].Intercept)
+		encodeFloats(e, m.Targets[t].Weights)
+		e.Uvarint(0)
+	}
+	_, err = DecodeModel(e.Buf)
+	if err == nil || !strings.Contains(err.Error(), "codec version 1") {
+		t.Fatalf("version-1 model: got error %v, want a codec version refusal", err)
 	}
 }

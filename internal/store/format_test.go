@@ -39,10 +39,6 @@ func pinnedModel() *costmodel.Model {
 		for i := range tm.Weights {
 			tm.Weights[i] = float64(i-t) / 16
 		}
-		tm.Stumps = []costmodel.Stump{
-			{Feature: t, Threshold: 2.5, Left: -0.125, Right: 0.375},
-			{Feature: nf - 1 - t, Threshold: -1, Left: 0.5, Right: -0.5},
-		}
 	}
 	return m
 }

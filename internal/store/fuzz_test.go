@@ -59,7 +59,7 @@ func trainedModel(tb testing.TB) *costmodel.Model {
 		}
 		s.Labels = [costmodel.NumTargets]float64{1 + s.Features[0]/10, 1.2, 0.9 + s.Features[1]/20, float64(i % 2)}
 	}
-	m, err := costmodel.Train(context.Background(), samples, costmodel.TrainOptions{Stumps: 4})
+	m, err := costmodel.Train(context.Background(), samples, costmodel.TrainOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -126,14 +126,12 @@ func SampleKey(resultKey Key, featureSchema int) Key {
 
 // ModelKey keys a trained cost model by everything its weights are a
 // function of: the sweep-run fingerprint (grid, triage knobs, registry,
-// schema), the feature schema revision, and the training
-// hyperparameters — so two runs share a model exactly when they would
-// train identical ones.
-func ModelKey(runFingerprint Key, featureSchema int, hyper string) Key {
+// schema) and the feature schema revision — so two runs share a model
+// exactly when they would train identical ones.
+func ModelKey(runFingerprint Key, featureSchema int) Key {
 	h := NewHasher("model")
 	h.Str(string(runFingerprint))
 	h.Int(featureSchema)
-	h.Str(hyper)
 	return h.Key()
 }
 
@@ -156,7 +154,6 @@ func resultKey(appHash, variantKey Key, fw *core.Framework, pnr, pipelined bool,
 	h.Int(f.MemColumnStride)
 	h.Int(f.Tracks16)
 	h.Int(f.Tracks1)
-	h.Int(f.MaxRegsPerTile)
 	h.Int64(fw.PlaceSeed)
 	h.Int(fw.PlaceMoves)
 	h.Int(fw.PlaceSeeds)

@@ -155,11 +155,11 @@ func TestSampleAndModelKeysAreSensitive(t *testing.T) {
 		t.Fatal("SampleKey ignores the result key")
 	}
 	fp := NewHasher("fp").Key()
-	if ModelKey(fp, 1, "a") == ModelKey(fp, 1, "b") {
-		t.Fatal("ModelKey ignores the hyperparameters")
-	}
-	if ModelKey(fp, 1, "a") == ModelKey(fp, 2, "a") {
+	if ModelKey(fp, 1) == ModelKey(fp, 2) {
 		t.Fatal("ModelKey ignores the feature schema")
+	}
+	if ModelKey(fp, 1) == ModelKey(NewHasher("other").Key(), 1) {
+		t.Fatal("ModelKey ignores the run fingerprint")
 	}
 	if SelectionKey(rk, 1) == SelectionKey(rk, 2) {
 		t.Fatal("SelectionKey ignores k")

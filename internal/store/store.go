@@ -61,7 +61,7 @@ const (
 	// vector and PnR-vs-postmap labels of one oracle-evaluated sweep cell.
 	KindSample Kind = "sample"
 	// KindModel holds serialized cost models keyed by their full training
-	// provenance (run fingerprint + feature schema + hyperparameters).
+	// provenance (run fingerprint + feature schema).
 	KindModel Kind = "model"
 	KindSweep Kind = "sweep"
 )

@@ -58,7 +58,10 @@ type TriageOptions struct {
 	// MinTrain is the minimum usable training-sample count; below it the
 	// run falls back to the full oracle. 0 means 8.
 	MinTrain int
-	// Train are the cost-model hyperparameters (zero value = defaults).
+	// Train is ignored: the cost model has no tunable hyperparameters.
+	// The field stays only until a benchmark change stops passing it.
+	//
+	// Deprecated: ignored.
 	Train costmodel.TrainOptions
 }
 
@@ -126,7 +129,6 @@ func runFingerprint(g Grid, t TriageOptions) store.Key {
 	h.Int64(int64(math.Float64bits(t.explore())))
 	h.Int64(t.seed())
 	h.Int(t.minTrain())
-	h.Str(t.Train.Hyper())
 	h.Int(costmodel.FeatureSchemaVersion)
 	return h.Key()
 }
@@ -142,9 +144,8 @@ type TriageReport struct {
 	// TrainSamples is the corpus size the model was fitted on (or would
 	// have been: see Fallback); ModelCached reports whether the model was
 	// loaded from the store instead of trained.
-	TrainSamples int    `json:"train_samples"`
-	ModelCached  bool   `json:"model_cached,omitempty"`
-	Hyper        string `json:"hyper"`
+	TrainSamples int  `json:"train_samples"`
+	ModelCached  bool `json:"model_cached,omitempty"`
 	// Fallback is non-empty when the run fell back to the full oracle
 	// (too few samples, or training failed) and says why.
 	Fallback string `json:"fallback,omitempty"`
@@ -240,7 +241,7 @@ func (e *engine) runTriage(ctx context.Context, rep *Report, cells []Cell, pendi
 
 	info := &TriageReport{
 		Top: t.top(), Explore: t.explore(), Seed: t.seed(),
-		ExploreCells: len(explore), Hyper: t.Train.Hyper(),
+		ExploreCells: len(explore),
 	}
 	rep.Triage = info
 	defer func() {
@@ -455,7 +456,7 @@ func (e *engine) triageModel(mctx context.Context, rep *Report, explore map[int]
 	// reused, so a resumed run ranks with the identical model even though
 	// its sample corpus has since grown.
 	fp := store.Key(rep.Fingerprint)
-	mk := store.ModelKey(fp, costmodel.FeatureSchemaVersion, t.Train.Hyper())
+	mk := store.ModelKey(fp, costmodel.FeatureSchemaVersion)
 	var model *costmodel.Model
 	if st != nil {
 		if payload, ok := st.Get(store.KindModel, mk); ok {
@@ -487,7 +488,7 @@ func (e *engine) triageModel(mctx context.Context, rep *Report, explore map[int]
 			e.logger().Warn("triage fallback", "reason", info.Fallback)
 			return nil
 		}
-		m, err := costmodel.Train(mctx, corpus, t.Train)
+		m, err := costmodel.Train(mctx, corpus, costmodel.TrainOptions{})
 		if err != nil {
 			info.Fallback = fmt.Sprintf("training failed (%v) — running full oracle", err)
 			e.logger().Warn("triage fallback", "reason", info.Fallback)

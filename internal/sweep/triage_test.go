@@ -31,6 +31,73 @@ func triageOpts() TriageOptions {
 	return TriageOptions{Enabled: true, Top: 0.25, Explore: 0.1, Seed: 1, MinTrain: 2}
 }
 
+// gateGrid is the triage gate's grid: two apps, eight k values and
+// five placement seeds, 80 PnR cells.
+func gateGrid() Grid {
+	return Grid{
+		Apps:      []string{"camera", "harris"},
+		Supports:  []int{0},
+		Fabrics:   [][2]int{{32, 16}},
+		Seeds:     []int64{1, 2, 3, 4, 5},
+		Ks:        []int{1, 2, 3, 4, 5, 6, 7, 8},
+		PnR:       true,
+		Pipelined: true,
+	}
+}
+
+// gateTriage sends a tenth of the gate grid to the oracle by rank and a
+// tenth by exploration.
+func gateTriage() TriageOptions {
+	return TriageOptions{Enabled: true, Top: 0.1, Explore: 0.1, Seed: 1, MinTrain: 2}
+}
+
+// regretPct is the share of the full-oracle frontier's hypervolume the
+// triaged run's oracle cells lose, over the sweep's total across apps.
+// Per app, the union-of-rectangles hypervolume (minimizing area and
+// energy, reference point 1.1x the worst frontier corner).
+func regretPct(full, tri *Report) float64 {
+	var hvFullSum, hvTriSum float64
+	fullPts := FrontierPoints(full.Results, full.Frontier)
+	triPts := FrontierPoints(tri.Results, tri.FrontierOracle)
+	for app, fp := range fullPts {
+		var ref [2]float64
+		for _, p := range append(append([][2]float64{}, fp...), triPts[app]...) {
+			ref[0] = max(ref[0], p[0])
+			ref[1] = max(ref[1], p[1])
+		}
+		ref[0] *= 1.1
+		ref[1] *= 1.1
+		hvFull := Hypervolume2D(fp, ref)
+		if hvFull <= 0 {
+			continue
+		}
+		hvFullSum += hvFull
+		hvTriSum += Hypervolume2D(triPts[app], ref)
+	}
+	if hvFullSum <= 0 {
+		return 0
+	}
+	return 100 * (hvFullSum - hvTriSum) / hvFullSum
+}
+
+// TestTriageRegretWithinBound: on the gate's grid, the triaged run's
+// oracle-only frontier keeps all but at most 2% of the full-oracle
+// frontier's hypervolume. Deterministic, so it holds the regret half of
+// TestGateTriageSpeedup in the tier-1 suite without its timing half.
+func TestTriageRegretWithinBound(t *testing.T) {
+	g := gateGrid()
+	full := mustRun(t, g, Options{Workers: 2})
+	tri := mustRun(t, g, Options{Workers: 2, Triage: gateTriage()})
+	if tri.Triage == nil || tri.Triage.Fallback != "" {
+		t.Fatalf("triaged run did not triage: %+v", tri.Triage)
+	}
+	r := regretPct(full, tri)
+	t.Logf("%d oracle + %d predicted cells: regret %.3f%%", tri.Triage.OracleCells, tri.Triage.PredictedCells, r)
+	if r > 2 {
+		t.Errorf("hypervolume regret = %.3f%%, want <= 2%%", r)
+	}
+}
+
 func TestTriageRequiresPnR(t *testing.T) {
 	g := triageGrid()
 	g.PnR = false
@@ -59,9 +126,6 @@ func TestRunFingerprintTriageSensitivity(t *testing.T) {
 	o = triageOpts()
 	o.MinTrain = 5
 	mutate["min-train"] = o
-	o = triageOpts()
-	o.Train.Stumps = -1
-	mutate["hyper"] = o
 	for knob, m := range mutate {
 		if runFingerprint(g, m) == base {
 			t.Errorf("run fingerprint ignores the triage %s knob", knob)
@@ -234,7 +298,7 @@ func TestTriageDeterminismAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mk := store.ModelKey(store.Key(rep.Fingerprint), costmodel.FeatureSchemaVersion, o.Train.Hyper())
+		mk := store.ModelKey(store.Key(rep.Fingerprint), costmodel.FeatureSchemaVersion)
 		payload, ok := st.Get(store.KindModel, mk)
 		if !ok {
 			t.Fatal("trained model not persisted under its ModelKey")
