@@ -80,7 +80,9 @@ triagecheck:
 
 # Short fuzz pass over every fuzz target (canonical-code permutation
 # invariance and collision soundness; the clique solver returns exactly
-# what its frozen predecessor does; every persisted-value decoder
+# what its frozen predecessor does wherever that one finishes within
+# its budget, also on exactly the steps it spent, and a valid clique
+# with its true weight where it runs out; every persisted-value decoder
 # returns a value or an error on arbitrary bytes); CI-sized budget.
 # The fuzzer minimizes each input that finds new coverage before it
 # goes on, by default for up to 60 s and reporting no execs meanwhile;
@@ -107,8 +109,10 @@ fuzz:
 # canceled builds, and keep the full-PnR span tree worker-invariant; every
 # cell's bitstream words must match their pinned digest too. The merge and
 # instruction-selection hot paths likewise: a clique search allocates per
-# depth, not per branch step, and a failing match attempt allocates
-# nothing. Rule synthesis and the roll-ups: a rule-verification trial and
+# depth, not per branch step; on the compatibility graphs of a full suite
+# pass's merges it returns the frozen solver's cliques in at most a tenth
+# of its branch steps, oracle steps included (a deterministic count); and
+# a failing match attempt allocates nothing. Rule synthesis and the roll-ups: a rule-verification trial and
 # a PE activation's energy allocate nothing, and the compiled PE
 # evaluator, the compiled rule cross-check, dense pattern selection and
 # position-walked producer lists match frozen copies of the map-based
@@ -137,7 +141,7 @@ perfcheck:
 	$(GO) test ./internal/eval/ -run 'TestPlaceQualityNoWorse|TestPlacementDigestPinned|TestFullPnRObsDeterminism|TestLayoutMemo|TestDesignMemo' -count=1
 	$(GO) test -race ./internal/eval/ -run TestAppsSharedReadOnly -count=1
 	$(GO) test ./internal/core/ -run 'TestEvaluateCancellationOnLayoutHit|TestPnRDegradedLayoutShared' -count=1
-	$(GO) test ./internal/graph/ -run TestCliqueAllocs -count=1 -v
+	$(GO) test ./internal/graph/ -run 'TestCliqueAllocs|TestMaxWeightCliqueMergeCorpus' -count=1 -v
 	$(GO) test ./internal/rewrite/ -run 'TestMatchAllocs|TestRuleTrialAllocs' -count=1 -v
 	$(GO) test ./internal/pe/ -run TestActivationEnergyAllocs -count=1 -v
 	$(GO) test ./internal/eval/ -run 'TestCompileMatchesLegacyEvaluate|TestCrossCheckMatchesLegacy|TestProducersMatchLegacy' -count=1

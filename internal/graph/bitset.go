@@ -35,6 +35,15 @@ func (b bitset) andNotWith(other bitset) {
 	}
 }
 
+// count returns the number of set bits.
+func (b bitset) count() int {
+	c := 0
+	for _, w := range b {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
 // firstSet returns the index of the lowest set bit, or -1 if empty.
 func (b bitset) firstSet() int {
 	for i, w := range b {

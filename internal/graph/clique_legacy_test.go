@@ -8,14 +8,19 @@ import (
 )
 
 // legacyMaxWeightClique is the pre-optimization MaxWeightClique, kept
-// verbatim (minus argument validation) as a differential oracle: the
-// scratch-frame solver must visit the same branches in the same order
-// and spend its budget identically, so it returns the same clique and
-// weight on every input, including budget-exhausted ones.
-func legacyMaxWeightClique(adj UndirectedAdj, weights []float64, maxSteps int) ([]int, float64) {
+// verbatim (minus argument validation) as a differential oracle. It
+// also reports the branch steps it spent and whether its budget ran
+// out. Where it finishes, the solver must return the same clique and
+// weight: the first maximum-weight clique of the same search order.
+// Where it runs out, no faster search can match it (the faster one gets
+// further on the same budget), so only validity is required there. Its
+// weights are float64; callers pass integers whose sums stay below 2^53,
+// so its float arithmetic is exact and it solves the same problem as the
+// int64 solver.
+func legacyMaxWeightClique(adj UndirectedAdj, weights []float64, maxSteps int) (clique []int, weight float64, steps int, exhausted bool) {
 	n := len(adj)
 	if n == 0 {
-		return nil, 0
+		return nil, 0, 0, false
 	}
 	if maxSteps <= 0 {
 		maxSteps = 5_000_000
@@ -62,7 +67,9 @@ func legacyMaxWeightClique(adj UndirectedAdj, weights []float64, maxSteps int) (
 		out[i] = order[v]
 	}
 	sort.Ints(out)
-	return out, s.bestW
+	// A search whose last step spends the final unit of budget counts
+	// as exhausted too: from the outside it cannot be told apart.
+	return out, s.bestW, maxSteps - s.budget, s.budget <= 0
 }
 
 type legacyCliqueSolver struct {
@@ -143,9 +150,10 @@ func (s *legacyCliqueSolver) colorBound(p bitset) (verts []int, bound []float64)
 }
 
 // randomCliqueInstance draws a graph of n vertices with edge density
-// dens and weights in one of four regimes: distinct reals, small integers
+// dens and weights in one of four regimes: distinct integers below 2^40
+// (so sums over 200 vertices stay exact in float64), small integers
 // (many ties), all equal, and all zero.
-func randomCliqueInstance(rng *rand.Rand, n int, dens float64, regime int) (UndirectedAdj, []float64) {
+func randomCliqueInstance(rng *rand.Rand, n int, dens float64, regime int) (UndirectedAdj, []int64) {
 	adj := make(UndirectedAdj, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -155,13 +163,13 @@ func randomCliqueInstance(rng *rand.Rand, n int, dens float64, regime int) (Undi
 			}
 		}
 	}
-	w := make([]float64, n)
+	w := make([]int64, n)
 	for i := range w {
 		switch regime % 4 {
 		case 0:
-			w[i] = rng.Float64() * 10
+			w[i] = rng.Int63n(1 << 40)
 		case 1:
-			w[i] = float64(rng.Intn(3))
+			w[i] = rng.Int63n(3)
 		case 2:
 			w[i] = 1
 		case 3:
@@ -171,26 +179,67 @@ func randomCliqueInstance(rng *rand.Rand, n int, dens float64, regime int) (Undi
 	return adj, w
 }
 
-// checkCliqueMatchesLegacy fails t unless the solver and the frozen
-// oracle agree exactly on the instance.
-func checkCliqueMatchesLegacy(t *testing.T, adj UndirectedAdj, w []float64, budget int) {
+// float64s converts integer weights for the legacy solver.
+func float64s(w []int64) []float64 {
+	out := make([]float64, len(w))
+	for i, x := range w {
+		out[i] = float64(x)
+	}
+	return out
+}
+
+// cliqueWeight sums the weights of vs.
+func cliqueWeight(w []int64, vs []int) int64 {
+	var total int64
+	for _, v := range vs {
+		total += w[v]
+	}
+	return total
+}
+
+// checkCliqueMatchesLegacy fails t unless the solver returns the frozen
+// oracle's clique and weight on an instance the oracle finishes, or a
+// valid clique with its true weight on one where the oracle's budget
+// runs out. A finished instance is also solved on exactly the steps the
+// oracle spent, the tightest budget it finishes within. It reports
+// whether the oracle finished.
+func checkCliqueMatchesLegacy(t *testing.T, adj UndirectedAdj, w []int64, budget int) bool {
 	t.Helper()
 	got, gotW, err := MaxWeightClique(adj, w, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantW := legacyMaxWeightClique(adj, w, budget)
-	if !reflect.DeepEqual(got, want) || gotW != wantW {
+	want, wantW, steps, exhausted := legacyMaxWeightClique(adj, float64s(w), budget)
+	if exhausted {
+		if !IsClique(adj, got) || cliqueWeight(w, got) != gotW {
+			t.Fatalf("n=%d budget=%d (legacy exhausted): got %v weighing %d, reported %d",
+				len(adj), budget, got, cliqueWeight(w, got), gotW)
+		}
+		return false
+	}
+	if !reflect.DeepEqual(got, want) || float64(gotW) != wantW {
 		t.Fatalf("n=%d budget=%d: got %v (%v), legacy %v (%v)", len(adj), budget, got, gotW, want, wantW)
 	}
+	if steps > 0 {
+		tight, tightW, err := MaxWeightClique(adj, w, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tight, want) || tightW != gotW {
+			t.Fatalf("n=%d budget=%d (legacy's own steps): got %v (%v), legacy %v (%v)", len(adj), steps, tight, tightW, want, wantW)
+		}
+	}
+	return true
 }
 
 func TestMaxWeightCliqueMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	budgets := []int{0, 1, 2, 7, 50, 400}
-	for trial := 0; trial < 300; trial++ {
+	finished := 0
+	const trials = 300
+	for trial := 0; trial < trials; trial++ {
 		// Two in three trials are small enough to search exhaustively;
-		// the rest reach 200 vertices under a budget that runs out.
+		// the rest reach 200 vertices under a budget that often runs out.
 		n := 1 + rng.Intn(40)
 		budget := budgets[trial%len(budgets)]
 		if trial%3 == 0 {
@@ -199,7 +248,13 @@ func TestMaxWeightCliqueMatchesLegacy(t *testing.T) {
 		}
 		dens := []float64{0.05, 0.3, 0.6, 0.9}[rng.Intn(4)]
 		adj, w := randomCliqueInstance(rng, n, dens, trial)
-		checkCliqueMatchesLegacy(t, adj, w, budget)
+		if checkCliqueMatchesLegacy(t, adj, w, budget) {
+			finished++
+		}
+	}
+	t.Logf("%d of %d instances finished within the legacy budget", finished, trials)
+	if finished < trials/2 {
+		t.Fatalf("only %d of %d instances finished: the equality check barely runs", finished, trials)
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,12 +11,25 @@ import (
 
 func TestMaxWeightCliqueRejectsWeightMismatch(t *testing.T) {
 	adj := UndirectedAdj{{1}, {0}}
-	clique, total, err := MaxWeightClique(adj, []float64{1}, 0)
+	clique, total, err := MaxWeightClique(adj, []int64{1}, 0)
 	if !errors.Is(err, fault.ErrInvariant) {
 		t.Fatalf("mismatched weights: err = %v, want ErrInvariant", err)
 	}
 	if clique != nil || total != 0 {
 		t.Fatalf("error return carried results: %v %v", clique, total)
+	}
+}
+
+func TestMaxWeightCliqueRejectsBadWeights(t *testing.T) {
+	adj := UndirectedAdj{{1}, {0}}
+	for _, w := range [][]int64{{1, -1}, {math.MaxInt64, 1}} {
+		clique, total, err := MaxWeightClique(adj, w, 0)
+		if !errors.Is(err, fault.ErrInvariant) {
+			t.Fatalf("weights %v: err = %v, want ErrInvariant", w, err)
+		}
+		if clique != nil || total != 0 {
+			t.Fatalf("error return carried results: %v %v", clique, total)
+		}
 	}
 }
 
@@ -27,7 +41,7 @@ func TestMaxWeightCliqueTriangle(t *testing.T) {
 		{0, 1},
 		{0},
 	}
-	w := []float64{1, 1, 1, 10}
+	w := []int64{1, 1, 1, 10}
 	clique, total, err := MaxWeightClique(adj, w, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +57,7 @@ func TestMaxWeightCliqueTriangle(t *testing.T) {
 
 func TestMaxWeightCliqueSingleVertex(t *testing.T) {
 	adj := UndirectedAdj{{}}
-	clique, total, err := MaxWeightClique(adj, []float64{5}, 0)
+	clique, total, err := MaxWeightClique(adj, []int64{5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +79,9 @@ func TestMaxWeightCliqueEmpty(t *testing.T) {
 func TestMaxWeightCliqueComplete(t *testing.T) {
 	n := 8
 	adj := make(UndirectedAdj, n)
-	w := make([]float64, n)
+	w := make([]int64, n)
 	for i := 0; i < n; i++ {
-		w[i] = float64(i + 1)
+		w[i] = int64(i + 1)
 		for j := 0; j < n; j++ {
 			if i != j {
 				adj[i] = append(adj[i], j)
@@ -101,9 +115,9 @@ func TestMaxWeightCliqueAgainstBruteForce(t *testing.T) {
 				}
 			}
 		}
-		w := make([]float64, n)
+		w := make([]int64, n)
 		for i := range w {
-			w[i] = float64(1 + rng.Intn(9))
+			w[i] = int64(1 + rng.Intn(9))
 		}
 		want := bruteForceClique(adjm, w)
 		got, total, err := MaxWeightClique(adj, w, 0)
@@ -119,11 +133,11 @@ func TestMaxWeightCliqueAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func bruteForceClique(adj [][]bool, w []float64) float64 {
+func bruteForceClique(adj [][]bool, w []int64) int64 {
 	n := len(adj)
-	best := 0.0
+	var best int64
 	for mask := 1; mask < 1<<n; mask++ {
-		total := 0.0
+		var total int64
 		ok := true
 		var members []int
 		for i := 0; i < n && ok; i++ {
@@ -160,9 +174,9 @@ func TestMaxWeightCliqueBudgetStillValid(t *testing.T) {
 			}
 		}
 	}
-	w := make([]float64, n)
+	w := make([]int64, n)
 	for i := range w {
-		w[i] = 1 + rng.Float64()
+		w[i] = 1 + rng.Int63n(1<<20)
 	}
 	clique, total, err := MaxWeightClique(adj, w, 100) // tiny budget
 	if err != nil {
@@ -188,9 +202,9 @@ func BenchmarkMaxWeightClique50(b *testing.B) {
 			}
 		}
 	}
-	w := make([]float64, n)
+	w := make([]int64, n)
 	for i := range w {
-		w[i] = 1 + rng.Float64()*10
+		w[i] = 1 + rng.Int63n(10<<20)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -233,7 +247,8 @@ func TestCliqueAllocs(t *testing.T) {
 	solver := func(budget int) {
 		MaxWeightClique(adj, w, budget) //nolint:errcheck // inputs are well-formed
 	}
-	legacy := func(budget int) { legacyMaxWeightClique(adj, w, budget) }
+	fw := float64s(w)
+	legacy := func(budget int) { legacyMaxWeightClique(adj, fw, budget) }
 	if ls, ll := allocs(legacy, 300), allocs(legacy, 30000); ll < 2*ls {
 		t.Fatalf("instance too easy: legacy allocs %v at 300 steps, %v at 30000", ls, ll)
 	}

@@ -74,10 +74,10 @@ func (g CSR) kill(v int, alive []bool, deg []int32) int {
 // the answer is proven optimal.
 //
 // A maximum independent set of g is a maximum clique of its complement,
-// so this runs the clique solver's search with unit weights on
-// complement rows built straight from g: one word per row up to 64
-// vertices. Unit weights keep vertex index order, so the set is the one
-// MaxWeightClique returns on the complement's adjacency lists.
+// so this runs the clique solver's search with unit weights and no
+// oracle on complement rows built straight from g: one word per row up
+// to 64 vertices. Unit weights keep vertex index order, so the set is the
+// one MaxWeightClique returns on the complement's adjacency lists.
 func MaximumIndependentSet(g CSR, maxSteps int) ([]int, bool) {
 	n := g.Len()
 	if n == 0 {
@@ -103,7 +103,7 @@ func MaximumIndependentSet(g CSR, maxSteps int) ([]int, bool) {
 		}
 		comp[v] = row
 	}
-	w := make([]float64, n)
+	w := make([]int64, n)
 	for i := range w {
 		w[i] = 1
 	}

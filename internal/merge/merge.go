@@ -1,6 +1,7 @@
 package merge
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/graph"
@@ -8,21 +9,25 @@ import (
 	"repro/internal/tech"
 )
 
+// cliqueBudget bounds the branch-and-bound steps of each merge's
+// maximum-weight clique search; exhausting it yields a valid (possibly
+// suboptimal) merge. The largest search of a full suite pass takes a
+// few hundred steps.
+const cliqueBudget = 2_000_000
+
+// areaUnit is the fixed-point scale of the clique weights, per µm² of
+// saved area. Integer weights make sums and ties exact, so the clique
+// does not depend on the order the solver adds weights in.
+const areaUnit = 1 << 20
+
 // Options configures the merging algorithm.
 type Options struct {
-	// CliqueBudget bounds the branch-and-bound steps of the maximum-
-	// weight clique search; 0 means a generous default. Exhausting the
-	// budget yields a valid (possibly suboptimal) merge.
-	CliqueBudget int
 	// Tech supplies the area model for merge weights; nil means
 	// tech.Default().
 	Tech *tech.Model
 }
 
 func (o Options) withDefaults() Options {
-	if o.CliqueBudget <= 0 {
-		o.CliqueBudget = 2_000_000
-	}
 	if o.Tech == nil {
 		o.Tech = tech.Default()
 	}
@@ -58,14 +63,15 @@ func Merge(a, b *Datapath, opt Options) *Datapath {
 		return disjointUnion(a, b)
 	}
 	adj := compatibility(cands)
-	weights := make([]float64, len(cands))
+	weights := make([]int64, len(cands))
 	for i, c := range cands {
-		weights[i] = c.weight
+		weights[i] = int64(math.Round(c.weight * areaUnit))
 	}
-	// weights is built from cands above, so the solver cannot reject it;
-	// should it ever fail, merging degrades to the share-nothing union,
-	// which is always correct (just larger).
-	clique, _, err := graph.MaxWeightClique(adj, weights, opt.CliqueBudget)
+	// weights is built from cands above (one non-negative area per
+	// candidate), so the solver cannot reject it; should it ever fail,
+	// merging degrades to the share-nothing union, which is always
+	// correct (just larger).
+	clique, _, err := graph.MaxWeightClique(adj, weights, cliqueBudget)
 	if err != nil {
 		return disjointUnion(a, b)
 	}

@@ -295,15 +295,6 @@ func TestMergePatternIntoBaseline(t *testing.T) {
 	}
 }
 
-func TestCliqueBudgetStillValid(t *testing.T) {
-	a := BaselinePE(ir.BaselineALUOps())
-	b := patternShlAddAdd(t)
-	merged := Merge(a, b, Options{CliqueBudget: 50})
-	if err := merged.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a := patternMulAdd(t)
 	c := a.Clone()

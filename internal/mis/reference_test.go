@@ -154,7 +154,7 @@ func refMaximumIndependentSet(adj graph.UndirectedAdj, maxSteps int) ([]int, boo
 			}
 		}
 	}
-	weights := make([]float64, n)
+	weights := make([]int64, n)
 	for i := range weights {
 		weights[i] = 1
 	}
